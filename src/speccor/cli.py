@@ -55,11 +55,15 @@ def _resolve(manifest_path, row_path) -> Path:
     return p if p.is_absolute() else Path(manifest_path).parent / p
 
 
-def _load_spectrograms(manifest_path, rows, n_fft, hop):
-    def load(row):
-        wave = wavio.read_wav(_resolve(manifest_path, row.path))
-        return dsp.amplitude(dsp.stft(wave, n_fft, hop))
-    return _map_ordered(load, rows)
+def _map_files(manifest_path, rows, fn):
+    """fn(row, waveform) for each manifest row, in order; a ValueError names its file."""
+    def run(row):
+        path = _resolve(manifest_path, row.path)
+        try:
+            return fn(row, wavio.read_wav(path))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return _map_ordered(run, rows)
 
 
 def _manifest_devices(rows) -> list:
@@ -82,7 +86,8 @@ def cmd_estimate(args) -> int:
     if reference != "none" and reference not in devices:
         raise ValueError(f"reference-device {reference!r} not present in the manifest")
 
-    specs = _load_spectrograms(args.manifest, rows, args.n_fft, args.hop)
+    specs = _map_files(args.manifest, rows, lambda row, wave: dsp.amplitude(
+        dsp.stft(wave, args.n_fft, args.hop)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -102,9 +107,15 @@ def cmd_estimate(args) -> int:
         for group, members in groups.items():
             if reference not in members:
                 raise ValueError(f"group {group!r} is missing reference-device {reference!r}")
+            ref_spec = members[reference]
             for device, spec in members.items():
-                if device != reference:
-                    pairs.setdefault(device, []).append((members[reference], spec))
+                if device == reference:
+                    continue
+                if spec.frames != ref_spec.frames:
+                    raise ValueError(f"group {group!r} is unaligned: device {device!r} has "
+                                     f"{spec.frames} frames, reference-device {reference!r} "
+                                     f"has {ref_spec.frames}")
+                pairs.setdefault(device, []).append((ref_spec, spec))
         for device in devices:
             if device == reference:
                 continue
@@ -250,8 +261,7 @@ def cmd_features(args) -> int:
 
     fb_cache = {}
 
-    def process(row):
-        wave = wavio.read_wav(_resolve(args.manifest, row.path))
+    def process(row, wave):
         if wave.sample_rate not in fb_cache:
             fb_cache[wave.sample_rate] = mel_filterbank(
                 wave.sample_rate, args.n_fft, args.n_mels)
@@ -260,8 +270,8 @@ def cmd_features(args) -> int:
                        coeffs_by_device.get(row.device))
 
     # Warm the filterbank cache sequentially, then fan out.
-    feats = [process(rows[0])]
-    feats.extend(_map_ordered(process, rows[1:]))
+    feats = _map_files(args.manifest, rows[:1], process)
+    feats.extend(_map_files(args.manifest, rows[1:], process))
 
     if args.standardize:
         grouping = "per_device" if args.standardize == "per-device" else "global"

@@ -207,7 +207,15 @@ def read_features(path) -> FeatureTensor:
     header = data[:split].decode("ascii").splitlines()
     if header[0] != FEATURES_MAGIC:
         raise ValueError(f"{path}: expected header {FEATURES_MAGIC!r}")
-    fields = dict(line.split(" ", 1) for line in header[1:-1])
+    fields = {}
+    for line in header[1:-1]:
+        name, sep, value = line.partition(" ")
+        if not sep:
+            raise ValueError(f"{path}: header field {name!r} has no value")
+        fields[name] = value
+    for name in ("frames", "mels", "normalization", "stats_id"):
+        if name not in fields:
+            raise ValueError(f"{path}: header lacks field {name!r}")
     frames = int(fields["frames"])
     mels = int(fields["mels"])
     payload = data[split:]

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,58 @@ def test_estimate_aligned_rejects_group_without_reference(sim_dir, tmp_path,
                  "--out", str(tmp_path / "c")]) == 1
     err = capsys.readouterr().err
     assert "g1" in err and "reference-device" in err
+
+
+def test_estimate_names_the_aligned_group_whose_frames_differ(sim_dir, tmp_path,
+                                                             capsys):
+    short = tmp_path / "short_b.wav"
+    sc.write_wav(short, white_waveform(93, seconds=0.5))
+    manifest = tmp_path / "uneven.tsv"
+    files.write_manifest(manifest, [
+        files.ManifestRow(str(sim_dir / "g0000_a.wav"), "a", "g0"),
+        files.ManifestRow(str(sim_dir / "g0000_b.wav"), "b", "g0"),
+        files.ManifestRow(str(sim_dir / "g0001_a.wav"), "a", "g1"),
+        files.ManifestRow(str(short), "b", "g1"),
+    ])
+    assert main(["estimate", "--manifest", str(manifest),
+                 "--reference-device", "a", "--aligned",
+                 "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert "'g1'" in err and "frames" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "features"])
+def test_per_file_errors_name_the_file(command, tmp_path, capsys):
+    long_path, short_path = tmp_path / "long.wav", tmp_path / "short.wav"
+    sc.write_wav(long_path, white_waveform(94, seconds=0.2))
+    sc.write_wav(short_path, sc.Waveform(np.zeros(1000), SR))
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, [files.ManifestRow("long.wav", "a"),
+                                    files.ManifestRow("short.wav", "b")])
+    extra = ["--reference-device", "a"] if command == "estimate" else []
+    assert main([command, "--manifest", str(manifest), *extra,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "short.wav" in err and "input too short" in err and "long.wav" not in err
+
+
+def test_unreadable_file_still_exits_2(tmp_path, capsys):
+    (tmp_path / "bad.wav").write_bytes(b"not a wav file")
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, [files.ManifestRow("bad.wav", "a")])
+    assert main(["estimate", "--manifest", str(manifest), "--reference-device", "a",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "bad.wav" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(sc.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, speccor.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_apply_identity_round_trips_audio(tmp_path):

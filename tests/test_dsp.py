@@ -193,3 +193,39 @@ def test_waveform_validation():
         sc.Waveform(np.array([0.0, np.nan]), SR)
     with pytest.raises(ValueError):
         sc.Waveform(np.zeros(4), 0)
+
+
+# -- oracles: scipy.signal, which the numpy code replaces ------------------------------
+
+@pytest.mark.parametrize("n", [16, 64, 512, 2048, 4096])
+def test_hann_window_equals_scipy(n):
+    signal = pytest.importorskip("scipy.signal")
+    assert np.array_equal(sc.dsp.window_array("hann", n),
+                          signal.get_window("hann", n, fftbins=True))
+
+
+def test_fast_fft_len_equals_scipy():
+    fft = pytest.importorskip("scipy.fft")
+    mismatches = [n for n in range(1, 200001)
+                  if sc.dsp.fast_fft_len(n) != fft.next_fast_len(n, True)]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("n_fft", [64, 2048])
+def test_overlap_add_invertible_equals_check_nola(n_fft):
+    signal = pytest.importorskip("scipy.signal")
+    win = sc.dsp.window_array("hann", n_fft)
+    for hop in range(1, n_fft + 65):
+        # check_NOLA takes the overlap, which cannot be negative.
+        expected = hop <= n_fft and signal.check_NOLA(win, n_fft, n_fft - hop)
+        assert sc.dsp.overlap_add_invertible(win, hop) == expected, hop
+
+
+@pytest.mark.parametrize("n, m", [(132300, 1025), (441000, 1025), (1000, 1)])
+def test_fft_convolve_equals_fftconvolve(n, m):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    taps = rng.standard_normal(m)
+    out = sc.convolve(sc.Waveform(x, SR), taps, method="fft").samples
+    assert np.array_equal(out, signal.fftconvolve(x, taps))

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -159,6 +160,34 @@ def test_features_file_round_trip(tmp_path):
     second = tmp_path / "y.feat"
     files.write_features(second, back)
     assert path.read_bytes() == second.read_bytes()
+
+
+def _feature_file_without(tmp_path, field):
+    path = tmp_path / "x.feat"
+    files.write_features(path, sc.FeatureTensor(np.zeros((2, 3)), "raw", "", "pre_mel:b->a"))
+    data = path.read_bytes()
+    start = data.index(f"\n{field} ".encode()) + 1
+    path.write_bytes(data[:start] + data[data.index(b"\n", start) + 1:])
+    return path
+
+
+@pytest.mark.parametrize("field", ["frames", "mels", "normalization", "stats_id"])
+def test_features_file_missing_field_names_it(tmp_path, field):
+    path = _feature_file_without(tmp_path, field)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks field '{field}'")):
+        files.read_features(path)
+
+
+def test_features_file_correction_field_is_optional(tmp_path):
+    assert files.read_features(_feature_file_without(tmp_path, "correction")).correction == "none"
+
+
+def test_features_file_field_without_value_names_it(tmp_path):
+    path = tmp_path / "x.feat"
+    files.write_features(path, sc.FeatureTensor(np.zeros((2, 3)), "raw", "", "none"))
+    path.write_bytes(path.read_bytes().replace(b"normalization raw\n", b"normalization\n"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header field 'normalization' has no value")):
+        files.read_features(path)
 
 
 # -- responses -------------------------------------------------------------------------
