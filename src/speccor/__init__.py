@@ -41,6 +41,7 @@ from .fir import FirFilter, apply_filter, design_ls, frequency_response
 from .simulate import (
     DeviceResponse,
     EnvironmentResponse,
+    Response,
     SimConfig,
     SimDataset,
     flat_environment,
@@ -68,6 +69,7 @@ __all__ = [
     "FirFilter",
     "MelFilterbank",
     "RecordingSet",
+    "Response",
     "SimConfig",
     "SimDataset",
     "Waveform",

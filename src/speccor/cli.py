@@ -237,8 +237,8 @@ def cmd_simulate(args) -> int:
     files.write_manifest(out_dir / "manifest.tsv", rows)
     files.write_responses(
         out_dir / "responses.txt", cfg.sample_rate, cfg.n_fft,
-        {d.device_id: d.gains for d in cfg.devices},
-        {e.scene_id: e.gains for e in cfg.environments})
+        {d.name: d.gains for d in cfg.devices},
+        {e.name: e.gains for e in cfg.environments})
     mode = "aligned" if cfg.aligned else "unaligned"
     print(f"wrote {len(rows)} recordings ({mode}) to {out_dir}")
     return 0

@@ -8,6 +8,7 @@ byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,26 +37,41 @@ def _check_token(value: str, what: str) -> str:
     return value
 
 
+def _names_file(read):
+    """Prefix every ValueError a reader raises with the path it was reading."""
+    @functools.wraps(read)
+    def wrapper(path):
+        try:
+            return read(path)
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return wrapper
+
+
+def _count(value: str, key: str) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"field {key!r} must not be negative, got {count}")
+    return count
+
+
 class _LineReader:
     def __init__(self, path, magic: str):
-        self.path = str(path)
-        self.lines = Path(path).read_text().splitlines()
-        self.pos = 0
+        self.lines = iter(Path(path).read_text().splitlines())
         if self.next() != magic:
-            raise ValueError(f"{self.path}: expected header {magic!r}")
+            raise ValueError(f"expected header {magic!r}")
 
     def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ValueError(f"{self.path}: unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
+        line = next(self.lines, None)
+        if line is None:
+            raise ValueError("unexpected end of file")
         return line
 
     def field(self, key: str) -> str:
         line = self.next()
         name, _, value = line.partition(" ")
         if name != key or not value:
-            raise ValueError(f"{self.path}: expected field {key!r}, got {line!r}")
+            raise ValueError(f"expected field {key!r}, got {line!r}")
         return value
 
     def floats(self, count: int) -> np.ndarray:
@@ -80,39 +96,39 @@ def write_manifest(path, rows: Sequence[ManifestRow]) -> None:
             writer.writerow([row.path, row.device, row.group or ""])
 
 
+@_names_file
 def read_manifest(path) -> list:
     with open(path, newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty manifest") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty manifest")
         if tuple(header) != MANIFEST_COLUMNS:
-            raise ValueError(f"{path}: manifest header must be "
+            raise ValueError(f"manifest header must be "
                              f"{' / '.join(MANIFEST_COLUMNS)}, got {header}")
         rows = []
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
             if len(record) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(record)}")
+                raise ValueError(f"line {lineno}: expected 3 columns, got {len(record)}")
             rows.append(ManifestRow(record[0], record[1], record[2] or None))
 
     seen = set()
     group_devices: dict = {}
     for row in rows:
         if row.path in seen:
-            raise ValueError(f"{path}: duplicate path {row.path!r}")
+            raise ValueError(f"duplicate path {row.path!r}")
         seen.add(row.path)
         if not row.device:
-            raise ValueError(f"{path}: empty device for {row.path!r}")
+            raise ValueError(f"empty device for {row.path!r}")
         if row.group:
             group_devices.setdefault(row.group, set()).add(row.device)
     for group, devices in group_devices.items():
         if len(devices) < 2:
-            raise ValueError(f"{path}: group {group!r} must span at least two devices")
+            raise ValueError(f"group {group!r} must span at least two devices")
     if not rows:
-        raise ValueError(f"{path}: empty manifest")
+        raise ValueError("empty manifest")
     return rows
 
 
@@ -133,6 +149,7 @@ def write_coefficients(path, c: CorrectionCoefficients) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_names_file
 def read_coefficients(path) -> CorrectionCoefficients:
     reader = _LineReader(path, COEFFS_MAGIC)
     estimator = reader.field("estimator")
@@ -141,8 +158,7 @@ def read_coefficients(path) -> CorrectionCoefficients:
     sample_rate = int(reader.field("sample_rate"))
     n_fft = int(reader.field("n_fft"))
     num_recordings = int(reader.field("num_recordings"))
-    count = int(reader.field("gains"))
-    gains = reader.floats(count)
+    gains = reader.floats(_count(reader.field("gains"), "gains"))
     return CorrectionCoefficients(gains, n_fft, sample_rate, source, reference,
                                   num_recordings, estimator)
 
@@ -162,19 +178,20 @@ def write_filter(path, fir: FirFilter) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_names_file
 def read_filter(path) -> FirFilter:
     reader = _LineReader(path, FILTER_MAGIC)
     sample_rate = int(reader.field("sample_rate"))
     num_taps = int(reader.field("num_taps"))
     group_delay = int(reader.field("group_delay"))
     target_bins = int(reader.field("target_bins"))
-    count = int(reader.field("taps"))
+    count = _count(reader.field("taps"), "taps")
     if count != num_taps:
-        raise ValueError(f"{path}: tap count {count} disagrees with num_taps {num_taps}")
+        raise ValueError(f"tap count {count} disagrees with num_taps {num_taps}")
     taps = reader.floats(count)
     fir = FirFilter(taps, sample_rate, target_bins)
     if fir.group_delay != group_delay:
-        raise ValueError(f"{path}: group_delay {group_delay} disagrees with "
+        raise ValueError(f"group_delay {group_delay} disagrees with "
                          f"tap length {num_taps}")
     return fir
 
@@ -197,30 +214,30 @@ def write_features(path, feat: FeatureTensor) -> None:
         handle.write(feat.values.astype("<f8").tobytes())
 
 
+@_names_file
 def read_features(path) -> FeatureTensor:
-    with open(path, "rb") as handle:
-        data = handle.read()
+    data = Path(path).read_bytes()
     try:
         split = data.index(b"dtype float64-le\n") + len(b"dtype float64-le\n")
     except ValueError:
-        raise ValueError(f"{path}: missing dtype header line") from None
+        raise ValueError("missing dtype header line") from None
     header = data[:split].decode("ascii").splitlines()
     if header[0] != FEATURES_MAGIC:
-        raise ValueError(f"{path}: expected header {FEATURES_MAGIC!r}")
+        raise ValueError(f"expected header {FEATURES_MAGIC!r}")
     fields = {}
     for line in header[1:-1]:
         name, sep, value = line.partition(" ")
         if not sep:
-            raise ValueError(f"{path}: header field {name!r} has no value")
+            raise ValueError(f"header field {name!r} has no value")
         fields[name] = value
     for name in ("frames", "mels", "normalization", "stats_id"):
         if name not in fields:
-            raise ValueError(f"{path}: header lacks field {name!r}")
-    frames = int(fields["frames"])
-    mels = int(fields["mels"])
+            raise ValueError(f"header lacks field {name!r}")
+    frames = _count(fields["frames"], "frames")
+    mels = _count(fields["mels"], "mels")
     payload = data[split:]
     if len(payload) != frames * mels * 8:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
+        raise ValueError(f"payload holds {len(payload)} bytes, "
                          f"expected {frames * mels * 8}")
     values = np.frombuffer(payload, dtype="<f8").reshape(frames, mels)
     stats_id = fields["stats_id"]
@@ -251,21 +268,23 @@ def write_responses(path, sample_rate: int, n_fft: int,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_names_file
 def read_responses(path):
     """Read ground-truth curves; returns (sample_rate, n_fft, devices, environments)."""
     reader = _LineReader(path, RESPONSES_MAGIC)
     sample_rate = int(reader.field("sample_rate"))
     n_fft = int(reader.field("n_fft"))
+    bins = n_fft // 2 + 1
 
-    def read_block(kind: str, count: int) -> dict:
+    def read_block(kind: str) -> dict:
         out = {}
-        for _ in range(count):
+        for _ in range(_count(reader.field(f"{kind}s"), f"{kind}s")):
             tag, name, length = reader.next().split(" ")
             if tag != kind:
-                raise ValueError(f"{path}: expected a {kind!r} entry, got {tag!r}")
-            out[name] = reader.floats(int(length))
+                raise ValueError(f"expected a {kind!r} entry, got {tag!r}")
+            if int(length) != bins:
+                raise ValueError(f"{kind} {name!r} has {length} gains, n_fft {n_fft} needs {bins}")
+            out[name] = reader.floats(bins)
         return out
 
-    devices = read_block("device", int(reader.field("devices")))
-    environments = read_block("environment", int(reader.field("environments")))
-    return sample_rate, n_fft, devices, environments
+    return sample_rate, n_fft, read_block("device"), read_block("environment")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,53 +19,38 @@ RESPONSE_BOUND_DB = 40.0
 MAX_LOG_STEP = 0.1
 
 
-def _validate_response(gains: np.ndarray, what: str) -> np.ndarray:
-    gains = np.asarray(gains, dtype=np.float64)
-    if gains.ndim != 1 or gains.size < 2:
-        raise ValueError(f"{what} gains must be a 1-D vector of at least 2 bins")
-    bound = 10.0 ** (RESPONSE_BOUND_DB / 20.0)
-    if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
-        raise ValueError(f"{what} gains must be finite and positive")
-    if np.any(gains > bound * (1 + 1e-9)) or np.any(gains < (1 - 1e-9) / bound):
-        raise ValueError(f"{what} gains must stay within +/-{RESPONSE_BOUND_DB} dB")
-    steps = np.abs(np.diff(np.log(gains)))
-    if steps.size and steps.max() > MAX_LOG_STEP * (1 + 1e-9):
-        raise ValueError(
-            f"{what} is not smooth: adjacent-bin log-gain step {steps.max():.4f} "
-            f"exceeds {MAX_LOG_STEP}")
-    return gains
-
-
 @dataclass(frozen=True)
-class DeviceResponse:
-    """Ground-truth per-bin linear gain curve of a simulated device."""
+class Response:
+    """Ground-truth per-bin linear gain curve of a simulated device or environment."""
 
     gains: np.ndarray
-    device_id: str
+    name: str
     n_fft: int
     sample_rate: int
 
     def __post_init__(self):
-        gains = _validate_response(self.gains, f"device response {self.device_id!r}")
-        if gains.size != self.n_fft // 2 + 1:
-            raise ValueError(f"device response needs n_fft//2+1 = {self.n_fft // 2 + 1} bins")
+        what = f"response {self.name!r}"
+        gains = np.asarray(self.gains, dtype=np.float64)
+        if gains.ndim != 1 or gains.size < 2 or gains.size != self.n_fft // 2 + 1:
+            raise ValueError(f"{what} gains must be a 1-D vector of n_fft//2+1 = "
+                             f"{self.n_fft // 2 + 1} >= 2 bins")
+        bound = 10.0 ** (RESPONSE_BOUND_DB / 20.0)
+        if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
+            raise ValueError(f"{what} gains must be finite and positive")
+        if np.any(gains > bound * (1 + 1e-9)) or np.any(gains < (1 - 1e-9) / bound):
+            raise ValueError(f"{what} gains must stay within +/-{RESPONSE_BOUND_DB} dB")
+        steps = np.abs(np.diff(np.log(gains)))
+        if steps.max() > MAX_LOG_STEP * (1 + 1e-9):
+            raise ValueError(
+                f"{what} is not smooth: adjacent-bin log-gain step {steps.max():.4f} "
+                f"exceeds {MAX_LOG_STEP}")
         object.__setattr__(self, "gains", gains)
 
+    # Read-only names of the response in its device or environment role.
+    device_id = scene_id = property(lambda self: self.name)
 
-@dataclass(frozen=True)
-class EnvironmentResponse:
-    """Ground-truth per-bin gain curve the environment imprints on a signal."""
 
-    gains: np.ndarray
-    scene_id: str
-    n_fft: int
-    sample_rate: int
-
-    def __post_init__(self):
-        gains = _validate_response(self.gains, f"environment response {self.scene_id!r}")
-        if gains.size != self.n_fft // 2 + 1:
-            raise ValueError(f"environment response needs n_fft//2+1 = {self.n_fft // 2 + 1} bins")
-        object.__setattr__(self, "gains", gains)
+DeviceResponse = EnvironmentResponse = Response
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,7 @@ class SimConfig:
                 f"than one analysis frame (n_fft={self.n_fft})")
         if not self.devices:
             raise ValueError("at least one device response is required")
-        ids = [d.device_id for d in self.devices]
+        ids = [d.name for d in self.devices]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate device ids: {ids}")
         for resp in list(self.devices) + list(self.environments):
@@ -113,15 +99,21 @@ class SimRecording:
 
 @dataclass(frozen=True)
 class SimDataset:
-    """A generated dataset: waveforms, their re-analyzed spectrograms, and truth."""
+    """A generated dataset: its waveforms and the config that fixes them."""
 
-    recordings: RecordingSet
     waveforms: tuple
-    devices: tuple
-    environments: tuple
+    config: SimConfig
 
-    def device_truth(self) -> dict:
-        return {d.device_id: d for d in self.devices}
+    @cached_property
+    def recordings(self) -> RecordingSet:
+        """The waveforms' amplitude spectrograms, analyzed on first access."""
+        cfg = self.config
+        items = [(rec.recording_id, rec.device_id,
+                  dsp.amplitude(dsp.stft(rec.waveform, cfg.n_fft, cfg.hop)))
+                 for rec in self.waveforms]
+        groups = ({rec.recording_id: rec.group_id for rec in self.waveforms}
+                  if cfg.aligned else None)
+        return RecordingSet(items, groups)
 
 
 def _smooth_log_gains(rng: np.random.Generator, max_db: float, n_bins: int) -> np.ndarray:
@@ -153,37 +145,30 @@ def _smooth_log_gains(rng: np.random.Generator, max_db: float, n_bins: int) -> n
 
 
 def make_smooth_response(seed: int, max_db: float, n_fft: int, sample_rate: int,
-                         device_id: str = "dev") -> DeviceResponse:
-    """Deterministic random smooth device response with peak gain max_db."""
+                         device_id: str = "dev") -> Response:
+    """Deterministic random smooth response with peak gain max_db."""
     if not 0 < max_db <= RESPONSE_BOUND_DB:
         raise ValueError(f"max_db must lie in (0, {RESPONSE_BOUND_DB}], got {max_db}")
     rng = np.random.default_rng(seed)
     gains = np.exp(_smooth_log_gains(rng, max_db, n_fft // 2 + 1))
-    return DeviceResponse(gains, device_id, n_fft, sample_rate)
+    return Response(gains, device_id, n_fft, sample_rate)
 
 
 def make_smooth_environment(seed: int, max_db: float, n_fft: int, sample_rate: int,
-                            scene_id: str = "env") -> EnvironmentResponse:
-    """Deterministic random smooth environment response with peak gain max_db."""
-    if not 0 < max_db <= RESPONSE_BOUND_DB:
-        raise ValueError(f"max_db must lie in (0, {RESPONSE_BOUND_DB}], got {max_db}")
-    rng = np.random.default_rng(seed)
-    gains = np.exp(_smooth_log_gains(rng, max_db, n_fft // 2 + 1))
-    return EnvironmentResponse(gains, scene_id, n_fft, sample_rate)
+                            scene_id: str = "env") -> Response:
+    return make_smooth_response(seed, max_db, n_fft, sample_rate, scene_id)
 
 
-def flat_response(device_id: str, n_fft: int, sample_rate: int) -> DeviceResponse:
-    """Identity device: unit gain in every bin."""
-    return DeviceResponse(np.ones(n_fft // 2 + 1), device_id, n_fft, sample_rate)
+def flat_response(device_id: str, n_fft: int, sample_rate: int) -> Response:
+    """Identity device or environment: unit gain in every bin."""
+    return Response(np.ones(n_fft // 2 + 1), device_id, n_fft, sample_rate)
 
 
-def flat_environment(scene_id: str, n_fft: int, sample_rate: int) -> EnvironmentResponse:
-    """Identity environment: unit gain in every bin."""
-    return EnvironmentResponse(np.ones(n_fft // 2 + 1), scene_id, n_fft, sample_rate)
+flat_environment = flat_response
 
 
-def record(clean: Waveform, env: Optional[EnvironmentResponse],
-           dev: DeviceResponse, hop: Optional[int] = None) -> Waveform:
+def record(clean: Waveform, env: Optional[Response],
+           dev: Response, hop: Optional[int] = None) -> Waveform:
     """Pass a clean waveform through environment and device gain curves.
 
     The gains multiply STFT magnitudes with phases kept (zero-phase
@@ -241,17 +226,12 @@ def generate_dataset(cfg: SimConfig) -> SimDataset:
     immaterial.
     """
     num_samples = int(round(cfg.duration * cfg.sample_rate))
-    items = []
     waves = []
-    groups: dict = {}
 
-    def env_for(index: int) -> Optional[EnvironmentResponse]:
+    def env_for(index: int) -> Optional[Response]:
         if not cfg.environments:
             return None
         return cfg.environments[index % len(cfg.environments)]
-
-    def analyze(wave: Waveform):
-        return dsp.amplitude(dsp.stft(wave, cfg.n_fft, cfg.hop))
 
     if cfg.aligned:
         for i in range(cfg.num_recordings):
@@ -261,20 +241,13 @@ def generate_dataset(cfg: SimConfig) -> SimDataset:
             group = f"g{i:04d}"
             for dev in cfg.devices:
                 wave = record(clean, env, dev, hop=cfg.hop)
-                rid = f"{group}_{dev.device_id}"
-                items.append((rid, dev.device_id, analyze(wave)))
-                waves.append(SimRecording(rid, dev.device_id, group, wave))
-                groups[rid] = group
-        recordings = RecordingSet(items, groups)
+                waves.append(SimRecording(f"{group}_{dev.name}", dev.name, group, wave))
     else:
         for d_idx, dev in enumerate(cfg.devices):
             for i in range(cfg.num_recordings):
                 rng = np.random.default_rng([cfg.seed, d_idx, i])
                 clean = _make_source(rng, cfg.source, num_samples, cfg.sample_rate)
                 wave = record(clean, env_for(i), dev, hop=cfg.hop)
-                rid = f"{dev.device_id}_{i:04d}"
-                items.append((rid, dev.device_id, analyze(wave)))
-                waves.append(SimRecording(rid, dev.device_id, None, wave))
-        recordings = RecordingSet(items, None)
+                waves.append(SimRecording(f"{dev.name}_{i:04d}", dev.name, None, wave))
 
-    return SimDataset(recordings, tuple(waves), cfg.devices, cfg.environments)
+    return SimDataset(tuple(waves), cfg)

@@ -80,7 +80,10 @@ def read_wav(path) -> Waveform:
     samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) * scale
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    return Waveform(samples, sample_rate)
+    try:
+        return Waveform(samples, sample_rate)
+    except ValueError as exc:  # a zero sample rate or non-finite float samples
+        raise AudioFileError(f"{path}: {exc}") from None
 
 
 def write_wav(path, w: Waveform, encoding: str = "float32") -> None:

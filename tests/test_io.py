@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speccor as sc
 from speccor import files
@@ -207,6 +208,14 @@ def test_responses_file_round_trip(tmp_path):
     assert np.array_equal(environments["e0"], env.gains)
 
 
+def test_responses_file_rejects_curve_length_other_than_n_fft_bins(tmp_path):
+    path = tmp_path / "responses.txt"
+    files.write_responses(path, SR, N_FFT, {"a": np.ones(2)})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: device 'a' has 2 gains, n_fft {N_FFT} needs {N_FFT // 2 + 1}")):
+        files.read_responses(path)
+
+
 # -- manifests ---------------------------------------------------------------------------
 
 def test_manifest_round_trip(tmp_path):
@@ -233,3 +242,82 @@ def test_manifest_rejects_duplicates_and_lonely_groups(tmp_path):
     path.write_text("wrong\theader\there\n")
     with pytest.raises(ValueError, match="header"):
         files.read_manifest(path)
+
+
+# -- every reader names its file -----------------------------------------------------------
+
+def _rewrite(path, old: bytes, new: bytes):
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+
+
+def test_features_file_rejects_negative_dimensions(tmp_path):
+    # frames -2 x mels -4 still asks for 8 doubles, which the payload holds.
+    path = tmp_path / "x.feat"
+    files.write_features(path, sc.FeatureTensor(np.zeros((2, 4)), "raw", "", "none"))
+    _rewrite(path, b"frames 2\nmels 4\n", b"frames -2\nmels -4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: field 'frames' must not be negative, got -2")):
+        files.read_features(path)
+
+
+def test_coefficients_and_filter_reject_negative_counts(tmp_path):
+    c = sc.CorrectionCoefficients(np.ones(9), 16, SR, "b", "a", 1, "aligned")
+    coeffs = tmp_path / "b.coeffs"
+    files.write_coefficients(coeffs, c)
+    _rewrite(coeffs, b"gains 9\n", b"gains -9\n")
+    with pytest.raises(ValueError, match=re.escape(f"{coeffs}: field 'gains' must not be negative")):
+        files.read_coefficients(coeffs)
+    filt = tmp_path / "f.filt"
+    files.write_filter(filt, sc.FirFilter(np.array([0.25, 0.5, 0.25]), SR, 9))
+    _rewrite(filt, b"\ntaps 3\n", b"\ntaps -3\n")
+    with pytest.raises(ValueError, match=re.escape(f"{filt}: field 'taps' must not be negative")):
+        files.read_filter(filt)
+
+
+def _write_responses(path):
+    files.write_responses(path, SR, 4, {"a": [1.0, 2.0, 0.5], "b": [1.0, 1.0, 1.0]},
+                          {"e0": [0.5, 1.0, 2.0]})
+
+
+# One small valid file per format, and the reader that parses it.
+FORMATS = {
+    "coeffs": (lambda p: files.write_coefficients(p, sc.CorrectionCoefficients(
+        np.linspace(0.5, 2.0, 9), 16, SR, "b", "a", 3, "unaligned")),
+        files.read_coefficients),
+    "filt": (lambda p: files.write_filter(p, sc.FirFilter(
+        np.array([0.125, 0.25, 0.5, 0.25, 0.125]), SR, 9)), files.read_filter),
+    "feat": (lambda p: files.write_features(p, sc.FeatureTensor(
+        np.arange(12.0).reshape(3, 4), "per_device", "device:b", "none")),
+        files.read_features),
+    "responses": (_write_responses, files.read_responses),
+    "manifest": (lambda p: files.write_manifest(p, [
+        files.ManifestRow("a0.wav", "a", "g0"), files.ManifestRow("b0.wav", "b", "g0"),
+        files.ManifestRow("b1.wav", "b", None)]), files.read_manifest),
+    "wav": (lambda p: sc.write_wav(p, sc.Waveform(np.linspace(-0.5, 0.5, 16), SR)),
+            sc.read_wav),
+}
+
+# Arbitrary bytes, plus short runs of the characters that numeric fields are made of.
+_JUNK = st.one_of(st.binary(max_size=12),
+                  st.text("0123456789-+.eEx \t\n", max_size=6).map(str.encode))
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_reader_parses_spliced_file_or_names_it(tmp_path, kind):
+    write, read = FORMATS[kind]
+    path = tmp_path / f"x.{kind}"
+    write(path)
+    valid = path.read_bytes()
+    read(path)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(offset=st.integers(0, len(valid)), cut=st.integers(0, 8), junk=_JUNK)
+    def splice(offset, cut, junk):
+        path.write_bytes(valid[:offset] + junk + valid[offset + cut:])
+        try:
+            read(path)
+        except (ValueError, AudioFileError) as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+
+    splice()

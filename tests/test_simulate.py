@@ -191,3 +191,27 @@ def test_sim_config_validation():
         sc.SimConfig(seed=0, num_recordings=1, duration=1.0, source="white",
                      aligned=True, devices=(devices[0], devices[0]),
                      sample_rate=SR, n_fft=N_FFT, hop=HOP)
+
+
+def test_generate_dataset_analyzes_recordings_only_on_demand(monkeypatch):
+    calls = []
+    stft = sc.dsp.stft
+
+    def counting_stft(*args, **kwargs):
+        calls.append(1)
+        return stft(*args, **kwargs)
+
+    monkeypatch.setattr(sc.dsp, "stft", counting_stft)
+    devices = (sc.flat_response("a", N_FFT, SR), sc.flat_response("b", N_FFT, SR))
+    cfg = sc.SimConfig(seed=6, num_recordings=3, duration=0.2, source="white",
+                       aligned=True, devices=devices,
+                       sample_rate=SR, n_fft=N_FFT, hop=HOP)
+    dataset = sc.generate_dataset(cfg)
+    # One STFT per recording: the one `record` shapes the gains with.
+    assert len(calls) == len(dataset.waveforms) == 6
+    first = dataset.recordings
+    assert len(calls) == 12
+    assert dataset.recordings is first
+    assert len(calls) == 12
+    assert [rid for rid, _, _ in first.items] == [r.recording_id for r in dataset.waveforms]
+    assert first.alignment_groups == {r.recording_id: r.group_id for r in dataset.waveforms}
