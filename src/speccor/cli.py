@@ -13,6 +13,7 @@ import configparser
 import os
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -55,14 +56,19 @@ def _resolve(manifest_path, row_path) -> Path:
     return p if p.is_absolute() else Path(manifest_path).parent / p
 
 
+def _on_file(manifest_path, row, fn):
+    """fn(waveform) for one manifest row's file; a ValueError names the file."""
+    path = _resolve(manifest_path, row.path)
+    try:
+        return fn(wavio.read_wav(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _map_files(manifest_path, rows, fn):
     """fn(row, waveform) for each manifest row, in order; a ValueError names its file."""
     def run(row):
-        path = _resolve(manifest_path, row.path)
-        try:
-            return fn(row, wavio.read_wav(path))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return _on_file(manifest_path, row, lambda wave: fn(row, wave))
     return _map_ordered(run, rows)
 
 
@@ -76,6 +82,29 @@ def _manifest_devices(rows) -> list:
 
 # -- estimate -----------------------------------------------------------------
 
+def _aligned_groups(rows, reference, devices) -> dict:
+    """Map group -> {device: row}, checked before any audio is read."""
+    groups: dict = {}
+    for row in rows:
+        if row.group:
+            members = groups.setdefault(row.group, {})
+            if row.device in members:
+                raise ValueError(f"group {row.group!r} lists device {row.device!r} twice")
+            members[row.device] = row
+    if not groups:
+        raise ValueError("manifest has no alignment groups; --aligned needs the "
+                         "group column filled in")
+    for group, members in groups.items():
+        if reference not in members:
+            raise ValueError(f"group {group!r} is missing reference-device {reference!r}")
+    grouped = {device for members in groups.values() for device in members}
+    for device in devices:
+        if device not in grouped:
+            raise ValueError(f"device {device!r} shares no alignment group "
+                             f"with {reference!r}")
+    return groups
+
+
 def cmd_estimate(args) -> int:
     rows = files.read_manifest(args.manifest)
     reference = args.reference_device
@@ -86,56 +115,50 @@ def cmd_estimate(args) -> int:
     if reference != "none" and reference not in devices:
         raise ValueError(f"reference-device {reference!r} not present in the manifest")
 
-    specs = _map_files(args.manifest, rows, lambda row, wave: dsp.amplitude(
-        dsp.stft(wave, args.n_fft, args.hop)))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Each worker reduces its audio to per-bin log sums, so no spectrogram
+    # outlives the worker that made it; the sums are folded in manifest order.
+    def amplitude(wave):
+        return dsp.amplitude(dsp.stft(wave, args.n_fft, args.hop))
 
-    results = []
     if args.aligned:
-        groups: dict = {}
-        for row, spec in zip(rows, specs):
-            if row.group:
-                members = groups.setdefault(row.group, {})
-                if row.device in members:
-                    raise ValueError(f"group {row.group!r} lists device {row.device!r} twice")
-                members[row.device] = spec
-        if not groups:
-            raise ValueError("manifest has no alignment groups; --aligned needs the "
-                             "group column filled in")
-        pairs: dict = {}
-        for group, members in groups.items():
-            if reference not in members:
-                raise ValueError(f"group {group!r} is missing reference-device {reference!r}")
-            ref_spec = members[reference]
-            for device, spec in members.items():
-                if device == reference:
-                    continue
-                if spec.frames != ref_spec.frames:
+        groups = _aligned_groups(rows, reference, devices)
+
+        def group_sums(item):
+            group, members = item
+            ref = correction.AlignedReference(
+                _on_file(args.manifest, members[reference], amplitude))
+
+            def ratio_sum(device, row):
+                spec = _on_file(args.manifest, row, amplitude)
+                if spec.frames != ref.frames:
                     raise ValueError(f"group {group!r} is unaligned: device {device!r} has "
                                      f"{spec.frames} frames, reference-device {reference!r} "
-                                     f"has {ref_spec.frames}")
-                pairs.setdefault(device, []).append((ref_spec, spec))
-        for device in devices:
-            if device == reference:
-                continue
-            if device not in pairs:
-                raise ValueError(f"device {device!r} shares no alignment group "
-                                 f"with {reference!r}")
-            results.append(correction.estimate_aligned(
-                pairs[device], reference_device=reference, source_device=device))
+                                     f"has {ref.frames}")
+                return ref.ratio_sum(spec)
+            return {device: ratio_sum(device, row)
+                    for device, row in members.items() if device != reference}
+
+        per_group = _map_ordered(group_sums, groups.items())
+        results = [correction.aligned_from_sums(
+                       [sums[device] for sums in per_group if device in sums],
+                       reference, device)
+                   for device in devices if device != reference]
     else:
+        sums = _map_files(args.manifest, rows, lambda row, wave:
+                          correction.log_amplitude_sum(amplitude(wave)))
         by_device = {device: [] for device in devices}
-        for row, spec in zip(rows, specs):
-            by_device[row.device].append(spec)
-        stats = {device: correction.accumulate_stats(spec_list, device)
-                 for device, spec_list in by_device.items()}
+        for row, item_sum in zip(rows, sums):
+            by_device[row.device].append(item_sum)
+        stats = {device: correction.stats_from_sums(device_sums, device)
+                 for device, device_sums in by_device.items()}
         if reference == "none":
             results = [correction.simplified_coefficients(stats[d]) for d in devices]
         else:
             results = [correction.estimate_unaligned(stats[reference], stats[d])
                        for d in devices if d != reference]
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for coeffs in results:
         path = out_dir / f"{coeffs.source_device}.coeffs"
         files.write_coefficients(path, coeffs)
@@ -260,18 +283,19 @@ def cmd_features(args) -> int:
                       "uncorrected", file=sys.stderr)
 
     fb_cache = {}
+    fb_lock = threading.Lock()
 
     def process(row, wave):
-        if wave.sample_rate not in fb_cache:
-            fb_cache[wave.sample_rate] = mel_filterbank(
-                wave.sample_rate, args.n_fft, args.n_mels)
+        # One filterbank per sample rate, even when workers need it at once.
+        with fb_lock:
+            if wave.sample_rate not in fb_cache:
+                fb_cache[wave.sample_rate] = mel_filterbank(
+                    wave.sample_rate, args.n_fft, args.n_mels)
+            fb = fb_cache[wave.sample_rate]
         spec = dsp.amplitude(dsp.stft(wave, args.n_fft, args.hop))
-        return extract(spec, fb_cache[wave.sample_rate],
-                       coeffs_by_device.get(row.device))
+        return extract(spec, fb, coeffs_by_device.get(row.device))
 
-    # Warm the filterbank cache sequentially, then fan out.
-    feats = _map_files(args.manifest, rows[:1], process)
-    feats.extend(_map_files(args.manifest, rows[1:], process))
+    feats = _map_files(args.manifest, rows, process)
 
     if args.standardize:
         grouping = "per_device" if args.standardize == "per-device" else "global"

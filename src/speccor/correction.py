@@ -156,6 +156,94 @@ def _log_mags(spec: AmplitudeSpectrogram, floor: float) -> np.ndarray:
     return np.log(np.maximum(spec.mags, floor))
 
 
+@dataclass(frozen=True)
+class LogSum:
+    """One item's share of an estimate: a per-bin log quantity summed over its frames.
+
+    For a recording the quantity is its log amplitude; for an aligned pair,
+    the reference/source log-amplitude ratio. Estimates fold these raw sums,
+    never means, so they can be computed item by item and dropped with the
+    spectrogram they came from.
+    """
+
+    total: np.ndarray
+    frames: int
+    n_fft: int
+    sample_rate: int
+
+
+def log_amplitude_sum(spec: AmplitudeSpectrogram,
+                      floor: float = AMPLITUDE_FLOOR) -> LogSum:
+    """Sum over frames of log max(|X|, floor) for one recording."""
+    return LogSum(_log_mags(spec, floor).sum(axis=0), spec.frames,
+                  spec.n_fft, spec.sample_rate)
+
+
+class AlignedReference:
+    """A reference recording reduced to its log amplitudes.
+
+    ``ratio_sum`` gives the log-ratio sum against one source recording of the
+    same signal, so a caller can load the sources of an alignment group one
+    at a time while only the reference's log amplitudes stay alive.
+    """
+
+    def __init__(self, ref: AmplitudeSpectrogram, floor: float = AMPLITUDE_FLOOR):
+        self.log_mags = _log_mags(ref, floor)
+        self.n_fft = ref.n_fft
+        self.sample_rate = ref.sample_rate
+        self.floor = floor
+
+    @property
+    def frames(self) -> int:
+        return self.log_mags.shape[0]
+
+    def ratio_sum(self, src: AmplitudeSpectrogram) -> LogSum:
+        """Sum over frames of log reference - log source, per bin."""
+        if src.mags.shape != self.log_mags.shape:
+            raise ValueError(
+                f"unaligned pair: reference shape {self.log_mags.shape} vs "
+                f"source shape {src.mags.shape}")
+        if (src.n_fft, src.sample_rate) != (self.n_fft, self.sample_rate):
+            raise ValueError("mixed STFT configuration across pairs")
+        return LogSum((self.log_mags - _log_mags(src, self.floor)).sum(axis=0),
+                      self.frames, self.n_fft, self.sample_rate)
+
+
+def _fold(sums: Sequence[LogSum]):
+    """Add the sums in list order; returns (total, frames, first sum)."""
+    first = sums[0]
+    total = np.zeros(first.total.size)
+    frames = 0
+    for s in sums:
+        if (s.n_fft, s.sample_rate) != (first.n_fft, first.sample_rate):
+            raise ValueError(
+                f"mixed STFT configuration: {s.n_fft}/{s.sample_rate} vs "
+                f"{first.n_fft}/{first.sample_rate}")
+        total += s.total
+        frames += s.frames
+    return total, frames, first
+
+
+def stats_from_sums(sums: Sequence[LogSum], device: str) -> DeviceSpectrumStats:
+    """Fold per-recording log-amplitude sums of one device into its statistics."""
+    if not sums:
+        raise ValueError("cannot accumulate statistics from an empty recording list")
+    total, frames, first = _fold(sums)
+    return DeviceSpectrumStats(total / frames, frames, len(sums), device,
+                               first.n_fft, first.sample_rate)
+
+
+def aligned_from_sums(sums: Sequence[LogSum], reference_device: str,
+                      source_device: str) -> CorrectionCoefficients:
+    """Fold per-pair log-ratio sums into aligned gains (their geometric mean)."""
+    if not sums:
+        raise ValueError("cannot estimate from an empty pair list")
+    total, frames, first = _fold(sums)
+    return CorrectionCoefficients(np.exp(total / frames), first.n_fft,
+                                  first.sample_rate, source_device,
+                                  reference_device, len(sums), "aligned")
+
+
 def accumulate_stats(specs: Sequence[AmplitudeSpectrogram], device: str,
                      floor: float = AMPLITUDE_FLOOR) -> DeviceSpectrumStats:
     """Pool log amplitudes over all frames of all recordings of one device.
@@ -164,20 +252,7 @@ def accumulate_stats(specs: Sequence[AmplitudeSpectrogram], device: str,
     runs over every (frame, recording) cell. Accumulation happens in the
     log domain in list order, so the result is deterministic.
     """
-    if not specs:
-        raise ValueError("cannot accumulate statistics from an empty recording list")
-    first = specs[0]
-    total = np.zeros(first.freq_bins)
-    frames = 0
-    for spec in specs:
-        if spec.n_fft != first.n_fft or spec.sample_rate != first.sample_rate:
-            raise ValueError(
-                f"mixed STFT configuration: {spec.n_fft}/{spec.sample_rate} vs "
-                f"{first.n_fft}/{first.sample_rate}")
-        total += _log_mags(spec, floor).sum(axis=0)
-        frames += spec.frames
-    return DeviceSpectrumStats(total / frames, frames, len(specs), device,
-                               first.n_fft, first.sample_rate)
+    return stats_from_sums([log_amplitude_sum(spec, floor) for spec in specs], device)
 
 
 def estimate_aligned(pairs, reference_device: str = "ref", source_device: str = "src",
@@ -188,26 +263,8 @@ def estimate_aligned(pairs, reference_device: str = "ref", source_device: str = 
     gain per bin is the geometric mean, over all pairs and frames, of the
     reference/source amplitude ratio; the floor is applied to both sides.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("cannot estimate from an empty pair list")
-    first = pairs[0][0]
-    total = np.zeros(first.freq_bins)
-    frames = 0
-    for ref, src in pairs:
-        if ref.mags.shape != src.mags.shape:
-            raise ValueError(
-                f"unaligned pair: reference shape {ref.mags.shape} vs "
-                f"source shape {src.mags.shape}")
-        if (ref.n_fft, ref.sample_rate) != (first.n_fft, first.sample_rate) or \
-           (src.n_fft, src.sample_rate) != (first.n_fft, first.sample_rate):
-            raise ValueError("mixed STFT configuration across pairs")
-        total += (_log_mags(ref, floor) - _log_mags(src, floor)).sum(axis=0)
-        frames += ref.frames
-    gains = np.exp(total / frames)
-    return CorrectionCoefficients(gains, first.n_fft, first.sample_rate,
-                                  source_device, reference_device,
-                                  len(pairs), "aligned")
+    sums = [AlignedReference(ref, floor).ratio_sum(src) for ref, src in pairs]
+    return aligned_from_sums(sums, reference_device, source_device)
 
 
 def estimate_unaligned(ref_stats: DeviceSpectrumStats,

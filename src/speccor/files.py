@@ -279,9 +279,11 @@ def read_responses(path):
     def read_block(kind: str) -> dict:
         out = {}
         for _ in range(_count(reader.field(f"{kind}s"), f"{kind}s")):
-            tag, name, length = reader.next().split(" ")
-            if tag != kind:
-                raise ValueError(f"expected a {kind!r} entry, got {tag!r}")
+            line = reader.next()
+            fields = line.split(" ")
+            if len(fields) != 3 or fields[0] != kind or not fields[2].isdecimal():
+                raise ValueError(f"expected a '{kind} <name> <bins>' entry, got {line!r}")
+            _, name, length = fields
             if int(length) != bins:
                 raise ValueError(f"{kind} {name!r} has {length} gains, n_fft {n_fft} needs {bins}")
             out[name] = reader.floats(bins)

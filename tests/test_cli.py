@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import speccor as sc
 from speccor import files
 from speccor.cli import main
 
-from conftest import SR, N_FFT, white_waveform
+from conftest import SR, N_FFT, HOP, white_waveform
 
 SIM_CFG = """\
 [sim]
@@ -247,16 +249,88 @@ def test_features_subcommand(sim_dir, tmp_path):
     assert feat.normalization == "per_device"
 
 
+ESTIMATE_MODES = {
+    "aligned": ["--reference-device", "a", "--aligned"],
+    "unaligned": ["--reference-device", "a"],
+    "none": ["--reference-device", "none"],
+}
+
+
+def _library_coefficients(manifest, mode):
+    """The coefficients each estimate mode writes, computed by the library."""
+    rows = files.read_manifest(manifest)
+    specs = [sc.amplitude(sc.stft(sc.read_wav(manifest.parent / row.path), N_FFT, HOP))
+             for row in rows]
+    if mode == "aligned":
+        groups = {}
+        for row, spec in zip(rows, specs):
+            groups.setdefault(row.group, {})[row.device] = spec
+        pairs = [(members["a"], members["b"]) for members in groups.values()]
+        return {"b": sc.estimate_aligned(pairs, reference_device="a", source_device="b")}
+    stats = {d: sc.accumulate_stats([s for row, s in zip(rows, specs) if row.device == d], d)
+             for d in ("a", "b")}
+    if mode == "none":
+        return {d: sc.simplified_coefficients(stats[d]) for d in ("a", "b")}
+    return {"b": sc.estimate_unaligned(stats["a"], stats["b"])}
+
+
 def test_estimate_is_deterministic_across_thread_counts(sim_dir, tmp_path,
                                                          monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("SPECCOR_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"),
-                     "--reference-device", "a", "--out", str(out)]) == 0
-        outputs.append((out / "b.coeffs").read_bytes())
-    assert outputs[0] == outputs[1]
+    manifest = sim_dir / "manifest.tsv"
+    for mode, flags in ESTIMATE_MODES.items():
+        expected = _library_coefficients(manifest, mode)
+        outputs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("SPECCOR_THREADS", threads)
+            out = tmp_path / f"{mode}{threads}"
+            assert main(["estimate", "--manifest", str(manifest), *flags,
+                         "--out", str(out)]) == 0
+            assert sorted(p.stem for p in out.glob("*.coeffs")) == sorted(expected)
+            for device, coeffs in expected.items():
+                got = files.read_coefficients(out / f"{device}.coeffs")
+                assert np.array_equal(got.gains, coeffs.gains), (mode, threads, device)
+                assert got.num_recordings == coeffs.num_recordings
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*.coeffs")})
+        assert outputs[0] == outputs[1], mode
+
+
+@pytest.fixture(scope="module")
+def group_manifests(tmp_path_factory):
+    """Manifests of 2 and of 6 aligned groups of 1 s recordings by devices a and b."""
+    root = tmp_path_factory.mktemp("groups")
+    rows = []
+    for g in range(6):
+        for k, device in enumerate("ab"):
+            name = f"g{g}_{device}.wav"
+            sc.write_wav(root / name, white_waveform(200 + 2 * g + k, seconds=1.0))
+            rows.append(files.ManifestRow(name, device, f"g{g}"))
+    manifests = {}
+    for groups in (2, 6):
+        manifests[groups] = root / f"groups{groups}.tsv"
+        files.write_manifest(manifests[groups], rows[:2 * groups])
+    return manifests
+
+
+@pytest.mark.parametrize("mode", sorted(ESTIMATE_MODES))
+def test_estimate_peak_memory_does_not_grow_with_the_corpus(group_manifests, mode,
+                                                            tmp_path, monkeypatch):
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+    flags = ESTIMATE_MODES[mode]
+    # Warm-up: lazy imports and caches must not count against the small corpus.
+    assert main(["estimate", "--manifest", str(group_manifests[2]), *flags,
+                 "--out", str(tmp_path / "warm")]) == 0
+    peaks = {}
+    for groups, manifest in group_manifests.items():
+        tracemalloc.start()
+        try:
+            assert main(["estimate", "--manifest", str(manifest), *flags,
+                         "--out", str(tmp_path / str(groups))]) == 0
+            peaks[groups] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    frames = (SR - N_FFT) // HOP + 1
+    spectrogram_bytes = frames * (N_FFT // 2 + 1) * 8
+    assert peaks[6] - peaks[2] < spectrogram_bytes, peaks
 
 
 def test_cli_usage_error_exits_1(capsys):
@@ -265,7 +339,40 @@ def test_cli_usage_error_exits_1(capsys):
 
 
 def test_cli_module_entry_point(tmp_path):
+    src = Path(sc.__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, "-m", "speccor", "--help"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0
     assert "estimate" in result.stdout
+
+
+def test_features_builds_one_filterbank_per_sample_rate(tmp_path, monkeypatch):
+    rows = []
+    for k in range(8):
+        rate = (44100, 48000)[k % 2]
+        name = f"r{k}.wav"
+        sc.write_wav(tmp_path / name, white_waveform(300 + k, seconds=0.2, sample_rate=rate))
+        rows.append(files.ManifestRow(name, "ab"[k // 4]))
+    manifest = tmp_path / "mixed.tsv"
+    files.write_manifest(manifest, rows)
+
+    calls = []
+
+    def counting_filterbank(sample_rate, n_fft, n_mels):
+        calls.append(sample_rate)
+        time.sleep(0.05)  # widen the window in which a second worker could miss
+        return sc.mel_filterbank(sample_rate, n_fft, n_mels)
+
+    monkeypatch.setattr("speccor.cli.mel_filterbank", counting_filterbank)
+    monkeypatch.setenv("SPECCOR_THREADS", "4")
+    out = tmp_path / "feats"
+    assert main(["features", "--manifest", str(manifest), "--n-mels", "32",
+                 "--out", str(out)]) == 0
+    assert sorted(calls) == [44100, 48000]
+    for row in rows:
+        wave = sc.read_wav(tmp_path / row.path)
+        want = sc.extract(sc.amplitude(sc.stft(wave, N_FFT, HOP)),
+                          sc.mel_filterbank(wave.sample_rate, N_FFT, 32))
+        got = files.read_features(out / (Path(row.path).stem + ".feat"))
+        assert np.array_equal(got.values, want.values)

@@ -216,6 +216,18 @@ def test_responses_file_rejects_curve_length_other_than_n_fft_bins(tmp_path):
         files.read_responses(path)
 
 
+@pytest.mark.parametrize("entry", ["device a", "device a x", "device a 3 4", "dev a 3"])
+def test_responses_file_names_the_expected_entry_form(tmp_path, entry):
+    path = tmp_path / "responses.txt"
+    files.write_responses(path, SR, N_FFT, {"a": np.ones(N_FFT // 2 + 1)})
+    lines = path.read_text().splitlines()
+    lines[4] = entry
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: expected a 'device <name> <bins>' entry, got {entry!r}")):
+        files.read_responses(path)
+
+
 # -- manifests ---------------------------------------------------------------------------
 
 def test_manifest_round_trip(tmp_path):
