@@ -28,6 +28,7 @@ from .dsp import (
     ComplexSpectrogram,
     Waveform,
     amplitude,
+    apply_gains,
     band_bins,
     bin_frequencies,
     convolve,
@@ -75,6 +76,7 @@ __all__ = [
     "Waveform",
     "accumulate_stats",
     "amplitude",
+    "apply_gains",
     "apply_filter",
     "apply_to_amplitudes",
     "apply_to_complex",

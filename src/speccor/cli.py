@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 for validation problems, 2 for I/O problems.
 The SPECCOR_THREADS environment variable caps the number of worker threads
-used for per-file work (0 or unset picks the CPU count); reductions always
-run in manifest order, so results are deterministic either way.
+used for per-file work and for simulate's groups or recordings (0 or unset
+picks the CPU count); reductions and outputs always follow manifest order,
+so results are deterministic either way.
 """
 
 from __future__ import annotations
@@ -175,11 +176,7 @@ def cmd_apply(args) -> int:
         raise ValueError(f"sample_rate mismatch: audio is {wave.sample_rate} Hz, "
                          f"coefficients are for {coeffs.sample_rate} Hz")
     hop = args.hop if args.hop else coeffs.n_fft // 4
-    spec = dsp.stft(wave, coeffs.n_fft, hop)
-    out = dsp.istft(correction.apply_to_complex(coeffs, spec)).samples
-    if out.size < len(wave):
-        out = np.concatenate([out, np.zeros(len(wave) - out.size)])
-    wavio.write_wav(args.out, dsp.Waveform(out, wave.sample_rate))
+    wavio.write_wav(args.out, dsp.apply_gains(wave, [coeffs.gains], coeffs.n_fft, hop)[0])
     print(f"wrote {args.out}")
     return 0
 
@@ -203,21 +200,69 @@ def cmd_filter(args) -> int:
 
 # -- simulate --------------------------------------------------------------------
 
-def _parse_sim_config(path) -> simulate.SimConfig:
-    parser = configparser.ConfigParser()
-    parser.read_string(Path(path).read_text(), source=str(path))
+def _read_sim_section(path) -> configparser.SectionProxy:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValueError(f"{path}: [sim]: line {exc.lineno} {exc.line.strip()!r} comes "
+                         "before any section header") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ValueError(f"{path}: [{exc.section}]: section repeated at line "
+                         f"{exc.lineno}") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(f"{path}: [{exc.section}] {exc.option}: set again at line "
+                         f"{exc.lineno}") from None
+    except configparser.ParsingError as exc:
+        raise ValueError(f"{path}: line {exc.errors[0][0]}: expected 'key = value' or "
+                         "a [section] header") from None
     if not parser.has_section("sim"):
         raise ValueError(f"{path}: config needs a [sim] section")
-    sec = parser["sim"]
+    return parser["sim"]
 
-    seed = sec.getint("seed", 0)
-    sample_rate = sec.getint("sample_rate", 44100)
-    n_fft = sec.getint("n_fft", 2048)
-    hop = sec.getint("hop", n_fft // 4)
-    response_db = sec.getfloat("response_db", 20.0)
+
+def _parse_sim_config(path) -> simulate.SimConfig:
+    """Read a simulate config; every error names the file, and the key if it has one."""
+    sec = _read_sim_section(path)
+
+    def keyed(key, make):
+        try:
+            return make()
+        except ValueError as exc:
+            raise ValueError(f"{path}: [sim]{' ' + key if key else ''}: {exc}") from None
+
+    def value(key, get, default, valid=None, need=""):
+        got = keyed(key, lambda: get(key, default))
+        if valid is not None and not valid(got):
+            raise ValueError(f"{path}: [sim] {key}: must be {need}, got {got!r}")
+        return got
+
+    seed = value("seed", sec.getint, 0, lambda v: v >= 0, ">= 0")
+    sample_rate = value("sample_rate", sec.getint, 44100, lambda v: v >= 1, ">= 1")
+    n_fft = value("n_fft", sec.getint, 2048, lambda v: v >= 16 and v % 2 == 0,
+                  "an even integer >= 16")
+    hop = value("hop", sec.getint, n_fft // 4, lambda v: 1 <= v <= n_fft and
+                dsp.overlap_add_invertible(dsp.window_array("hann", n_fft), v),
+                f"a hop in 1..{n_fft} whose Hann overlap-add can be inverted")
+    num_recordings = value("num_recordings", sec.getint, 4, lambda v: v >= 1, ">= 1")
+    duration = value("duration", sec.getfloat, 3.0, lambda v: np.isfinite(v) and v > 0,
+                     "finite and > 0")
+    response_db = value("response_db", sec.getfloat, 20.0, np.isfinite, "finite")
+    num_envs = value("environments", sec.getint, 0, lambda v: v >= 0, ">= 0")
+    environment_db = value("environment_db", sec.getfloat, 6.0, np.isfinite, "finite")
+    aligned = value("aligned", sec.getboolean, True)
     names = [t for t in re.split(r"[,\s]+", sec.get("devices", "a b").strip()) if t]
     if len(set(names)) != len(names):
-        raise ValueError(f"{path}: duplicate device names in 'devices'")
+        raise ValueError(f"{path}: [sim] devices: duplicate device names")
+    for name in names:
+        # Device names become file names: g0000_<name>.wav, <name>_0000.wav.
+        if "/" in name or "\0" in name:
+            raise ValueError(f"{path}: [sim] devices: device {name!r} is not a plain "
+                             "file stem")
 
     def device(i, name):
         if response_db <= 0:
@@ -225,38 +270,35 @@ def _parse_sim_config(path) -> simulate.SimConfig:
         return simulate.make_smooth_response(seed * 1000003 + 7 + i, response_db,
                                              n_fft, sample_rate, device_id=name)
 
-    num_envs = sec.getint("environments", 0)
-    environment_db = sec.getfloat("environment_db", 6.0)
-    environments = tuple(
+    devices = keyed("response_db", lambda: tuple(
+        device(i, name) for i, name in enumerate(names)))
+    environments = keyed("environment_db", lambda: tuple(
         simulate.make_smooth_environment(seed * 7919 + 13 + j, environment_db,
                                          n_fft, sample_rate, scene_id=f"e{j}")
-        for j in range(num_envs))
-
-    return simulate.SimConfig(
-        seed=seed,
-        num_recordings=sec.getint("num_recordings", 4),
-        duration=sec.getfloat("duration", 3.0),
-        source=sec.get("source", "white"),
-        aligned=sec.getboolean("aligned", True),
-        devices=tuple(device(i, name) for i, name in enumerate(names)),
-        environments=environments,
-        sample_rate=sample_rate,
-        n_fft=n_fft,
-        hop=hop,
-    )
+        for j in range(num_envs)))
+    return keyed("", lambda: simulate.SimConfig(
+        seed=seed, num_recordings=num_recordings, duration=duration,
+        source=sec.get("source", "white"), aligned=aligned, devices=devices,
+        environments=environments, sample_rate=sample_rate, n_fft=n_fft, hop=hop))
 
 
 def cmd_simulate(args) -> int:
     cfg = _parse_sim_config(args.config)
-    dataset = simulate.generate_dataset(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for rec in dataset.waveforms:
-        name = f"{rec.recording_id}.wav"
-        wavio.write_wav(out_dir / name, rec.waveform)
-        rows.append(files.ManifestRow(name, rec.device_id, rec.group_id))
+    # Each worker generates one unit (an aligned group or one recording),
+    # writes its WAVs and keeps only their manifest rows.
+    def write_unit(unit):
+        rows = []
+        for rec in simulate.generate_unit(cfg, unit):
+            name = f"{rec.recording_id}.wav"
+            wavio.write_wav(out_dir / name, rec.waveform)
+            rows.append(files.ManifestRow(name, rec.device_id, rec.group_id))
+        return rows
+
+    rows = [row for unit_rows in _map_ordered(write_unit, simulate.dataset_units(cfg))
+            for row in unit_rows]
     files.write_manifest(out_dir / "manifest.tsv", rows)
     files.write_responses(
         out_dir / "responses.txt", cfg.sample_rate, cfg.n_fft,

@@ -17,6 +17,10 @@ MIDBAND_HZ = (100.0, 16000.0)
 
 DB_PER_NAT = 20.0 / np.log(10.0)
 
+# Frames analysed at once by apply_gains: its spectrogram block stays at a
+# few MB (64 x 1025 complex bins at n_fft 2048) however long the input is.
+BLOCK_FRAMES = 64
+
 
 def to_db(ratio):
     """Convert a linear amplitude ratio to decibels."""
@@ -159,6 +163,61 @@ class AmplitudeSpectrogram:
         return bin_frequencies(self.n_fft, self.sample_rate)
 
 
+def _analysis_window(length: int, n_fft: int, hop: int, window: str) -> np.ndarray:
+    if n_fft < 16 or n_fft % 2 != 0:
+        raise ValueError(f"n_fft must be an even integer >= 16, got {n_fft}")
+    if hop < 1:
+        raise ValueError(f"hop must be >= 1, got {hop}")
+    if length < n_fft:
+        raise ValueError(f"input too short: {length} samples < n_fft={n_fft}")
+    return window_array(window, n_fft)
+
+
+def _synthesis_window(window: str, n_fft: int, hop: int) -> np.ndarray:
+    # A hop beyond n_fft leaves gaps under any window, named or not.
+    win = window_array(window, n_fft) if hop <= n_fft else None
+    if win is None or not overlap_add_invertible(win, hop):
+        raise ValueError(
+            f"reconstruction condition violated: window {window!r} with "
+            f"hop={hop}, n_fft={n_fft} is not invertible")
+    return win
+
+
+def _frames(samples: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Frame t is the view samples[t*hop : t*hop + n_fft]; no copy is made."""
+    return sliding_window_view(samples, n_fft)[::hop]
+
+
+def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int, hop: int) -> None:
+    """Add each row of ``frames`` into ``out`` (the rows x hop buffer) at
+    sample (first + t) * hop.
+
+    Frame t adds its phase j, samples [j*hop, (j+1)*hop), to row first+t+j.
+    The phases run from last to first, so every output sample receives its
+    terms in frame order: the sums are those of a frame-by-frame loop.
+    """
+    for j in range(-(-frames.shape[1] // hop) - 1, -1, -1):
+        part = frames[:, j * hop:(j + 1) * hop]
+        out[first + j:first + j + part.shape[0], :part.shape[1]] += part
+
+
+def _window_sum(win: np.ndarray, frames: int, hop: int, length: int = 0) -> np.ndarray:
+    """Overlap-add of the squared window over ``frames`` frames, in a rows x hop
+    buffer with room for ``length`` samples too; the zero rows past the last
+    frame pad the output."""
+    n_fft = win.size
+    scale = np.zeros((max(frames - 1 + -(-n_fft // hop), -(-length // hop)), hop))
+    _overlap_add(scale, np.broadcast_to(win * win, (frames, n_fft)), 0, hop)
+    return scale
+
+
+def _normalize(acc: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Divide an overlap-add sum by the summed squared window ``scale``; samples
+    with almost no window weight become 0."""
+    valid = scale > 1e-11 * scale.max()
+    return np.where(valid, acc / np.where(valid, scale, 1.0), 0.0)
+
+
 def stft(w: Waveform, n_fft: int = 2048, hop: int = 512,
          window: str = "hann") -> ComplexSpectrogram:
     """Short-time Fourier transform without center padding.
@@ -167,14 +226,8 @@ def stft(w: Waveform, n_fft: int = 2048, hop: int = 512,
     inside the signal and edge frames are directly comparable against
     time-domain processing of the same samples.
     """
-    if n_fft < 16 or n_fft % 2 != 0:
-        raise ValueError(f"n_fft must be an even integer >= 16, got {n_fft}")
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
-    if len(w) < n_fft:
-        raise ValueError(f"input too short: {len(w)} samples < n_fft={n_fft}")
-    win = window_array(window, n_fft)
-    frames = sliding_window_view(w.samples, n_fft)[::hop]
+    win = _analysis_window(len(w), n_fft, hop, window)
+    frames = _frames(w.samples, n_fft, hop)
     bins = np.fft.rfft(frames * win, axis=1)
     return ComplexSpectrogram(bins, n_fft, hop, w.sample_rate, window)
 
@@ -186,24 +239,42 @@ def istft(c: ComplexSpectrogram) -> Waveform:
     either end reconstruct the analyzed signal exactly; edge samples are
     renormalized by the partial window overlap.
     """
-    # A hop beyond n_fft leaves gaps under any window, named or not.
-    win = window_array(c.window_name, c.n_fft) if c.hop <= c.n_fft else None
-    if win is None or not overlap_add_invertible(win, c.hop):
-        raise ValueError(
-            f"reconstruction condition violated: window {c.window_name!r} with "
-            f"hop={c.hop}, n_fft={c.n_fft} is not invertible")
-    frames = np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win
-    length = (c.frames - 1) * c.hop + c.n_fft
-    acc = np.zeros(length)
-    scale = np.zeros(length)
-    wsq = win * win
-    for t in range(c.frames):
-        start = t * c.hop
-        acc[start:start + c.n_fft] += frames[t]
-        scale[start:start + c.n_fft] += wsq
-    valid = scale > 1e-11 * scale.max()
-    out = np.where(valid, acc / np.where(valid, scale, 1.0), 0.0)
-    return Waveform(out, c.sample_rate)
+    win = _synthesis_window(c.window_name, c.n_fft, c.hop)
+    scale = _window_sum(win, c.frames, c.hop)
+    acc = np.zeros_like(scale)
+    _overlap_add(acc, np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win, 0, c.hop)
+    out = _normalize(acc.ravel(), scale.ravel())
+    return Waveform(out[:(c.frames - 1) * c.hop + c.n_fft], c.sample_rate)
+
+
+def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
+                window: str = "hann") -> list:
+    """Shape a waveform by each per-bin gain curve in the STFT domain.
+
+    For each curve the result equals ``istft`` of ``stft(w, n_fft, hop)`` with
+    its bins multiplied by the curve, zero-padded back to ``len(w)``, bit for
+    bit. The analysis runs once for all curves, and BLOCK_FRAMES frames at a
+    time, so no whole spectrogram is ever held. Returns one waveform per curve.
+    """
+    _analysis_window(len(w), n_fft, hop, window)
+    win = _synthesis_window(window, n_fft, hop)
+    curves = [np.asarray(gains, dtype=np.float64) for gains in curves]
+    for gains in curves:
+        if gains.shape != (n_fft // 2 + 1,):
+            raise ValueError(f"gain curve has shape {gains.shape}, n_fft={n_fft} "
+                             f"needs ({n_fft // 2 + 1},)")
+    frames = _frames(w.samples, n_fft, hop)
+    scale = _window_sum(win, len(frames), hop, len(w))
+    accs = [np.zeros_like(scale) for _ in curves]
+    # At least one frame per phase, so a block costs no more Python steps
+    # than the frames it holds.
+    step = max(BLOCK_FRAMES, -(-n_fft // hop))
+    for first in range(0, len(frames), step):
+        bins = np.fft.rfft(frames[first:first + step] * win, axis=1)
+        for acc, gains in zip(accs, curves):
+            _overlap_add(acc, np.fft.irfft(bins * gains, n=n_fft, axis=1) * win, first, hop)
+    return [Waveform(_normalize(acc.ravel(), scale.ravel())[:len(w)], w.sample_rate)
+            for acc in accs]
 
 
 def amplitude(c: ComplexSpectrogram) -> AmplitudeSpectrogram:

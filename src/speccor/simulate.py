@@ -183,14 +183,11 @@ def record(clean: Waveform, env: Optional[Response],
         raise ValueError("config mismatch between environment and device responses")
     if hop is None:
         hop = dev.n_fft // 4
-    gains = dev.gains if env is None else dev.gains * env.gains
-    spec = dsp.stft(clean, dev.n_fft, hop)
-    shaped = dsp.ComplexSpectrogram(spec.bins * gains, spec.n_fft, spec.hop,
-                                    spec.sample_rate, spec.window_name)
-    out = dsp.istft(shaped).samples
-    if out.size < len(clean):
-        out = np.concatenate([out, np.zeros(len(clean) - out.size)])
-    return Waveform(out, clean.sample_rate)
+    return dsp.apply_gains(clean, [_chain_gains(env, dev)], dev.n_fft, hop)[0]
+
+
+def _chain_gains(env: Optional[Response], dev: Response) -> np.ndarray:
+    return dev.gains if env is None else dev.gains * env.gains
 
 
 def _make_source(rng: np.random.Generator, kind: str, num_samples: int,
@@ -216,38 +213,47 @@ def _make_source(rng: np.random.Generator, kind: str, num_samples: int,
     return Waveform(samples * (0.1 / rms), sample_rate)
 
 
+def dataset_units(cfg: SimConfig) -> list:
+    """The independent pieces of ``generate_dataset``, in its output order:
+    one per alignment group in aligned mode, one per recording otherwise."""
+    if cfg.aligned:
+        return [(None, i) for i in range(cfg.num_recordings)]
+    return [(d_idx, i) for d_idx in range(len(cfg.devices))
+            for i in range(cfg.num_recordings)]
+
+
+def generate_unit(cfg: SimConfig, unit) -> tuple:
+    """The recordings of one of ``dataset_units(cfg)``.
+
+    An aligned group analyses its clean source once and shapes it by every
+    device's gains; an unaligned unit is one device's recording of a fresh
+    source. Per-recording seeds derive from (seed, indices), so units can be
+    generated in any order.
+    """
+    d_idx, i = unit
+    num_samples = int(round(cfg.duration * cfg.sample_rate))
+    env = cfg.environments[i % len(cfg.environments)] if cfg.environments else None
+    if d_idx is None:
+        rng = np.random.default_rng([cfg.seed, i])
+        clean = _make_source(rng, cfg.source, num_samples, cfg.sample_rate)
+        group = f"g{i:04d}"
+        waves = dsp.apply_gains(clean, [_chain_gains(env, dev) for dev in cfg.devices],
+                                cfg.n_fft, cfg.hop)
+        return tuple(SimRecording(f"{group}_{dev.name}", dev.name, group, wave)
+                     for dev, wave in zip(cfg.devices, waves))
+    dev = cfg.devices[d_idx]
+    rng = np.random.default_rng([cfg.seed, d_idx, i])
+    clean = _make_source(rng, cfg.source, num_samples, cfg.sample_rate)
+    wave = record(clean, env, dev, hop=cfg.hop)
+    return (SimRecording(f"{dev.name}_{i:04d}", dev.name, None, wave),)
+
+
 def generate_dataset(cfg: SimConfig) -> SimDataset:
     """Produce a deterministic dataset of recordings with known ground truth.
 
     Aligned mode records every clean source through all devices (same signal
     and environment per alignment group). Unaligned mode draws a fresh,
     independent source for each device/recording from the same generator.
-    Per-recording seeds derive from (seed, indices), so generation order is
-    immaterial.
     """
-    num_samples = int(round(cfg.duration * cfg.sample_rate))
-    waves = []
-
-    def env_for(index: int) -> Optional[Response]:
-        if not cfg.environments:
-            return None
-        return cfg.environments[index % len(cfg.environments)]
-
-    if cfg.aligned:
-        for i in range(cfg.num_recordings):
-            rng = np.random.default_rng([cfg.seed, i])
-            clean = _make_source(rng, cfg.source, num_samples, cfg.sample_rate)
-            env = env_for(i)
-            group = f"g{i:04d}"
-            for dev in cfg.devices:
-                wave = record(clean, env, dev, hop=cfg.hop)
-                waves.append(SimRecording(f"{group}_{dev.name}", dev.name, group, wave))
-    else:
-        for d_idx, dev in enumerate(cfg.devices):
-            for i in range(cfg.num_recordings):
-                rng = np.random.default_rng([cfg.seed, d_idx, i])
-                clean = _make_source(rng, cfg.source, num_samples, cfg.sample_rate)
-                wave = record(clean, env_for(i), dev, hop=cfg.hop)
-                waves.append(SimRecording(f"{dev.name}_{i:04d}", dev.name, None, wave))
-
-    return SimDataset(tuple(waves), cfg)
+    return SimDataset(tuple(rec for unit in dataset_units(cfg)
+                            for rec in generate_unit(cfg, unit)), cfg)

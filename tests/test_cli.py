@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import speccor as sc
-from speccor import files
+from speccor import cli, files
 from speccor.cli import main
 
 from conftest import SR, N_FFT, HOP, white_waveform
@@ -331,6 +331,93 @@ def test_estimate_peak_memory_does_not_grow_with_the_corpus(group_manifests, mod
     frames = (SR - N_FFT) // HOP + 1
     spectrogram_bytes = frames * (N_FFT // 2 + 1) * 8
     assert peaks[6] - peaks[2] < spectrogram_bytes, peaks
+
+
+SIM_THREAD_CONFIGS = {
+    "aligned-environments": "[sim]\nseed = 4\nnum_recordings = 3\nduration = 0.5\n"
+                            "source = pink\naligned = true\ndevices = a b c\n"
+                            "environments = 2\n",
+    "unaligned-hop-384": "[sim]\nseed = 5\nnum_recordings = 2\nduration = 0.5\n"
+                         "aligned = false\ndevices = a b\nenvironments = 1\nhop = 384\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIM_THREAD_CONFIGS))
+def test_simulate_is_byte_identical_across_thread_counts(name, tmp_path, monkeypatch):
+    config = tmp_path / "sim.cfg"
+    config.write_text(SIM_THREAD_CONFIGS[name])
+    trees = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SPECCOR_THREADS", threads)
+        out = tmp_path / threads
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        trees[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert trees["2"] == trees["1"] and trees["4"] == trees["1"]
+    dataset = sc.generate_dataset(cli._parse_sim_config(config))
+    rows = files.read_manifest(tmp_path / "1" / "manifest.tsv")
+    assert [row.path for row in rows] == [f"{r.recording_id}.wav" for r in dataset.waveforms]
+    for rec in dataset.waveforms:
+        got = sc.read_wav(tmp_path / "1" / f"{rec.recording_id}.wav").samples
+        assert np.array_equal(got, rec.waveform.samples.astype(np.float32))
+
+
+def test_simulate_peak_memory_does_not_grow_with_the_groups(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+
+    def simulate(groups, out):
+        config = tmp_path / f"sim{groups}.cfg"
+        config.write_text(f"[sim]\nseed = 7\nnum_recordings = {groups}\nduration = 1.0\n"
+                          "aligned = true\ndevices = a b\n")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+
+    simulate(2, "warm")  # lazy imports and caches must not count against 2 groups
+    peaks = {}
+    for groups in (2, 6):
+        tracemalloc.start()
+        try:
+            simulate(groups, str(groups))
+            peaks[groups] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    recording_bytes = SR * 8
+    assert peaks[6] - peaks[2] < recording_bytes, peaks
+
+
+BAD_SIM_CONFIGS = {
+    "no-section-header": ("seed = 1\n", "[sim]:"),
+    "duplicate-section": ("[sim]\nseed = 1\n[sim]\nseed = 2\n", "[sim]:"),
+    "duplicate-key": ("[sim]\nseed = 1\nseed = 2\n", "[sim] seed:"),
+    "num-recordings-not-an-integer": ("[sim]\nnum_recordings = x\n", "[sim] num_recordings:"),
+    "duration-nan": ("[sim]\nduration = nan\n", "[sim] duration:"),
+    "duration-infinite": ("[sim]\nduration = inf\n", "[sim] duration:"),
+    "seed-negative": ("[sim]\nseed = -1\n", "[sim] seed:"),
+    "environments-negative": ("[sim]\nenvironments = -2\n", "[sim] environments:"),
+    "response-db-infinite": ("[sim]\nresponse_db = -inf\n", "[sim] response_db:"),
+    "environment-db-nan": ("[sim]\nenvironments = 1\nenvironment_db = nan\n",
+                           "[sim] environment_db:"),
+    "aligned-not-a-boolean": ("[sim]\naligned = maybe\n", "[sim] aligned:"),
+    "hop-not-invertible": ("[sim]\nhop = 2048\n", "[sim] hop:"),
+    "device-name-with-slash": ("[sim]\ndevices = a/b c\n", "[sim] devices: device 'a/b'"),
+    "line-without-equals": ("[sim]\nseed = 1\njunk\n", "line 3:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIM_CONFIGS))
+def test_simulate_rejects_bad_config_naming_file_and_key(name, tmp_path, capsys):
+    text, prefix = BAD_SIM_CONFIGS[name]
+    config = tmp_path / "sim.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: {prefix}")
+    assert not out.exists()
+
+
+def test_simulate_reads_percent_signs_literally(tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text("[sim]\nnum_recordings = 1\nduration = 0.1\ndevices = a%b\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "g0000_a%b.wav").exists()
 
 
 def test_cli_usage_error_exits_1(capsys):

@@ -96,6 +96,64 @@ def test_istft_rejects_non_invertible_hop():
         sc.istft(gapped)
 
 
+def _istft_frame_loop(c):
+    """Reference istft: overlap-add one frame at a time, in frame order."""
+    win = sc.dsp.window_array("hann", c.n_fft)
+    frames = np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win
+    length = (c.frames - 1) * c.hop + c.n_fft
+    acc, scale = np.zeros(length), np.zeros(length)
+    for t in range(c.frames):
+        acc[t * c.hop:t * c.hop + c.n_fft] += frames[t]
+        scale[t * c.hop:t * c.hop + c.n_fft] += win * win
+    valid = scale > 1e-11 * scale.max()
+    return np.where(valid, acc / np.where(valid, scale, 1.0), 0.0)
+
+
+def _random_gains(seed, n_fft):
+    return np.exp(np.random.default_rng(seed).uniform(-2.0, 2.0, n_fft // 2 + 1))
+
+
+@pytest.mark.parametrize("n_fft, hop", [(2048, 512), (2048, 384), (64, 1), (16, 7)])
+def test_istft_equals_frame_by_frame_overlap_add(n_fft, hop):
+    spec = sc.stft(white_waveform(hop, seconds=0.2), n_fft, hop)
+    shaped = sc.ComplexSpectrogram(spec.bins * _random_gains(hop, n_fft), n_fft, hop,
+                                   SR, "hann")
+    assert np.array_equal(sc.istft(shaped).samples, _istft_frame_loop(shaped))
+
+
+@pytest.mark.parametrize("n_fft, hop, seconds",
+                         [(2048, 512, 3.0), (2048, 384, 1.0), (64, 1, 0.02), (256, 200, 0.3)])
+def test_apply_gains_equals_whole_matrix_path(n_fft, hop, seconds):
+    w = white_waveform(hop, seconds)
+    spec = sc.stft(w, n_fft, hop)
+    assert spec.frames > sc.dsp.BLOCK_FRAMES  # more than one block
+    coeffs = [sc.CorrectionCoefficients(_random_gains(seed, n_fft), n_fft, SR, "b", "a",
+                                        1, "aligned") for seed in range(3)]
+    outs = sc.apply_gains(w, [c.gains for c in coeffs], n_fft, hop)
+    assert len(outs) == len(coeffs)
+    for c, out in zip(coeffs, outs):
+        whole = sc.istft(sc.apply_to_complex(c, spec)).samples
+        assert np.array_equal(out.samples,
+                              np.concatenate([whole, np.zeros(len(w) - whole.size)]))
+
+
+def test_apply_gains_checks_like_stft_and_istft():
+    w = white_waveform(0)
+    flat = [np.ones(N_FFT // 2 + 1)]
+    for n_fft, hop, message in [(2047, HOP, "n_fft must be an even integer"),
+                                (N_FFT, 0, "hop must be >= 1"),
+                                (N_FFT, N_FFT, "reconstruction condition violated"),
+                                (N_FFT, N_FFT + 64, "reconstruction condition violated")]:
+        with pytest.raises(ValueError, match=message):
+            sc.apply_gains(w, flat, n_fft, hop)
+    with pytest.raises(ValueError, match="input too short"):
+        sc.apply_gains(white_waveform(0, seconds=0.01), flat, N_FFT, HOP)
+    with pytest.raises(ValueError, match="unknown window"):
+        sc.apply_gains(w, flat, N_FFT, HOP, window="boxcar")
+    with pytest.raises(ValueError, match="gain curve has shape"):
+        sc.apply_gains(w, [np.ones(N_FFT // 2)], N_FFT, HOP)
+
+
 def test_amplitude_modulus_and_phase_invariance():
     bins = np.array([[3 + 4j, 0 + 0j, 1 - 1j]])
     spec = sc.ComplexSpectrogram(bins, 4, 1, 100, "boxcar")

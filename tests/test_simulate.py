@@ -207,11 +207,12 @@ def test_generate_dataset_analyzes_recordings_only_on_demand(monkeypatch):
                        aligned=True, devices=devices,
                        sample_rate=SR, n_fft=N_FFT, hop=HOP)
     dataset = sc.generate_dataset(cfg)
-    # One STFT per recording: the one `record` shapes the gains with.
-    assert len(calls) == len(dataset.waveforms) == 6
+    # Shaping the gains analyses each group's source inside `apply_gains`,
+    # which builds no spectrogram through `stft`.
+    assert len(calls) == 0 and len(dataset.waveforms) == 6
     first = dataset.recordings
-    assert len(calls) == 12
+    assert len(calls) == 6
     assert dataset.recordings is first
-    assert len(calls) == 12
+    assert len(calls) == 6
     assert [rid for rid, _, _ in first.items] == [r.recording_id for r in dataset.waveforms]
     assert first.alignment_groups == {r.recording_id: r.group_id for r in dataset.waveforms}
