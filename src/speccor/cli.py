@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import correction, dsp, files, fir, simulate, wavio
-from .features import extract, mel_filterbank, standardize
+from .features import extract_waveform, iter_standardize, mel_filterbank
 from .wavio import AudioFileError
 
 
@@ -311,15 +311,31 @@ def cmd_simulate(args) -> int:
 
 # -- features ---------------------------------------------------------------------
 
+def _feature_name(row) -> str:
+    return Path(row.path).stem + ".feat"
+
+
 def cmd_features(args) -> int:
     rows = files.read_manifest(args.manifest)
+    # Workers write their own files, so two rows must never share an output
+    # name: checked before any audio is read or --out is created.
+    names = set()
+    for name in map(_feature_name, rows):
+        if name in names:
+            raise ValueError(f"duplicate output name {name!r}; manifest stems must "
+                             "be unique")
+        names.add(name)
 
     coeffs_by_device: dict = {}
     if args.coeffs_dir:
         for device in _manifest_devices(rows):
             path = Path(args.coeffs_dir) / f"{device}.coeffs"
             if path.exists():
-                coeffs_by_device[device] = files.read_coefficients(path)
+                coeffs = files.read_coefficients(path)
+                if coeffs.n_fft != args.n_fft:
+                    raise ValueError(f"{path}: coefficients are for n_fft={coeffs.n_fft}, "
+                                     f"--n-fft is {args.n_fft}")
+                coeffs_by_device[device] = (path, coeffs)
             else:
                 print(f"note: no coefficients for device {device!r}, leaving it "
                       "uncorrected", file=sys.stderr)
@@ -327,33 +343,34 @@ def cmd_features(args) -> int:
     fb_cache = {}
     fb_lock = threading.Lock()
 
-    def process(row, wave):
+    def raw_features(row, wave):
         # One filterbank per sample rate, even when workers need it at once.
         with fb_lock:
             if wave.sample_rate not in fb_cache:
                 fb_cache[wave.sample_rate] = mel_filterbank(
                     wave.sample_rate, args.n_fft, args.n_mels)
             fb = fb_cache[wave.sample_rate]
-        spec = dsp.amplitude(dsp.stft(wave, args.n_fft, args.hop))
-        return extract(spec, fb, coeffs_by_device.get(row.device))
-
-    feats = _map_files(args.manifest, rows, process)
-
-    if args.standardize:
-        grouping = "per_device" if args.standardize == "per-device" else "global"
-        feats, _ = standardize(feats, grouping, [row.device for row in rows])
+        path, coeffs = coeffs_by_device.get(row.device, (None, None))
+        if coeffs is not None and coeffs.sample_rate != wave.sample_rate:
+            raise ValueError(f"{path}: coefficients are for {coeffs.sample_rate} Hz, "
+                             f"audio is {wave.sample_rate} Hz")
+        return extract_waveform(wave, fb, coeffs, args.hop)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = set()
-    for row, feat in zip(rows, feats):
-        name = Path(row.path).stem + ".feat"
-        if name in names:
-            raise ValueError(f"duplicate output name {name!r}; manifest stems must "
-                             "be unique")
-        names.add(name)
-        files.write_features(out_dir / name, feat)
-    print(f"wrote {len(feats)} feature files to {out_dir}")
+    if args.standardize:
+        # Only the raw log-mel tensors stay in memory; each standardized one
+        # is written and dropped in turn.
+        raw = _map_files(args.manifest, rows, raw_features)
+        grouping = "per_device" if args.standardize == "per-device" else "global"
+        scaled, _ = iter_standardize(raw, grouping, [row.device for row in rows])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for row, feat in zip(rows, scaled):
+            files.write_features(out_dir / _feature_name(row), feat)
+    else:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _map_files(args.manifest, rows, lambda row, wave: files.write_features(
+            out_dir / _feature_name(row), raw_features(row, wave)))
+    print(f"wrote {len(rows)} feature files to {out_dir}")
     return 0
 
 

@@ -48,6 +48,15 @@ class CorrectionCoefficients:
     def freq_bins(self) -> int:
         return self.gains.size
 
+    def check_applies_to(self, freq_bins: int, sample_rate: int) -> None:
+        """Raise unless the gains fit a spectrogram of freq_bins bins at sample_rate Hz."""
+        if freq_bins != self.freq_bins:
+            raise ValueError(f"bin mismatch: spectrogram has {freq_bins} bins, "
+                             f"coefficients have {self.freq_bins}")
+        if sample_rate != self.sample_rate:
+            raise ValueError(f"sample_rate mismatch: spectrogram is {sample_rate} Hz, "
+                             f"coefficients are for {self.sample_rate} Hz")
+
 
 @dataclass(frozen=True)
 class DeviceSpectrumStats:
@@ -291,9 +300,7 @@ def simplified_coefficients(stats: DeviceSpectrumStats) -> CorrectionCoefficient
 def apply_to_amplitudes(c: CorrectionCoefficients,
                         a: AmplitudeSpectrogram) -> AmplitudeSpectrogram:
     """Scale each bin of an amplitude spectrogram by its correction gain."""
-    if a.freq_bins != c.freq_bins:
-        raise ValueError(f"bin mismatch: spectrogram has {a.freq_bins} bins, "
-                         f"coefficients have {c.freq_bins}")
+    c.check_applies_to(a.freq_bins, a.sample_rate)
     return AmplitudeSpectrogram(a.mags * c.gains, a.n_fft, a.hop,
                                 a.sample_rate, a.window_name)
 
@@ -301,9 +308,7 @@ def apply_to_amplitudes(c: CorrectionCoefficients,
 def apply_to_complex(c: CorrectionCoefficients,
                      spec: ComplexSpectrogram) -> ComplexSpectrogram:
     """Scale complex bins by the real gains; phase passes through unchanged."""
-    if spec.freq_bins != c.freq_bins:
-        raise ValueError(f"bin mismatch: spectrogram has {spec.freq_bins} bins, "
-                         f"coefficients have {c.freq_bins}")
+    c.check_applies_to(spec.freq_bins, spec.sample_rate)
     return ComplexSpectrogram(spec.bins * c.gains, spec.n_fft, spec.hop,
                               spec.sample_rate, spec.window_name)
 

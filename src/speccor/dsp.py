@@ -17,8 +17,9 @@ MIDBAND_HZ = (100.0, 16000.0)
 
 DB_PER_NAT = 20.0 / np.log(10.0)
 
-# Frames analysed at once by apply_gains: its spectrogram block stays at a
-# few MB (64 x 1025 complex bins at n_fft 2048) however long the input is.
+# Frames analysed at once by apply_gains and features.extract_waveform: a
+# spectrogram block stays at a few MB (64 x 1025 complex bins at n_fft 2048)
+# however long the input is.
 BLOCK_FRAMES = 64
 
 

@@ -7,8 +7,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .correction import CorrectionCoefficients, apply_to_amplitudes
-from .dsp import AMPLITUDE_FLOOR, AmplitudeSpectrogram, bin_frequencies
+from .correction import CorrectionCoefficients
+from .dsp import (AMPLITUDE_FLOOR, BLOCK_FRAMES, AmplitudeSpectrogram, Waveform,
+                  _analysis_window, _frames, bin_frequencies)
 
 VARIANCE_FLOOR = 1e-8
 
@@ -62,6 +63,26 @@ class MelFilterbank:
             raise ValueError("center frequencies must be strictly increasing, one per filter")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "center_frequencies", centers)
+        # Banded form: the nonzero (filter, bin) cells in row-major order and
+        # the offset where each filter's run starts (no run is empty).
+        rows, bins = np.nonzero(weights)
+        object.__setattr__(self, "_bins", bins)
+        object.__setattr__(self, "_band_weights", weights[rows, bins])
+        object.__setattr__(self, "_starts", np.searchsorted(rows, np.arange(self.n_mels)))
+
+    def project(self, mags: np.ndarray) -> np.ndarray:
+        """``mags @ weights.T`` for a (frames x bins) matrix, summing only each
+        filter's nonzero bins, in bin order.
+
+        Each output row depends on its input row alone, so projecting a block
+        of frames gives exactly the rows that projecting all of them would.
+        """
+        mags = np.asarray(mags, dtype=np.float64)
+        if mags.ndim != 2 or mags.shape[1] != self.weights.shape[1]:
+            raise ValueError(f"expected a (frames x {self.weights.shape[1]}) magnitude "
+                             f"matrix, got shape {mags.shape}")
+        return np.add.reduceat(mags[:, self._bins] * self._band_weights, self._starts,
+                               axis=1)
 
 
 @dataclass(frozen=True)
@@ -146,6 +167,20 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = 256,
                          points[1:-1], "htk", norm)
 
 
+def _correction(c: Optional[CorrectionCoefficients], fb: MelFilterbank):
+    """(gains or None, provenance tag), after checking c fits fb's STFT grid."""
+    if c is None:
+        return None, "none"
+    c.check_applies_to(fb.n_fft // 2 + 1, fb.sample_rate)
+    return c.gains, f"pre_mel:{c.source_device}->{c.reference_device}"
+
+
+def _log_mel(mags: np.ndarray, fb: MelFilterbank, gains, floor: float) -> np.ndarray:
+    if gains is not None:
+        mags = mags * gains
+    return np.log(np.maximum(fb.project(mags), floor))
+
+
 def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
             c: Optional[CorrectionCoefficients] = None,
             floor: float = AMPLITUDE_FLOOR) -> FeatureTensor:
@@ -155,22 +190,46 @@ def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
         raise ValueError(
             f"shape mismatch: filterbank built for n_fft={fb.n_fft}@{fb.sample_rate} Hz, "
             f"spectrogram is n_fft={a.n_fft}@{a.sample_rate} Hz")
-    correction = "none"
-    if c is not None:
-        a = apply_to_amplitudes(c, a)
-        correction = f"pre_mel:{c.source_device}->{c.reference_device}"
-    mel = a.mags @ fb.weights.T
-    values = np.log(np.maximum(mel, floor))
+    gains, correction = _correction(c, fb)
+    return FeatureTensor(_log_mel(a.mags, fb, gains, floor), "raw", "", correction)
+
+
+def extract_waveform(w: Waveform, fb: MelFilterbank,
+                     c: Optional[CorrectionCoefficients] = None,
+                     hop: int = 512) -> FeatureTensor:
+    """``extract(amplitude(stft(w, fb.n_fft, hop)), fb, c)``, bit for bit,
+    computed BLOCK_FRAMES frames at a time: no whole complex, magnitude or
+    corrected spectrogram is ever held, only the log-mel rows."""
+    if fb.sample_rate != w.sample_rate:
+        raise ValueError(f"sample_rate mismatch: filterbank built for {fb.sample_rate} Hz, "
+                         f"waveform is {w.sample_rate} Hz")
+    win = _analysis_window(len(w), fb.n_fft, hop, "hann")
+    gains, correction = _correction(c, fb)
+    frames = _frames(w.samples, fb.n_fft, hop)
+    values = np.empty((len(frames), fb.n_mels))
+    for first in range(0, len(frames), BLOCK_FRAMES):
+        mags = np.abs(np.fft.rfft(frames[first:first + BLOCK_FRAMES] * win, axis=1))
+        values[first:first + BLOCK_FRAMES] = _log_mel(mags, fb, gains, AMPLITUDE_FLOOR)
     return FeatureTensor(values, "raw", "", correction)
 
 
-def standardize(features: Sequence[FeatureTensor], grouping: str = "global",
-                device_labels: Optional[Sequence[str]] = None):
-    """Zero-mean unit-variance scaling per mel bin over a group's frames.
+def _fold_rows(total: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ... per column, added in row order.
 
-    grouping "global" pools everything; "per_device" computes statistics
-    separately per device label. Returns (tensors, stats) where stats maps
-    group id -> (mean, std).
+    numpy reduces axis 0 of a C-contiguous matrix of two or more columns one
+    row at a time, so folding tensor by tensor gives the column sums of their
+    concatenation bit for bit while copying only one tensor at a time.
+    """
+    return np.concatenate([rows] if total is None else [total[None], rows]).sum(axis=0)
+
+
+def iter_standardize(features: Sequence[FeatureTensor], grouping: str = "global",
+                     device_labels: Optional[Sequence[str]] = None):
+    """``standardize``, yielding the scaled tensors one at a time: (iterator, stats).
+
+    The statistics take two passes over the tensors in list order: row sums
+    give each group's mean, then summed squared deviations from it give the
+    variance, so only one vector per group is held besides the inputs.
     """
     features = list(features)
     if grouping not in GROUPINGS:
@@ -183,20 +242,31 @@ def standardize(features: Sequence[FeatureTensor], grouping: str = "global",
     else:
         keys = ["global"] * len(features)
 
-    grouped: dict = {}
+    sums, counts = {}, {}
     for key, feat in zip(keys, features):
-        grouped.setdefault(key, []).append(feat.values)
-
-    stats = {}
-    for key, mats in grouped.items():
-        stacked = np.concatenate(mats, axis=0)
-        mean = stacked.mean(axis=0)
-        std = np.sqrt(np.maximum(stacked.var(axis=0), VARIANCE_FLOOR))
-        stats[key] = (mean, std)
-
-    out = []
+        sums[key] = _fold_rows(sums.get(key), feat.values)
+        counts[key] = counts.get(key, 0) + feat.frames
+    means = {key: total / counts[key] for key, total in sums.items()}
+    squares: dict = {}
     for key, feat in zip(keys, features):
-        mean, std = stats[key]
-        out.append(FeatureTensor((feat.values - mean) / std, grouping, key,
-                                 feat.correction))
-    return out, stats
+        dev = feat.values - means[key]
+        squares[key] = _fold_rows(squares.get(key), dev * dev)
+    stats = {key: (means[key], np.sqrt(np.maximum(total / counts[key], VARIANCE_FLOOR)))
+             for key, total in squares.items()}
+
+    scaled = (FeatureTensor((feat.values - stats[key][0]) / stats[key][1], grouping, key,
+                            feat.correction)
+              for key, feat in zip(keys, features))
+    return scaled, stats
+
+
+def standardize(features: Sequence[FeatureTensor], grouping: str = "global",
+                device_labels: Optional[Sequence[str]] = None):
+    """Zero-mean unit-variance scaling per mel bin over a group's frames.
+
+    grouping "global" pools everything; "per_device" computes statistics
+    separately per device label. Returns (tensors, stats) where stats maps
+    group id -> (mean, std).
+    """
+    scaled, stats = iter_standardize(features, grouping, device_labels)
+    return list(scaled), stats

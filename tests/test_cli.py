@@ -463,3 +463,110 @@ def test_features_builds_one_filterbank_per_sample_rate(tmp_path, monkeypatch):
                           sc.mel_filterbank(wave.sample_rate, N_FFT, 32))
         got = files.read_features(out / (Path(row.path).stem + ".feat"))
         assert np.array_equal(got.values, want.values)
+
+
+def _library_features(manifest, coeffs_dir, standardize):
+    """What features writes per output name, computed by the whole-matrix library path."""
+    rows = files.read_manifest(manifest)
+    fb = sc.mel_filterbank(SR, N_FFT, 32)
+    feats = []
+    for row in rows:
+        path = coeffs_dir / f"{row.device}.coeffs"
+        coeffs = files.read_coefficients(path) if path.exists() else None
+        spec = sc.amplitude(sc.stft(sc.read_wav(manifest.parent / row.path), N_FFT, HOP))
+        feats.append(sc.extract(spec, fb, coeffs))
+    if standardize:
+        feats, _ = sc.standardize(feats, "per_device", [row.device for row in rows])
+    return {Path(row.path).stem + ".feat": feat for row, feat in zip(rows, feats)}
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "per-device"])
+def test_features_is_byte_identical_across_thread_counts(standardize, sim_dir, tmp_path,
+                                                         monkeypatch):
+    manifest = sim_dir / "manifest.tsv"
+    coeffs_dir = tmp_path / "c"
+    assert main(["estimate", "--manifest", str(manifest), "--reference-device", "a",
+                 "--aligned", "--out", str(coeffs_dir)]) == 0
+    flags = ["--standardize", "per-device"] if standardize else []
+    expected = _library_features(manifest, coeffs_dir, standardize)
+    trees = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SPECCOR_THREADS", threads)
+        out = tmp_path / threads
+        assert main(["features", "--manifest", str(manifest), "--coeffs-dir", str(coeffs_dir),
+                     *flags, "--n-mels", "32", "--out", str(out)]) == 0
+        trees[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert trees["2"] == trees["1"] and trees["4"] == trees["1"]
+    assert sorted(trees["1"]) == sorted(expected)
+    for name, feat in expected.items():
+        got = files.read_features(tmp_path / "1" / name)
+        assert np.array_equal(got.values, feat.values), name
+        assert (got.normalization, got.stats_id, got.correction) == (
+            feat.normalization, feat.stats_id, feat.correction)
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "per-device"])
+def test_features_peak_memory_does_not_grow_with_the_corpus(standardize, group_manifests,
+                                                            tmp_path, monkeypatch):
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+    flags = ["--standardize", "per-device"] if standardize else []
+    assert main(["features", "--manifest", str(group_manifests[2]), *flags,
+                 "--out", str(tmp_path / "warm")]) == 0
+    peaks = {}
+    for groups, manifest in group_manifests.items():
+        tracemalloc.start()
+        try:
+            assert main(["features", "--manifest", str(manifest), *flags,
+                         "--out", str(tmp_path / str(groups))]) == 0
+            peaks[groups] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    tensor_bytes = ((SR - N_FFT) // HOP + 1) * 256 * 8
+    # Standardizing keeps the raw log-mel tensors: 8 more of them at 6 groups.
+    kept = 8 * tensor_bytes if standardize else 0
+    assert peaks[6] - peaks[2] < kept + tensor_bytes, peaks
+
+
+def test_features_rejects_coefficients_of_another_sample_rate(sim_dir, tmp_path, capsys):
+    coeffs_dir = tmp_path / "c"
+    assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--reference-device", "a", "--aligned", "--out", str(coeffs_dir)]) == 0
+    path = coeffs_dir / "b.coeffs"
+    path.write_text(path.read_text().replace(f"sample_rate {SR}\n", "sample_rate 48000\n"))
+    assert files.read_coefficients(path).sample_rate == 48000
+    capsys.readouterr()
+    assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--coeffs-dir", str(coeffs_dir), "--out", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "48000 Hz" in err and f"{SR} Hz" in err
+
+
+def test_features_checks_coefficients_n_fft_before_reading_audio(tmp_path, capsys):
+    (tmp_path / "x.wav").write_bytes(b"not a wav file")  # would exit 2 if read
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, [files.ManifestRow("x.wav", "b")])
+    coeffs_dir = tmp_path / "c"
+    coeffs_dir.mkdir()
+    files.write_coefficients(coeffs_dir / "b.coeffs", sc.CorrectionCoefficients(
+        np.ones(513), 1024, SR, "b", "a", 1, "aligned"))
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(manifest), "--coeffs-dir", str(coeffs_dir),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(coeffs_dir / "b.coeffs") in err and "n_fft=1024" in err and "x.wav" not in err
+    assert not out.exists()
+
+
+def test_features_rejects_duplicate_stems_before_writing(tmp_path, capsys):
+    for sub in ("d1", "d2"):
+        (tmp_path / sub).mkdir()
+        sc.write_wav(tmp_path / sub / "x.wav", white_waveform(95, seconds=0.2))
+    sc.write_wav(tmp_path / "y.wav", white_waveform(96, seconds=0.2))
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, [files.ManifestRow("y.wav", "a"),
+                                    files.ManifestRow("d1/x.wav", "a"),
+                                    files.ManifestRow("d2/x.wav", "b")])
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert "'x.feat'" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,6 +3,8 @@ import pytest
 
 import speccor as sc
 
+from speccor.dsp import BLOCK_FRAMES
+
 from conftest import SR, N_FFT, HOP, aligned_pairs, random_amplitude_spectrogram
 
 
@@ -165,3 +167,105 @@ def test_feature_tensor_validation():
         sc.FeatureTensor(np.array([[np.inf]]))
     with pytest.raises(ValueError, match="normalization"):
         sc.FeatureTensor(np.zeros((1, 1)), normalization="weird")
+
+
+def _coefficients(seed, n_fft=N_FFT, sample_rate=SR):
+    gains = np.exp(np.random.default_rng(seed).uniform(-1.0, 1.0, n_fft // 2 + 1))
+    return sc.CorrectionCoefficients(gains, n_fft, sample_rate, "b", "a", 1, "aligned")
+
+
+@pytest.mark.parametrize("hop", [512, 384])
+@pytest.mark.parametrize("frames", [1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES + 5])
+def test_extract_waveform_equals_whole_matrix_path(frames, hop):
+    rng = np.random.default_rng(frames + hop)
+    wave = sc.Waveform(rng.standard_normal(N_FFT + (frames - 1) * hop) * 0.1, SR)
+    fb = sc.mel_filterbank(SR, N_FFT, 64)
+    spec = sc.amplitude(sc.stft(wave, N_FFT, hop))
+    assert spec.frames == frames
+    for coeffs in (None, _coefficients(frames)):
+        want = sc.extract(spec, fb, coeffs)
+        got = sc.extract_waveform(wave, fb, coeffs, hop)
+        assert np.array_equal(got.values, want.values)
+        assert (got.normalization, got.stats_id, got.correction) == (
+            want.normalization, want.stats_id, want.correction)
+
+
+def test_extract_waveform_checks_like_stft():
+    fb = sc.mel_filterbank(SR, N_FFT, 16)
+    with pytest.raises(ValueError, match="input too short"):
+        sc.extract_waveform(sc.Waveform(np.zeros(N_FFT - 1), SR), fb)
+    with pytest.raises(ValueError, match="hop must be"):
+        sc.extract_waveform(sc.Waveform(np.zeros(N_FFT), SR), fb, hop=0)
+    with pytest.raises(ValueError, match="sample_rate mismatch"):
+        sc.extract_waveform(sc.Waveform(np.zeros(N_FFT), 48000), fb)
+
+
+def test_extract_rejects_coefficients_of_another_sample_rate():
+    rng = np.random.default_rng(75)
+    spec = random_amplitude_spectrogram(rng, 5, N_FFT)
+    wave = sc.Waveform(rng.standard_normal(4 * N_FFT), SR)
+    fb = sc.mel_filterbank(SR, N_FFT, 32)
+    other_rate = _coefficients(76, sample_rate=48000)
+    other_size = _coefficients(77, n_fft=1024)
+    for coeffs, message in ((other_rate, "sample_rate mismatch"), (other_size, "bin mismatch")):
+        with pytest.raises(ValueError, match=message):
+            sc.extract(spec, fb, coeffs)
+        with pytest.raises(ValueError, match=message):
+            sc.extract_waveform(wave, fb, coeffs)
+    with pytest.raises(ValueError, match="sample_rate mismatch"):
+        sc.apply_to_amplitudes(other_rate, spec)
+
+
+def _overlapping_filterbank():
+    # Wide overlapping filters of uneven support, one of a single bin.
+    n_fft = 64
+    weights = np.zeros((4, n_fft // 2 + 1))
+    weights[0, 1:12] = np.r_[np.linspace(0.1, 1.0, 6), np.linspace(0.8, 0.1, 5)]
+    weights[1, 5:20] = np.r_[np.linspace(0.2, 2.0, 8), np.linspace(1.5, 0.05, 7)]
+    weights[2, 18] = 0.7
+    weights[3, 10:33] = np.r_[np.linspace(0.01, 0.5, 12), np.linspace(0.45, 0.0, 11)]
+    return sc.MelFilterbank(weights, 4, 0.0, SR / 2, n_fft, SR, np.array([1.0, 2.0, 3.0, 4.0]))
+
+
+@pytest.mark.parametrize("fb", [sc.mel_filterbank(SR, N_FFT, 256),
+                                sc.mel_filterbank(SR, N_FFT, 40, norm="area"),
+                                _overlapping_filterbank()],
+                         ids=["mel-256", "mel-40-area", "hand-built-overlapping"])
+def test_banded_projection_matches_dense(fb):
+    rng = np.random.default_rng(78)
+    mags = random_amplitude_spectrogram(rng, 9, fb.n_fft).mags
+    dense = mags @ fb.weights.T
+    banded = fb.project(mags)
+    assert banded.shape == dense.shape
+    assert np.abs(banded - dense).max() <= 1e-12 * np.abs(dense).max()
+    for row in range(mags.shape[0]):
+        assert np.array_equal(fb.project(mags[row:row + 1])[0], banded[row])
+    for bad in (mags[:, :-1], mags[0]):
+        with pytest.raises(ValueError, match="magnitude matrix"):
+            fb.project(bad)
+
+
+@pytest.mark.parametrize("grouping", ["global", "per_device"])
+def test_standardize_equals_concatenated_moments(grouping):
+    # Groups of uneven lengths, interleaved: the streamed fold must give the
+    # mean, variance and outputs of concatenating each group's frames.
+    rng = np.random.default_rng(79)
+    lengths = [7, 1, 130, 64, 3, 65, 20]
+    labels = ["a", "b", "a", "c", "b", "a", "c"]
+    feats = [sc.FeatureTensor(rng.standard_normal((n, 12)) * rng.uniform(0.5, 4.0)
+                              + rng.uniform(-20.0, 0.0)) for n in lengths]
+    out, stats = sc.standardize(feats, grouping, labels)
+    keys = ([f"device:{label}" for label in labels] if grouping == "per_device"
+            else ["global"] * len(feats))
+    assert list(stats) == list(dict.fromkeys(keys))
+    for key, (mean, std) in stats.items():
+        stacked = np.concatenate([f.values for f, k in zip(feats, keys) if k == key])
+        assert np.array_equal(mean, stacked.mean(axis=0))
+        assert np.array_equal(std, np.sqrt(np.maximum(stacked.var(axis=0),
+                                                      sc.features.VARIANCE_FLOOR)))
+    for feat, key, got in zip(feats, keys, out):
+        mean, std = stats[key]
+        assert np.array_equal(got.values, (feat.values - mean) / std)
+        assert (got.normalization, got.stats_id) == (grouping, key)
+    lazy, _ = sc.iter_standardize(feats, grouping, labels)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(lazy, out))
