@@ -106,6 +106,30 @@ def _aligned_groups(rows, reference, devices) -> dict:
     return groups
 
 
+def _audio_frames(manifest_path, rows, n_fft, hop, per_device) -> dict:
+    """Map each row to its STFT frame count, read from the file headers alone.
+
+    The files must share one sample rate (with per_device, one per device);
+    a file that differs is named with its device and group.
+    """
+    frames, first = {}, {}
+    for row in rows:
+        path = _resolve(manifest_path, row.path)
+        info = wavio.read_wav_info(path)
+        try:
+            frames[row] = dsp.frame_count(info.samples, n_fft, hop)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        anchor, rate = first.setdefault(row.device if per_device else None,
+                                        (row, info.sample_rate))
+        if info.sample_rate != rate:
+            group = f" in group {row.group!r}" if row.group else ""
+            raise ValueError(f"{path}: mixed sample rates: device {row.device!r}{group} "
+                             f"is at {info.sample_rate} Hz, {anchor.path} (device "
+                             f"{anchor.device!r}) at {rate} Hz")
+    return frames
+
+
 def cmd_estimate(args) -> int:
     rows = files.read_manifest(args.manifest)
     reference = args.reference_device
@@ -116,37 +140,38 @@ def cmd_estimate(args) -> int:
     if reference != "none" and reference not in devices:
         raise ValueError(f"reference-device {reference!r} not present in the manifest")
 
-    # Each worker reduces its audio to per-bin log sums, so no spectrogram
-    # outlives the worker that made it; the sums are folded in manifest order.
-    def amplitude(wave):
-        return dsp.amplitude(dsp.stft(wave, args.n_fft, args.hop))
-
+    # Headers are checked before any audio is read. Each worker then reduces
+    # its file, or aligned group, to per-bin log sums a block of frames at a
+    # time; the sums are folded in manifest order.
     if args.aligned:
         groups = _aligned_groups(rows, reference, devices)
-
-        def group_sums(item):
-            group, members = item
-            ref = correction.AlignedReference(
-                _on_file(args.manifest, members[reference], amplitude))
-
-            def ratio_sum(device, row):
-                spec = _on_file(args.manifest, row, amplitude)
-                if spec.frames != ref.frames:
+        frames = _audio_frames(args.manifest, [row for row in rows if row.group],
+                               args.n_fft, args.hop, per_device=False)
+        for group, members in groups.items():
+            ref_frames = frames[members[reference]]
+            for device, row in members.items():
+                if frames[row] != ref_frames:
                     raise ValueError(f"group {group!r} is unaligned: device {device!r} has "
-                                     f"{spec.frames} frames, reference-device {reference!r} "
-                                     f"has {ref.frames}")
-                return ref.ratio_sum(spec)
-            return {device: ratio_sum(device, row)
-                    for device, row in members.items() if device != reference}
+                                     f"{frames[row]} frames, reference-device "
+                                     f"{reference!r} has {ref_frames}")
 
-        per_group = _map_ordered(group_sums, groups.items())
+        def group_sums(members):
+            sources = [device for device in members if device != reference]
+            ref, *waves = (wavio.read_wav(_resolve(args.manifest, members[device].path))
+                           for device in [reference, *sources])
+            return dict(zip(sources, correction.aligned_waveform_sums(
+                ref, waves, args.n_fft, args.hop)))
+
+        per_group = _map_ordered(group_sums, groups.values())
         results = [correction.aligned_from_sums(
                        [sums[device] for sums in per_group if device in sums],
                        reference, device)
                    for device in devices if device != reference]
     else:
+        _audio_frames(args.manifest, rows, args.n_fft, args.hop,
+                      per_device=reference == "none")
         sums = _map_files(args.manifest, rows, lambda row, wave:
-                          correction.log_amplitude_sum(amplitude(wave)))
+                          correction.waveform_log_sum(wave, args.n_fft, args.hop))
         by_device = {device: [] for device in devices}
         for row, item_sum in zip(rows, sums):
             by_device[row.device].append(item_sum)

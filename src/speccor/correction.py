@@ -7,7 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dsp import AMPLITUDE_FLOOR, AmplitudeSpectrogram, ComplexSpectrogram
+from .dsp import (AMPLITUDE_FLOOR, AmplitudeSpectrogram, ComplexSpectrogram, Waveform,
+                  _fold_rows, _magnitude_blocks, frame_count)
 
 ESTIMATORS = ("aligned", "unaligned", "simplified")
 
@@ -216,6 +217,45 @@ class AlignedReference:
             raise ValueError("mixed STFT configuration across pairs")
         return LogSum((self.log_mags - _log_mags(src, self.floor)).sum(axis=0),
                       self.frames, self.n_fft, self.sample_rate)
+
+
+def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512) -> LogSum:
+    """``log_amplitude_sum(amplitude(stft(w, n_fft, hop)))``, bit for bit, reduced
+    BLOCK_FRAMES frames at a time: no spectrogram is ever held."""
+    total, frames = None, 0
+    for mags in _magnitude_blocks(w, n_fft, hop):
+        total = _fold_rows(total, np.log(np.maximum(mags, AMPLITUDE_FLOOR)))
+        frames += len(mags)
+    return LogSum(total, frames, n_fft, w.sample_rate)
+
+
+def aligned_waveform_sums(ref: Waveform, sources: Sequence[Waveform], n_fft: int = 2048,
+                          hop: int = 512) -> list:
+    """One log-ratio sum per source recording of the reference's signal.
+
+    Item i is ``AlignedReference(amplitude(stft(ref))).ratio_sum(
+    amplitude(stft(sources[i])))``, bit for bit. One pass runs over the
+    reference's blocks of BLOCK_FRAMES frames, and each source's matching
+    block is subtracted in turn, so no spectrogram is ever held. Sample rates
+    and frame counts are checked before any transform.
+    """
+    frames = frame_count(len(ref), n_fft, hop)
+    for src in sources:
+        if src.sample_rate != ref.sample_rate:
+            raise ValueError(f"sample_rate mismatch: reference is {ref.sample_rate} Hz, "
+                             f"source is {src.sample_rate} Hz")
+        if frame_count(len(src), n_fft, hop) != frames:
+            raise ValueError(f"unaligned pair: reference has {frames} frames, source has "
+                             f"{frame_count(len(src), n_fft, hop)}")
+    src_blocks = [_magnitude_blocks(src, n_fft, hop) for src in sources]
+    totals = [None] * len(sources)
+    for ref_mags in _magnitude_blocks(ref, n_fft, hop):
+        ref_log = np.log(np.maximum(ref_mags, AMPLITUDE_FLOOR))
+        del ref_mags  # only its log stays alive while the sources are read
+        for i, blocks in enumerate(src_blocks):
+            totals[i] = _fold_rows(
+                totals[i], ref_log - np.log(np.maximum(next(blocks), AMPLITUDE_FLOOR)))
+    return [LogSum(total, frames, n_fft, ref.sample_rate) for total in totals]
 
 
 def _fold(sums: Sequence[LogSum]):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,9 +18,9 @@ MIDBAND_HZ = (100.0, 16000.0)
 
 DB_PER_NAT = 20.0 / np.log(10.0)
 
-# Frames analysed at once by apply_gains and features.extract_waveform: a
-# spectrogram block stays at a few MB (64 x 1025 complex bins at n_fft 2048)
-# however long the input is.
+# Frames analysed at once by apply_gains, features.extract_waveform and the
+# waveform reductions of correction: a spectrogram block stays at a few MB
+# (64 x 1025 complex bins at n_fft 2048) however long the input is.
 BLOCK_FRAMES = 64
 
 
@@ -164,13 +165,20 @@ class AmplitudeSpectrogram:
         return bin_frequencies(self.n_fft, self.sample_rate)
 
 
-def _analysis_window(length: int, n_fft: int, hop: int, window: str) -> np.ndarray:
+def frame_count(length: int, n_fft: int, hop: int) -> int:
+    """Frames that ``stft`` takes from ``length`` samples; raises as ``stft`` would
+    for a bad grid or a too-short input."""
     if n_fft < 16 or n_fft % 2 != 0:
         raise ValueError(f"n_fft must be an even integer >= 16, got {n_fft}")
     if hop < 1:
         raise ValueError(f"hop must be >= 1, got {hop}")
     if length < n_fft:
         raise ValueError(f"input too short: {length} samples < n_fft={n_fft}")
+    return (length - n_fft) // hop + 1
+
+
+def _analysis_window(length: int, n_fft: int, hop: int, window: str) -> np.ndarray:
+    frame_count(length, n_fft, hop)
     return window_array(window, n_fft)
 
 
@@ -217,6 +225,29 @@ def _normalize(acc: np.ndarray, scale: np.ndarray) -> np.ndarray:
     with almost no window weight become 0."""
     valid = scale > 1e-11 * scale.max()
     return np.where(valid, acc / np.where(valid, scale, 1.0), 0.0)
+
+
+def _magnitude_blocks(w: Waveform, n_fft: int, hop: int):
+    """``amplitude(stft(w, n_fft, hop)).mags``, BLOCK_FRAMES rows at a time.
+
+    Checks its arguments at once, then returns an iterator of the blocks in
+    frame order; rfft transforms each row alone, so every block equals the
+    same rows of the whole matrix, bit for bit.
+    """
+    win = _analysis_window(len(w), n_fft, hop, "hann")
+    frames = _frames(w.samples, n_fft, hop)
+    return (np.abs(np.fft.rfft(frames[first:first + BLOCK_FRAMES] * win, axis=1))
+            for first in range(0, len(frames), BLOCK_FRAMES))
+
+
+def _fold_rows(total: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ... per column, added in row order.
+
+    numpy reduces axis 0 of a C-contiguous matrix of two or more columns one
+    row at a time, so folding block by block gives the column sums of their
+    concatenation bit for bit while copying only one block at a time.
+    """
+    return np.concatenate([rows] if total is None else [total[None], rows]).sum(axis=0)
 
 
 def stft(w: Waveform, n_fft: int = 2048, hop: int = 512,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .correction import CorrectionCoefficients
 from .dsp import (AMPLITUDE_FLOOR, BLOCK_FRAMES, AmplitudeSpectrogram, Waveform,
-                  _analysis_window, _frames, bin_frequencies)
+                  _fold_rows, _magnitude_blocks, bin_frequencies, frame_count)
 
 VARIANCE_FLOOR = 1e-8
 
@@ -203,24 +203,13 @@ def extract_waveform(w: Waveform, fb: MelFilterbank,
     if fb.sample_rate != w.sample_rate:
         raise ValueError(f"sample_rate mismatch: filterbank built for {fb.sample_rate} Hz, "
                          f"waveform is {w.sample_rate} Hz")
-    win = _analysis_window(len(w), fb.n_fft, hop, "hann")
+    blocks = _magnitude_blocks(w, fb.n_fft, hop)
     gains, correction = _correction(c, fb)
-    frames = _frames(w.samples, fb.n_fft, hop)
-    values = np.empty((len(frames), fb.n_mels))
-    for first in range(0, len(frames), BLOCK_FRAMES):
-        mags = np.abs(np.fft.rfft(frames[first:first + BLOCK_FRAMES] * win, axis=1))
-        values[first:first + BLOCK_FRAMES] = _log_mel(mags, fb, gains, AMPLITUDE_FLOOR)
+    values = np.empty((frame_count(len(w), fb.n_fft, hop), fb.n_mels))
+    for i, mags in enumerate(blocks):
+        values[i * BLOCK_FRAMES:(i + 1) * BLOCK_FRAMES] = _log_mel(mags, fb, gains,
+                                                                  AMPLITUDE_FLOOR)
     return FeatureTensor(values, "raw", "", correction)
-
-
-def _fold_rows(total: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """total + rows[0] + rows[1] + ... per column, added in row order.
-
-    numpy reduces axis 0 of a C-contiguous matrix of two or more columns one
-    row at a time, so folding tensor by tensor gives the column sums of their
-    concatenation bit for bit while copying only one tensor at a time.
-    """
-    return np.concatenate([rows] if total is None else [total[None], rows]).sum(axis=0)
 
 
 def iter_standardize(features: Sequence[FeatureTensor], grouping: str = "global",

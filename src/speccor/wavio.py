@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,35 +19,43 @@ class AudioFileError(Exception):
     """Raised for malformed or unsupported WAV files."""
 
 
-def read_wav(path) -> Waveform:
-    """Read a mono or stereo WAV file as a normalized mono waveform.
+class WavInfo(NamedTuple):
+    """What a WAV file's chunk headers say about its audio."""
 
-    PCM16 samples are scaled by 1/32768; float32 samples pass through
-    exactly. Stereo is downmixed by averaging the channels.
-    """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+    sample_rate: int
+    channels: int
+    samples: int  # per channel
+    dtype: np.dtype
+    scale: float
+    data_offset: int
+
+
+def _read_info(f, path) -> WavInfo:
+    """Walk the chunk headers of an open WAV file; the audio itself is not read."""
+    end = f.seek(0, 2)
+    f.seek(0)
+    head = f.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise AudioFileError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
-    payload = None
+    data = None
     pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
-        if len(body) != size:
+    while pos + 8 <= end:
+        f.seek(pos)
+        chunk_id, size = struct.unpack("<4sI", f.read(8))
+        if pos + 8 + size > end:
             raise AudioFileError(
                 f"{path}: truncated file in chunk {chunk_id.decode('ascii', 'replace')!r}")
         if chunk_id == b"fmt ":
-            fmt = body
+            fmt = f.read(size)
         elif chunk_id == b"data":
-            payload = body
+            data = (pos + 8, size)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
         raise AudioFileError(f"{path}: missing 'fmt ' chunk")
-    if payload is None:
+    if data is None:
         raise AudioFileError(f"{path}: missing 'data' chunk")
     if len(fmt) < 16:
         raise AudioFileError(f"{path}: truncated file in chunk 'fmt '")
@@ -74,15 +83,40 @@ def read_wav(path) -> Waveform:
     if block_align not in (0, frame_bytes):
         raise AudioFileError(f"{path}: block alignment {block_align} inconsistent "
                              f"with {channels} channel(s) of {bits}-bit samples")
-    if len(payload) % frame_bytes != 0:
+    if data[1] % frame_bytes != 0:
         raise AudioFileError(f"{path}: truncated file in chunk 'data'")
+    if sample_rate == 0:
+        raise AudioFileError(f"{path}: sample_rate must be positive, got 0")
+    return WavInfo(sample_rate, channels, data[1] // frame_bytes, dtype, scale, data[0])
 
-    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) * scale
-    if channels == 2:
+
+def read_wav_info(path) -> WavInfo:
+    """A WAV file's format and length, checked as ``read_wav`` checks them,
+    from its chunk headers alone."""
+    with open(path, "rb") as f:
+        return _read_info(f, path)
+
+
+def read_wav(path) -> Waveform:
+    """Read a mono or stereo WAV file as a normalized mono waveform.
+
+    PCM16 samples are scaled by 1/32768; float32 samples pass through
+    exactly. Stereo is downmixed by averaging the channels. Only the 'data'
+    chunk's bytes are read, and they are converted and scaled in one float64
+    array.
+    """
+    with open(path, "rb") as f:
+        info = _read_info(f, path)
+        f.seek(info.data_offset)
+        # The bytes read are dropped once converted.
+        samples = np.frombuffer(f.read(info.samples * info.channels * info.dtype.itemsize),
+                                dtype=info.dtype).astype(np.float64)
+    samples *= info.scale
+    if info.channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
     try:
-        return Waveform(samples, sample_rate)
-    except ValueError as exc:  # a zero sample rate or non-finite float samples
+        return Waveform(samples, info.sample_rate)
+    except ValueError as exc:  # non-finite float samples
         raise AudioFileError(f"{path}: {exc}") from None
 
 

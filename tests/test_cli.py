@@ -140,6 +140,23 @@ def test_estimate_names_the_aligned_group_whose_frames_differ(sim_dir, tmp_path,
     assert "'g1'" in err and "frames" in err
 
 
+def test_estimate_rejects_an_unaligned_group_before_reading_audio(sim_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+    short = tmp_path / "short_b.wav"
+    sc.write_wav(short, white_waveform(93, seconds=0.5))
+    manifest = tmp_path / "uneven.tsv"
+    files.write_manifest(manifest, [
+        files.ManifestRow(str(sim_dir / "g0000_a.wav"), "a", "g0"),
+        files.ManifestRow(str(short), "b", "g0"),
+    ])
+    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    assert main(["estimate", "--manifest", str(manifest),
+                 "--reference-device", "a", "--aligned",
+                 "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert "group 'g0' is unaligned: device 'b' has 40 frames" in err, err
+
+
 @pytest.mark.parametrize("command", ["estimate", "features"])
 def test_per_file_errors_name_the_file(command, tmp_path, capsys):
     long_path, short_path = tmp_path / "long.wav", tmp_path / "short.wav"
@@ -331,6 +348,28 @@ def test_estimate_peak_memory_does_not_grow_with_the_corpus(group_manifests, mod
     frames = (SR - N_FFT) // HOP + 1
     spectrogram_bytes = frames * (N_FFT // 2 + 1) * 8
     assert peaks[6] - peaks[2] < spectrogram_bytes, peaks
+
+
+@pytest.mark.parametrize("mode", sorted(ESTIMATE_MODES))
+def test_estimate_names_the_file_at_another_sample_rate(sim_dir, tmp_path, mode,
+                                                       monkeypatch, capsys):
+    odd = tmp_path / "odd_b.wav"
+    sc.write_wav(odd, sc.Waveform(sc.read_wav(sim_dir / "g0001_b.wav").samples, 48000))
+    manifest = tmp_path / "rates.tsv"
+    files.write_manifest(manifest, [
+        files.ManifestRow(str(sim_dir / "g0000_a.wav"), "a", "g0"),
+        files.ManifestRow(str(sim_dir / "g0000_b.wav"), "b", "g0"),
+        files.ManifestRow(str(sim_dir / "g0001_a.wav"), "a", "g1"),
+        files.ManifestRow(str(odd), "b", "g1"),
+    ])
+    # The rates are compared before any audio is read.
+    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    assert main(["estimate", "--manifest", str(manifest), *ESTIMATE_MODES[mode],
+                 "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert f"{odd}: mixed sample rates: device 'b' in group 'g1' is at 48000 Hz" in err, err
+    first = "g0000_b.wav" if mode == "none" else "g0000_a.wav"
+    assert first in err and "44100 Hz" in err, err
 
 
 SIM_THREAD_CONFIGS = {

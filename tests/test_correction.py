@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import speccor as sc
+from speccor import correction
 
 from conftest import (SR, N_FFT, HOP, aligned_pairs, max_db_error,
                       random_amplitude_spectrogram, white_waveform)
@@ -116,6 +119,55 @@ def test_aligned_rejects_shape_mismatch():
     b = random_amplitude_spectrogram(rng, 5, 64)
     with pytest.raises(ValueError, match="unaligned pair"):
         sc.estimate_aligned([(a, b)])
+
+
+# -- reductions straight from the waveform ----------------------------------------
+
+@pytest.mark.parametrize("hop", [512, 384])
+@pytest.mark.parametrize("frames", [1, 64, 65, 197])
+def test_waveform_reductions_equal_whole_matrix_path(frames, hop):
+    rng = np.random.default_rng(frames * hop)
+    ref, *sources = [sc.Waveform(rng.standard_normal(N_FFT + (frames - 1) * hop) * level, SR)
+                     for level in (0.1, 0.3, 1e-12)]
+    spec = sc.amplitude(sc.stft(ref, N_FFT, hop))
+    assert spec.frames == frames
+    want = correction.log_amplitude_sum(spec)
+    got = sc.waveform_log_sum(ref, N_FFT, hop)
+    assert np.array_equal(got.total, want.total)
+    assert (got.frames, got.n_fft, got.sample_rate) == (frames, N_FFT, SR)
+
+    aligned = correction.AlignedReference(spec)
+    sums = sc.aligned_waveform_sums(ref, sources, N_FFT, hop)
+    assert len(sums) == len(sources)
+    for got, src in zip(sums, sources):
+        want = aligned.ratio_sum(sc.amplitude(sc.stft(src, N_FFT, hop)))
+        assert np.array_equal(got.total, want.total)
+        assert (got.frames, got.n_fft, got.sample_rate) == (frames, N_FFT, SR)
+
+
+def test_aligned_waveform_sums_check_sources_before_any_transform():
+    ref = white_waveform(15, seconds=0.5)
+    with pytest.raises(ValueError, match="sample_rate mismatch"):
+        sc.aligned_waveform_sums(ref, [sc.Waveform(ref.samples, 48000)])
+    with pytest.raises(ValueError, match="unaligned pair: reference has 40 frames, "
+                                         "source has 39"):
+        sc.aligned_waveform_sums(ref, [ref, sc.Waveform(ref.samples[:-HOP], SR)])
+    with pytest.raises(ValueError, match="input too short"):
+        sc.aligned_waveform_sums(ref, [sc.Waveform(ref.samples[:N_FFT - 1], SR)])
+
+
+@pytest.mark.parametrize("seconds", [5, 30])
+def test_aligned_waveform_sums_hold_no_spectrogram(seconds):
+    ref, *sources = [white_waveform(16 + k, seconds=seconds) for k in range(3)]
+    sc.aligned_waveform_sums(ref, sources)  # warm-up: FFT plan caches
+    tracemalloc.start()
+    try:
+        sc.aligned_waveform_sums(ref, sources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A whole magnitude matrix is 3.5 MB at 5 s and 21 MB at 30 s.
+    assert peak < 4e6, peak
 
 
 def test_aligned_recovers_simulator_ratio(device_pair, aligned_dataset):

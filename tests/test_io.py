@@ -1,12 +1,14 @@
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import speccor as sc
-from speccor import files
+from speccor import files, wavio
 from speccor.wavio import AudioFileError
 
 from conftest import SR, N_FFT, white_waveform
@@ -70,6 +72,48 @@ def test_wav_stereo_downmix(tmp_path):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     w = sc.read_wav(path)
     assert np.allclose(w.samples, [0.5, 0.5, 0.0], atol=1e-12)
+
+
+def test_wav_pcm16_scaling_is_exact_for_every_code(tmp_path):
+    codes = np.arange(-32768, 32768, dtype="<i2")
+    path = tmp_path / "codes.wav"
+    sc.write_wav(path, sc.Waveform(codes / 32768.0, SR), encoding="pcm16")
+    assert np.array_equal(sc.read_wav(path).samples, codes.astype(np.float64) * 2.0 ** -15)
+
+
+def test_read_wav_peak_memory_is_the_payload_plus_the_result(tmp_path):
+    path = tmp_path / "ten.wav"
+    sc.write_wav(path, white_waveform(82, seconds=10.0))
+    sc.read_wav(path)  # warm-up
+    tracemalloc.start()
+    try:
+        wave = sc.read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= os.path.getsize(path) + 1.1 * wave.samples.nbytes, peak
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_read_wav_info_agrees_with_read_wav(tmp_path, encoding):
+    path = tmp_path / "x.wav"
+    sc.write_wav(path, white_waveform(83, seconds=0.1, sample_rate=22050), encoding)
+    info = wavio.read_wav_info(path)
+    wave = sc.read_wav(path)
+    assert (info.sample_rate, info.channels, info.samples) == (22050, 1, len(wave))
+
+
+def test_read_wav_info_counts_stereo_frames_and_skips_other_chunks(tmp_path):
+    payload = np.zeros(10, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 2, SR, SR * 8, 8, 32)
+    body = b"WAVE" + b"LIST" + struct.pack("<I", 3) + b"abc\0" \
+        + b"data" + struct.pack("<I", len(payload)) + payload \
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    path = tmp_path / "stereo.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    info = wavio.read_wav_info(path)
+    assert (info.sample_rate, info.channels, info.samples) == (SR, 2, 5)
+    assert len(sc.read_wav(path)) == 5
 
 
 def test_wav_rejects_non_riff(tmp_path):
@@ -308,6 +352,8 @@ FORMATS = {
         files.ManifestRow("b1.wav", "b", None)]), files.read_manifest),
     "wav": (lambda p: sc.write_wav(p, sc.Waveform(np.linspace(-0.5, 0.5, 16), SR)),
             sc.read_wav),
+    "wav-info": (lambda p: sc.write_wav(p, sc.Waveform(np.linspace(-0.5, 0.5, 16), SR)),
+                 wavio.read_wav_info),
 }
 
 # Arbitrary bytes, plus short runs of the characters that numeric fields are made of.
