@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 for validation problems, 2 for I/O problems.
 The SPECCOR_THREADS environment variable caps the number of worker threads
 used for per-file work and for simulate's groups or recordings (0 or unset
-picks the CPU count); reductions and outputs always follow manifest order,
-so results are deterministic either way.
+picks the CPU count, anything but an integer >= 0 exits 1); reductions and
+outputs always follow manifest order, so results are deterministic either way.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import configparser
 import os
 import re
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -35,12 +34,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def worker_count() -> int:
-    raw = os.environ.get("SPECCOR_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    raw = os.environ.get("SPECCOR_THREADS", "0")
+    if not raw.strip().isdecimal():
+        raise ValueError(f"SPECCOR_THREADS must be an integer >= 0, got {raw!r}")
+    return int(raw) or os.cpu_count() or 1
 
 
 def _map_ordered(fn, items):
@@ -57,20 +54,10 @@ def _resolve(manifest_path, row_path) -> Path:
     return p if p.is_absolute() else Path(manifest_path).parent / p
 
 
-def _on_file(manifest_path, row, fn):
-    """fn(waveform) for one manifest row's file; a ValueError names the file."""
-    path = _resolve(manifest_path, row.path)
-    try:
-        return fn(wavio.read_wav(path))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _map_files(manifest_path, rows, fn):
-    """fn(row, waveform) for each manifest row, in order; a ValueError names its file."""
-    def run(row):
-        return _on_file(manifest_path, row, lambda wave: fn(row, wave))
-    return _map_ordered(run, rows)
+    """fn(row, waveform) for each manifest row, in order."""
+    return _map_ordered(
+        lambda row: fn(row, wavio.read_wav(_resolve(manifest_path, row.path))), rows)
 
 
 def _manifest_devices(rows) -> list:
@@ -106,28 +93,31 @@ def _aligned_groups(rows, reference, devices) -> dict:
     return groups
 
 
-def _audio_frames(manifest_path, rows, n_fft, hop, per_device) -> dict:
-    """Map each row to its STFT frame count, read from the file headers alone.
-
-    The files must share one sample rate (with per_device, one per device);
-    a file that differs is named with its device and group.
-    """
-    frames, first = {}, {}
+def _read_headers(manifest_path, rows, n_fft, hop) -> dict:
+    """Map each row to (STFT frame count, sample rate), read once from its file's
+    header before any audio; a file too short for one frame is named."""
+    headers = {}
     for row in rows:
         path = _resolve(manifest_path, row.path)
         info = wavio.read_wav_info(path)
         try:
-            frames[row] = dsp.frame_count(info.samples, n_fft, hop)
+            headers[row] = (dsp.frame_count(info.samples, n_fft, hop), info.sample_rate)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        anchor, rate = first.setdefault(row.device if per_device else None,
-                                        (row, info.sample_rate))
-        if info.sample_rate != rate:
+    return headers
+
+
+def _check_one_rate(manifest_path, headers, per_device) -> None:
+    """The files must share one sample rate (with per_device, one per device);
+    a file that differs is named with its device and group."""
+    first = {}
+    for row, (_, rate) in headers.items():
+        anchor, want = first.setdefault(row.device if per_device else None, (row, rate))
+        if rate != want:
             group = f" in group {row.group!r}" if row.group else ""
-            raise ValueError(f"{path}: mixed sample rates: device {row.device!r}{group} "
-                             f"is at {info.sample_rate} Hz, {anchor.path} (device "
-                             f"{anchor.device!r}) at {rate} Hz")
-    return frames
+            raise ValueError(f"{_resolve(manifest_path, row.path)}: mixed sample rates: "
+                             f"device {row.device!r}{group} is at {rate} Hz, {anchor.path} "
+                             f"(device {anchor.device!r}) at {want} Hz")
 
 
 def cmd_estimate(args) -> int:
@@ -143,16 +133,17 @@ def cmd_estimate(args) -> int:
     # Headers are checked before any audio is read. Each worker then reduces
     # its file, or aligned group, to per-bin log sums a block of frames at a
     # time; the sums are folded in manifest order.
+    groups = _aligned_groups(rows, reference, devices) if args.aligned else {}
+    used = [row for row in rows if row.group] if args.aligned else rows
+    headers = _read_headers(args.manifest, used, args.n_fft, args.hop)
+    _check_one_rate(args.manifest, headers, per_device=reference == "none")
     if args.aligned:
-        groups = _aligned_groups(rows, reference, devices)
-        frames = _audio_frames(args.manifest, [row for row in rows if row.group],
-                               args.n_fft, args.hop, per_device=False)
         for group, members in groups.items():
-            ref_frames = frames[members[reference]]
+            ref_frames = headers[members[reference]][0]
             for device, row in members.items():
-                if frames[row] != ref_frames:
+                if headers[row][0] != ref_frames:
                     raise ValueError(f"group {group!r} is unaligned: device {device!r} has "
-                                     f"{frames[row]} frames, reference-device "
+                                     f"{headers[row][0]} frames, reference-device "
                                      f"{reference!r} has {ref_frames}")
 
         def group_sums(members):
@@ -168,8 +159,6 @@ def cmd_estimate(args) -> int:
                        reference, device)
                    for device in devices if device != reference]
     else:
-        _audio_frames(args.manifest, rows, args.n_fft, args.hop,
-                      per_device=reference == "none")
         sums = _map_files(args.manifest, rows, lambda row, wave:
                           correction.waveform_log_sum(wave, args.n_fft, args.hop))
         by_device = {device: [] for device in devices}
@@ -251,14 +240,18 @@ def _read_sim_section(path) -> configparser.SectionProxy:
 
 
 def _parse_sim_config(path) -> simulate.SimConfig:
-    """Read a simulate config; every error names the file, and the key if it has one."""
+    """Read a simulate config; every error names the file, and the key if it has one.
+
+    ``SimConfig`` checks its own fields; only the keys that are not fields
+    (response_db, environments, environment_db) are checked here.
+    """
     sec = _read_sim_section(path)
 
     def keyed(key, make):
         try:
             return make()
         except ValueError as exc:
-            raise ValueError(f"{path}: [sim]{' ' + key if key else ''}: {exc}") from None
+            raise ValueError(f"{path}: [sim] {key + ': ' if key else ''}{exc}") from None
 
     def value(key, get, default, valid=None, need=""):
         got = keyed(key, lambda: get(key, default))
@@ -266,28 +259,19 @@ def _parse_sim_config(path) -> simulate.SimConfig:
             raise ValueError(f"{path}: [sim] {key}: must be {need}, got {got!r}")
         return got
 
-    seed = value("seed", sec.getint, 0, lambda v: v >= 0, ">= 0")
-    sample_rate = value("sample_rate", sec.getint, 44100, lambda v: v >= 1, ">= 1")
-    n_fft = value("n_fft", sec.getint, 2048, lambda v: v >= 16 and v % 2 == 0,
-                  "an even integer >= 16")
-    hop = value("hop", sec.getint, n_fft // 4, lambda v: 1 <= v <= n_fft and
-                dsp.overlap_add_invertible(dsp.window_array("hann", n_fft), v),
-                f"a hop in 1..{n_fft} whose Hann overlap-add can be inverted")
-    num_recordings = value("num_recordings", sec.getint, 4, lambda v: v >= 1, ">= 1")
-    duration = value("duration", sec.getfloat, 3.0, lambda v: np.isfinite(v) and v > 0,
-                     "finite and > 0")
+    seed = value("seed", sec.getint, 0)
+    sample_rate = value("sample_rate", sec.getint, 44100)
+    n_fft = value("n_fft", sec.getint, 2048)
+    hop = value("hop", sec.getint, n_fft // 4)
+    num_recordings = value("num_recordings", sec.getint, 4)
+    duration = value("duration", sec.getfloat, 3.0)
     response_db = value("response_db", sec.getfloat, 20.0, np.isfinite, "finite")
     num_envs = value("environments", sec.getint, 0, lambda v: v >= 0, ">= 0")
     environment_db = value("environment_db", sec.getfloat, 6.0, np.isfinite, "finite")
     aligned = value("aligned", sec.getboolean, True)
     names = [t for t in re.split(r"[,\s]+", sec.get("devices", "a b").strip()) if t]
-    if len(set(names)) != len(names):
-        raise ValueError(f"{path}: [sim] devices: duplicate device names")
-    for name in names:
-        # Device names become file names: g0000_<name>.wav, <name>_0000.wav.
-        if "/" in name or "\0" in name:
-            raise ValueError(f"{path}: [sim] devices: device {name!r} is not a plain "
-                             "file stem")
+    # The responses are drawn from the grid, so it is checked first.
+    keyed("", lambda: simulate.check_grid(seed, sample_rate, n_fft, hop))
 
     def device(i, name):
         if response_db <= 0:
@@ -360,26 +344,26 @@ def cmd_features(args) -> int:
                 if coeffs.n_fft != args.n_fft:
                     raise ValueError(f"{path}: coefficients are for n_fft={coeffs.n_fft}, "
                                      f"--n-fft is {args.n_fft}")
-                coeffs_by_device[device] = (path, coeffs)
+                coeffs_by_device[device] = coeffs
             else:
                 print(f"note: no coefficients for device {device!r}, leaving it "
                       "uncorrected", file=sys.stderr)
 
-    fb_cache = {}
-    fb_lock = threading.Lock()
+    # Every header and coefficient sample rate is checked, and one filterbank
+    # built per sample rate, before any audio is read or --out is created.
+    headers = _read_headers(args.manifest, rows, args.n_fft, args.hop)
+    for row, (_, rate) in headers.items():
+        coeffs = coeffs_by_device.get(row.device)
+        if coeffs is not None and coeffs.sample_rate != rate:
+            path = Path(args.coeffs_dir) / f"{row.device}.coeffs"
+            raise ValueError(f"{path}: coefficients are for {coeffs.sample_rate} Hz, "
+                             f"{_resolve(args.manifest, row.path)} is at {rate} Hz")
+    fbs = {rate: mel_filterbank(rate, args.n_fft, args.n_mels)
+           for rate in {rate for _, rate in headers.values()}}
 
     def raw_features(row, wave):
-        # One filterbank per sample rate, even when workers need it at once.
-        with fb_lock:
-            if wave.sample_rate not in fb_cache:
-                fb_cache[wave.sample_rate] = mel_filterbank(
-                    wave.sample_rate, args.n_fft, args.n_mels)
-            fb = fb_cache[wave.sample_rate]
-        path, coeffs = coeffs_by_device.get(row.device, (None, None))
-        if coeffs is not None and coeffs.sample_rate != wave.sample_rate:
-            raise ValueError(f"{path}: coefficients are for {coeffs.sample_rate} Hz, "
-                             f"audio is {wave.sample_rate} Hz")
-        return extract_waveform(wave, fb, coeffs, args.hop)
+        return extract_waveform(wave, fbs[wave.sample_rate], coeffs_by_device.get(row.device),
+                                args.hop)
 
     out_dir = Path(args.out)
     if args.standardize:
@@ -504,6 +488,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        worker_count()  # a bad SPECCOR_THREADS fails before anything is written
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,8 +162,8 @@ class RecordingSet:
         return grouped
 
 
-def _log_mags(spec: AmplitudeSpectrogram, floor: float) -> np.ndarray:
-    return np.log(np.maximum(spec.mags, floor))
+def _log_mags(spec: AmplitudeSpectrogram) -> np.ndarray:
+    return np.log(np.maximum(spec.mags, AMPLITUDE_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -182,41 +182,21 @@ class LogSum:
     sample_rate: int
 
 
-def log_amplitude_sum(spec: AmplitudeSpectrogram,
-                      floor: float = AMPLITUDE_FLOOR) -> LogSum:
-    """Sum over frames of log max(|X|, floor) for one recording."""
-    return LogSum(_log_mags(spec, floor).sum(axis=0), spec.frames,
+def log_amplitude_sum(spec: AmplitudeSpectrogram) -> LogSum:
+    """Sum over frames of log max(|X|, AMPLITUDE_FLOOR) for one recording."""
+    return LogSum(_log_mags(spec).sum(axis=0), spec.frames,
                   spec.n_fft, spec.sample_rate)
 
 
-class AlignedReference:
-    """A reference recording reduced to its log amplitudes.
-
-    ``ratio_sum`` gives the log-ratio sum against one source recording of the
-    same signal, so a caller can load the sources of an alignment group one
-    at a time while only the reference's log amplitudes stay alive.
-    """
-
-    def __init__(self, ref: AmplitudeSpectrogram, floor: float = AMPLITUDE_FLOOR):
-        self.log_mags = _log_mags(ref, floor)
-        self.n_fft = ref.n_fft
-        self.sample_rate = ref.sample_rate
-        self.floor = floor
-
-    @property
-    def frames(self) -> int:
-        return self.log_mags.shape[0]
-
-    def ratio_sum(self, src: AmplitudeSpectrogram) -> LogSum:
-        """Sum over frames of log reference - log source, per bin."""
-        if src.mags.shape != self.log_mags.shape:
-            raise ValueError(
-                f"unaligned pair: reference shape {self.log_mags.shape} vs "
-                f"source shape {src.mags.shape}")
-        if (src.n_fft, src.sample_rate) != (self.n_fft, self.sample_rate):
-            raise ValueError("mixed STFT configuration across pairs")
-        return LogSum((self.log_mags - _log_mags(src, self.floor)).sum(axis=0),
-                      self.frames, self.n_fft, self.sample_rate)
+def log_ratio_sum(ref: AmplitudeSpectrogram, src: AmplitudeSpectrogram) -> LogSum:
+    """Sum over frames of log reference - log source, per bin, for one aligned pair."""
+    if src.mags.shape != ref.mags.shape:
+        raise ValueError(f"unaligned pair: reference shape {ref.mags.shape} vs "
+                         f"source shape {src.mags.shape}")
+    if (src.n_fft, src.sample_rate) != (ref.n_fft, ref.sample_rate):
+        raise ValueError("mixed STFT configuration across pairs")
+    return LogSum((_log_mags(ref) - _log_mags(src)).sum(axis=0), ref.frames,
+                  ref.n_fft, ref.sample_rate)
 
 
 def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512) -> LogSum:
@@ -233,11 +213,11 @@ def aligned_waveform_sums(ref: Waveform, sources: Sequence[Waveform], n_fft: int
                           hop: int = 512) -> list:
     """One log-ratio sum per source recording of the reference's signal.
 
-    Item i is ``AlignedReference(amplitude(stft(ref))).ratio_sum(
-    amplitude(stft(sources[i])))``, bit for bit. One pass runs over the
-    reference's blocks of BLOCK_FRAMES frames, and each source's matching
-    block is subtracted in turn, so no spectrogram is ever held. Sample rates
-    and frame counts are checked before any transform.
+    Item i is ``log_ratio_sum(amplitude(stft(ref)), amplitude(stft(sources[i])))``,
+    bit for bit. One pass runs over the reference's blocks of BLOCK_FRAMES
+    frames, and each source's matching block is subtracted in turn, so no
+    spectrogram is ever held. Sample rates and frame counts are checked
+    before any transform.
     """
     frames = frame_count(len(ref), n_fft, hop)
     for src in sources:
@@ -293,26 +273,26 @@ def aligned_from_sums(sums: Sequence[LogSum], reference_device: str,
                                   reference_device, len(sums), "aligned")
 
 
-def accumulate_stats(specs: Sequence[AmplitudeSpectrogram], device: str,
-                     floor: float = AMPLITUDE_FLOOR) -> DeviceSpectrumStats:
+def accumulate_stats(specs: Sequence[AmplitudeSpectrogram],
+                     device: str) -> DeviceSpectrumStats:
     """Pool log amplitudes over all frames of all recordings of one device.
 
     Recordings of different lengths are weighted by frame count: the mean
     runs over every (frame, recording) cell. Accumulation happens in the
     log domain in list order, so the result is deterministic.
     """
-    return stats_from_sums([log_amplitude_sum(spec, floor) for spec in specs], device)
+    return stats_from_sums([log_amplitude_sum(spec) for spec in specs], device)
 
 
-def estimate_aligned(pairs, reference_device: str = "ref", source_device: str = "src",
-                     floor: float = AMPLITUDE_FLOOR) -> CorrectionCoefficients:
+def estimate_aligned(pairs, reference_device: str = "ref",
+                     source_device: str = "src") -> CorrectionCoefficients:
     """Estimate gains from aligned recordings of the same signals.
 
     Each pair holds (reference, source) spectrograms of identical shape. The
     gain per bin is the geometric mean, over all pairs and frames, of the
-    reference/source amplitude ratio; the floor is applied to both sides.
+    reference/source amplitude ratio; AMPLITUDE_FLOOR is applied to both sides.
     """
-    sums = [AlignedReference(ref, floor).ratio_sum(src) for ref, src in pairs]
+    sums = [log_ratio_sum(ref, src) for ref, src in pairs]
     return aligned_from_sums(sums, reference_device, source_device)
 
 
@@ -353,8 +333,7 @@ def apply_to_complex(c: CorrectionCoefficients,
                               spec.sample_rate, spec.window_name)
 
 
-def log_mean_subtract_per_device(recordings: RecordingSet,
-                                 floor: float = AMPLITUDE_FLOOR) -> list:
+def log_mean_subtract_per_device(recordings: RecordingSet) -> list:
     """Per-device, per-bin log-mean subtraction over a whole recording set.
 
     For every recording of device d the output is
@@ -365,11 +344,11 @@ def log_mean_subtract_per_device(recordings: RecordingSet,
     for rid, device, _ in recordings.items:
         if not device:
             raise ValueError(f"recording {rid!r} has an empty device label")
-    stats = {device: accumulate_stats(specs, device, floor)
+    stats = {device: accumulate_stats(specs, device)
              for device, specs in recordings.by_device().items()}
     out = []
     for _, device, spec in recordings.items:
-        out.append(_log_mags(spec, floor) - stats[device].log_mean)
+        out.append(_log_mags(spec) - stats[device].log_mean)
     return out
 
 

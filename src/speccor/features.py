@@ -175,15 +175,14 @@ def _correction(c: Optional[CorrectionCoefficients], fb: MelFilterbank):
     return c.gains, f"pre_mel:{c.source_device}->{c.reference_device}"
 
 
-def _log_mel(mags: np.ndarray, fb: MelFilterbank, gains, floor: float) -> np.ndarray:
+def _log_mel(mags: np.ndarray, fb: MelFilterbank, gains) -> np.ndarray:
     if gains is not None:
         mags = mags * gains
-    return np.log(np.maximum(fb.project(mags), floor))
+    return np.log(np.maximum(fb.project(mags), AMPLITUDE_FLOOR))
 
 
 def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
-            c: Optional[CorrectionCoefficients] = None,
-            floor: float = AMPLITUDE_FLOOR) -> FeatureTensor:
+            c: Optional[CorrectionCoefficients] = None) -> FeatureTensor:
     """Log-mel features; correction, when given, is applied before the mel
     projection. The tensor records whether that happened."""
     if fb.n_fft != a.n_fft or fb.sample_rate != a.sample_rate:
@@ -191,7 +190,7 @@ def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
             f"shape mismatch: filterbank built for n_fft={fb.n_fft}@{fb.sample_rate} Hz, "
             f"spectrogram is n_fft={a.n_fft}@{a.sample_rate} Hz")
     gains, correction = _correction(c, fb)
-    return FeatureTensor(_log_mel(a.mags, fb, gains, floor), "raw", "", correction)
+    return FeatureTensor(_log_mel(a.mags, fb, gains), "raw", "", correction)
 
 
 def extract_waveform(w: Waveform, fb: MelFilterbank,
@@ -207,8 +206,7 @@ def extract_waveform(w: Waveform, fb: MelFilterbank,
     gains, correction = _correction(c, fb)
     values = np.empty((frame_count(len(w), fb.n_fft, hop), fb.n_mels))
     for i, mags in enumerate(blocks):
-        values[i * BLOCK_FRAMES:(i + 1) * BLOCK_FRAMES] = _log_mel(mags, fb, gains,
-                                                                  AMPLITUDE_FLOOR)
+        values[i * BLOCK_FRAMES:(i + 1) * BLOCK_FRAMES] = _log_mel(mags, fb, gains)
     return FeatureTensor(values, "raw", "", correction)
 
 

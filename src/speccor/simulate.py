@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -53,9 +54,32 @@ class Response:
 DeviceResponse = EnvironmentResponse = Response
 
 
+def _require(ok: bool, field: str, value, need: str) -> None:
+    """Raise a ValueError that starts with the field's name unless ok."""
+    if not ok:
+        raise ValueError(f"{field}: must be {need}, got {value!r}")
+
+
+def check_grid(seed, sample_rate, n_fft, hop) -> None:
+    """Check the fields that fix a dataset's random draws and STFT grid, as
+    ``SimConfig`` does; responses can be drawn from them once this passes."""
+    _require(isinstance(seed, Integral) and seed >= 0, "seed", seed, "an integer >= 0")
+    _require(isinstance(sample_rate, Integral) and sample_rate >= 1, "sample_rate",
+             sample_rate, "an integer >= 1")
+    _require(isinstance(n_fft, Integral) and n_fft >= 16 and n_fft % 2 == 0, "n_fft",
+             n_fft, "an even integer >= 16")
+    _require(isinstance(hop, Integral) and 1 <= hop <= n_fft
+             and dsp.overlap_add_invertible(dsp.window_array("hann", n_fft), hop),
+             "hop", hop, f"a hop in 1..{n_fft} whose Hann overlap-add can be inverted")
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything that determines a synthetic dataset; the seed fixes all outputs."""
+    """Everything that determines a synthetic dataset; the seed fixes all outputs.
+
+    Every field is checked on construction; each error starts with the name
+    of the field at fault.
+    """
 
     seed: int
     num_recordings: int
@@ -71,22 +95,31 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "environments", tuple(self.environments))
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
-        if self.num_recordings < 1:
-            raise ValueError("num_recordings must be >= 1")
+        check_grid(self.seed, self.sample_rate, self.n_fft, self.hop)
+        _require(self.source in SOURCES, "source", self.source, f"one of {SOURCES}")
+        _require(isinstance(self.num_recordings, Integral) and self.num_recordings >= 1,
+                 "num_recordings", self.num_recordings, "an integer >= 1")
+        _require(isinstance(self.duration, Real) and np.isfinite(self.duration)
+                 and self.duration > 0, "duration", self.duration, "finite and > 0")
         if self.duration * self.sample_rate < self.n_fft:
             raise ValueError(
-                f"duration {self.duration}s at {self.sample_rate} Hz is shorter "
+                f"duration: {self.duration} s at {self.sample_rate} Hz is shorter "
                 f"than one analysis frame (n_fft={self.n_fft})")
         if not self.devices:
-            raise ValueError("at least one device response is required")
+            raise ValueError("devices: at least one device response is required")
         ids = [d.name for d in self.devices]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate device ids: {ids}")
-        for resp in list(self.devices) + list(self.environments):
-            if resp.n_fft != self.n_fft or resp.sample_rate != self.sample_rate:
-                raise ValueError("all responses must match the dataset n_fft/sample_rate")
+            raise ValueError(f"devices: duplicate device names: {ids}")
+        for name in ids:
+            # Device names become file names: g0000_<name>.wav, <name>_0000.wav.
+            if "/" in name or "\0" in name:
+                raise ValueError(f"devices: device {name!r} is not a plain file stem")
+        for field, responses in (("devices", self.devices),
+                                 ("environments", self.environments)):
+            for resp in responses:
+                if (resp.n_fft, resp.sample_rate) != (self.n_fft, self.sample_rate):
+                    raise ValueError(f"{field}: response {resp.name!r} does not match the "
+                                     "dataset's n_fft and sample_rate")
 
 
 @dataclass(frozen=True)

@@ -609,3 +609,91 @@ def test_features_rejects_duplicate_stems_before_writing(tmp_path, capsys):
     assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 1
     assert "'x.feat'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["two", "-3", "1.5", ""])
+def test_bad_thread_count_exits_1_before_writing(bad, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "sim.cfg"
+    config.write_text("[sim]\nnum_recordings = 1\nduration = 0.1\n")
+    monkeypatch.setenv("SPECCOR_THREADS", bad)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert f"SPECCOR_THREADS must be an integer >= 0, got {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_thread_count_zero_or_unset_uses_every_cpu(monkeypatch):
+    monkeypatch.delenv("SPECCOR_THREADS", raising=False)
+    assert cli.worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("SPECCOR_THREADS", "0")
+    assert cli.worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("SPECCOR_THREADS", " 3 ")
+    assert cli.worker_count() == 3
+
+
+def test_features_leaves_no_output_for_a_short_last_file(tmp_path, monkeypatch, capsys):
+    rows = []
+    for k in range(3):
+        sc.write_wav(tmp_path / f"r{k}.wav", white_waveform(400 + k, seconds=0.2))
+        rows.append(files.ManifestRow(f"r{k}.wav", "a"))
+    sc.write_wav(tmp_path / "short.wav", sc.Waveform(np.zeros(1000), SR))
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, rows + [files.ManifestRow("short.wav", "a")])
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'short.wav'}: input too short"), err
+    assert not out.exists()
+
+
+def test_features_leaves_no_output_for_coefficients_at_another_rate(tmp_path, monkeypatch,
+                                                                    capsys):
+    rows = []
+    for k, device in enumerate("aabb"):
+        sc.write_wav(tmp_path / f"r{k}.wav", white_waveform(410 + k, seconds=0.2))
+        rows.append(files.ManifestRow(f"r{k}.wav", device))
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, rows)
+    coeffs_dir = tmp_path / "c"
+    coeffs_dir.mkdir()
+    for device, rate in (("a", SR), ("b", 48000)):
+        files.write_coefficients(coeffs_dir / f"{device}.coeffs", sc.CorrectionCoefficients(
+            np.ones(N_FFT // 2 + 1), N_FFT, rate, device, "a", 1, "aligned"))
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(manifest), "--coeffs-dir", str(coeffs_dir),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {coeffs_dir / 'b.coeffs'}: coefficients are for "
+                          f"48000 Hz, {tmp_path / 'r2.wav'} is at {SR} Hz"), err
+    assert not out.exists()
+
+
+VERIFY_ERRORS = {
+    "n-fft-1024": (sc.CorrectionCoefficients(np.ones(513), 1024, SR, "b", "a", 1, "aligned"),
+                   "coefficients are for n_fft=1024"),
+    "unknown-source": (sc.CorrectionCoefficients(np.ones(N_FFT // 2 + 1), N_FFT, SR, "zz",
+                                                 "a", 1, "unaligned"),
+                       "device 'zz' has no ground-truth response"),
+    "unknown-reference": (sc.CorrectionCoefficients(np.ones(N_FFT // 2 + 1), N_FFT, SR, "b",
+                                                    "zz", 1, "aligned"),
+                          "reference 'zz' has no ground-truth response"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ERRORS))
+def test_verify_names_the_coefficients_it_cannot_score(name, sim_dir, tmp_path, capsys):
+    coeffs, message = VERIFY_ERRORS[name]
+    path = tmp_path / "c" / "x.coeffs"
+    path.parent.mkdir()
+    files.write_coefficients(path, coeffs)
+    assert main(["verify", "--sim-dir", str(sim_dir), "--coeffs-dir", str(path.parent)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def test_verify_names_an_empty_coefficients_directory(sim_dir, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["verify", "--sim-dir", str(sim_dir), "--coeffs-dir", str(empty)]) == 1
+    assert f"no *.coeffs files found in {empty}" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import speccor as sc
-from speccor.simulate import MAX_LOG_STEP
+from speccor.simulate import MAX_LOG_STEP, check_grid
 
 from conftest import SR, N_FFT, HOP, white_waveform
 
@@ -216,3 +216,38 @@ def test_generate_dataset_analyzes_recordings_only_on_demand(monkeypatch):
     assert len(calls) == 6
     assert [rid for rid, _, _ in first.items] == [r.recording_id for r in dataset.waveforms]
     assert first.alignment_groups == {r.recording_id: r.group_id for r in dataset.waveforms}
+
+
+BAD_SIM_FIELDS = {
+    "duration-nan": ({"duration": float("nan")}, "duration"),
+    "duration-inf": ({"duration": float("inf")}, "duration"),
+    "seed-negative": ({"seed": -1}, "seed"),
+    "hop-zero": ({"hop": 0}, "hop"),
+    "hop-equal-to-n-fft": ({"hop": 2048, "n_fft": 2048}, "hop"),
+    "sample-rate-zero": ({"sample_rate": 0}, "sample_rate"),
+    "n-fft-odd": ({"n_fft": 15}, "n_fft"),
+    "num-recordings-zero": ({"num_recordings": 0}, "num_recordings"),
+    "device-name-with-slash": ({"devices": (sc.flat_response("a/b", N_FFT, SR),)},
+                               "devices"),
+    "environment-off-grid": ({"environments": (sc.flat_response("e", 1024, SR),)},
+                             "environments"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIM_FIELDS))
+def test_sim_config_rejects_each_bad_field_on_construction(name):
+    changes, field = BAD_SIM_FIELDS[name]
+    fields = dict(seed=0, num_recordings=1, duration=1.0, source="white", aligned=True,
+                  devices=(sc.flat_response("a", N_FFT, SR),), sample_rate=SR,
+                  n_fft=N_FFT, hop=HOP)
+    with pytest.raises(ValueError) as info:
+        sc.SimConfig(**{**fields, **changes})
+    assert str(info.value).startswith(f"{field}: "), str(info.value)
+
+
+def test_check_grid_is_the_sim_config_grid_check():
+    check_grid(0, SR, N_FFT, HOP)
+    with pytest.raises(ValueError, match=r"^hop: must be a hop in 1\.\.2048"):
+        check_grid(0, SR, N_FFT, N_FFT)
+    with pytest.raises(ValueError, match=r"^seed: must be an integer >= 0, got 1\.5"):
+        check_grid(1.5, SR, N_FFT, HOP)
