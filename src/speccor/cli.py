@@ -93,6 +93,14 @@ def _aligned_groups(rows, reference, devices) -> dict:
     return groups
 
 
+def _check_stft_flags(n_fft, hop) -> None:
+    """--n-fft and --hop, checked once before any file is read."""
+    if n_fft < 16 or n_fft % 2 != 0:
+        raise ValueError(f"--n-fft must be an even integer >= 16, got {n_fft}")
+    if hop < 1:
+        raise ValueError(f"--hop must be >= 1, got {hop}")
+
+
 def _read_headers(manifest_path, rows, n_fft, hop) -> dict:
     """Map each row to (STFT frame count, sample rate), read once from its file's
     header before any audio; a file too short for one frame is named."""
@@ -121,6 +129,7 @@ def _check_one_rate(manifest_path, headers, per_device) -> None:
 
 
 def cmd_estimate(args) -> int:
+    _check_stft_flags(args.n_fft, args.hop)
     rows = files.read_manifest(args.manifest)
     reference = args.reference_device
     if args.aligned and reference == "none":
@@ -325,6 +334,7 @@ def _feature_name(row) -> str:
 
 
 def cmd_features(args) -> int:
+    _check_stft_flags(args.n_fft, args.hop)
     rows = files.read_manifest(args.manifest)
     # Workers write their own files, so two rows must never share an output
     # name: checked before any audio is read or --out is created.

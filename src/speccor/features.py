@@ -13,6 +13,12 @@ from .dsp import (AMPLITUDE_FLOOR, BLOCK_FRAMES, AmplitudeSpectrogram, Waveform,
 
 VARIANCE_FLOOR = 1e-8
 
+# Filters per matrix product in MelFilterbank.project. At the default 256
+# filters (n_fft 2048) each BLOCK_FRAMES-row product stays under OpenBLAS's
+# default threading threshold (m * n * k <= 4 * 65536), so it runs on the
+# calling thread; wider chunks also multiply more zeros outside the filters.
+MEL_CHUNK = 16
+
 GROUPINGS = ("global", "per_device")
 NORMALIZATIONS = ("raw",) + GROUPINGS
 
@@ -63,26 +69,44 @@ class MelFilterbank:
             raise ValueError("center frequencies must be strictly increasing, one per filter")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "center_frequencies", centers)
-        # Banded form: the nonzero (filter, bin) cells in row-major order and
-        # the offset where each filter's run starts (no run is empty).
-        rows, bins = np.nonzero(weights)
-        object.__setattr__(self, "_bins", bins)
-        object.__setattr__(self, "_band_weights", weights[rows, bins])
-        object.__setattr__(self, "_starts", np.searchsorted(rows, np.arange(self.n_mels)))
+        # Banded form: each chunk of MEL_CHUNK consecutive filters keeps its
+        # dense weights over the bins its filters cover, transposed so that
+        # ``mags[:, start:stop] @ w`` gives the chunk's output columns.
+        chunks = []
+        for first in range(0, self.n_mels, MEL_CHUNK):
+            rows = weights[first:first + MEL_CHUNK]
+            used = np.flatnonzero(rows.any(axis=0))
+            start, stop = int(used[0]), int(used[-1]) + 1
+            chunks.append((start, stop, first, first + rows.shape[0],
+                           np.ascontiguousarray(rows[:, start:stop].T)))
+        object.__setattr__(self, "_chunks", tuple(chunks))
 
     def project(self, mags: np.ndarray) -> np.ndarray:
-        """``mags @ weights.T`` for a (frames x bins) matrix, summing only each
-        filter's nonzero bins, in bin order.
+        """``mags @ weights.T`` for a (frames x bins) matrix, as one matrix
+        product per chunk of filters over the bins that chunk covers.
 
-        Each output row depends on its input row alone, so projecting a block
-        of frames gives exactly the rows that projecting all of them would.
+        Each BLOCK_FRAMES-row tile is one set of BLAS calls of the same
+        shapes, the last tile zero-padded, so a row's result does not depend
+        on how many rows come with it: projecting a block of frames gives
+        exactly the rows that projecting all of them would.
         """
-        mags = np.asarray(mags, dtype=np.float64)
+        mags = np.ascontiguousarray(mags, dtype=np.float64)
         if mags.ndim != 2 or mags.shape[1] != self.weights.shape[1]:
             raise ValueError(f"expected a (frames x {self.weights.shape[1]}) magnitude "
                              f"matrix, got shape {mags.shape}")
-        return np.add.reduceat(mags[:, self._bins] * self._band_weights, self._starts,
-                               axis=1)
+        out = np.empty((mags.shape[0], self.n_mels))
+        for first in range(0, mags.shape[0], BLOCK_FRAMES):
+            tile, dest = mags[first:first + BLOCK_FRAMES], out[first:first + BLOCK_FRAMES]
+            rows = tile.shape[0]
+            if rows < BLOCK_FRAMES:
+                tile = np.zeros((BLOCK_FRAMES, mags.shape[1]))
+                tile[:rows] = mags[first:]
+                dest = np.empty((BLOCK_FRAMES, self.n_mels))
+            for start, stop, lo, hi, w in self._chunks:
+                np.matmul(tile[:, start:stop], w, out=dest[:, lo:hi])
+            if rows < BLOCK_FRAMES:
+                out[first:] = dest[:rows]
+        return out
 
 
 @dataclass(frozen=True)

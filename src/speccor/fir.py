@@ -50,25 +50,40 @@ def design_ls(c: CorrectionCoefficients, num_taps: int = 1025,
     Minimizes the uniformly weighted squared error between the filter's
     amplitude response and the (clamped) target gains on the grid of STFT
     bin-center frequencies. With num_taps >= n_fft//2 + 1 and a smooth
-    target, the response lands within a fraction of a dB mid-band.
+    target, the response lands within a fraction of a dB mid-band. Beyond
+    n_fft + 1 taps the extra cosines repeat ones already on that grid, so
+    the fit would not be unique; such lengths are rejected.
     """
     if num_taps < 3 or num_taps % 2 == 0:
         raise ValueError(f"num_taps must be odd and >= 3, got {num_taps}")
+    n = c.n_fft
+    if num_taps > n + 1:
+        raise ValueError(f"num_taps {num_taps} exceeds n_fft + 1 = {n + 1}: the "
+                         f"coefficients' {c.freq_bins} bins do not determine more taps")
     gains = np.asarray(c.gains, dtype=np.float64)
     if not np.all(np.isfinite(gains)):
         raise ValueError("gains must be finite")
     clamp = 10.0 ** (clamp_db / 20.0)
     target = np.clip(gains, 1.0 / clamp, clamp)
 
-    # Amplitude response of a Type I filter with half-taps a_0..a_M:
-    #   A(f) = a_0 + 2 * sum_n a_n cos(2 pi f n / sr)
+    # Amplitude response of a Type I filter with half-taps a_0..a_M on the bins
+    # f_k = k sr / n, k = 0..n//2:  A(f_k) = sum_m C[k, m] b_m  with
+    # C[k, m] = cos(2 pi k m / n) and b = (a_0, 2 a_1, .., 2 a_M). By DCT
+    # orthogonality the normal matrix is C'C = D + u u' / 2: D is n/4 on the
+    # diagonal and n/2 at m = 0 and m = n/2, and u's columns are C's rows at
+    # the edge bins, k = 0 (all ones) and, for even n, k = n/2 ((-1)^m).
+    # C' target is one rfft of the target's even extension, and the low-rank
+    # update leaves a 2 x 2 solve (Woodbury).
     half = (num_taps - 1) // 2
-    freqs = dsp.bin_frequencies(c.n_fft, c.sample_rate)
-    basis = np.empty((freqs.size, half + 1))
-    basis[:, 0] = 1.0
-    basis[:, 1:] = 2.0 * np.cos(
-        (2.0 * np.pi / c.sample_rate) * np.outer(freqs, np.arange(1, half + 1)))
-    a, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    edges = [0, n // 2] if n % 2 == 0 else [0]
+    u = np.cos((2.0 * np.pi / n) * np.outer(np.arange(half + 1), edges))
+    d = np.full(half + 1, n / 4.0)
+    d[[m for m in edges if m <= half]] = n / 2.0
+    extended = np.concatenate([target, target[(n - 1) // 2:0:-1]])
+    rhs = (np.fft.rfft(extended)[:half + 1].real + u @ target[edges]) / 2.0
+    x, y = rhs / d, u / d[:, None]
+    b = x - y @ np.linalg.solve(2.0 * np.eye(len(edges)) + u.T @ y, u.T @ x)
+    a = np.concatenate([b[:1], b[1:] / 2.0])
     taps = np.concatenate([a[:0:-1], a])
     return FirFilter(taps, c.sample_rate, gains.size)
 

@@ -12,6 +12,7 @@ import numpy as np
 from . import dsp
 from .correction import RecordingSet
 from .dsp import DB_PER_NAT, Waveform
+from .wavio import MAX_FLOAT32_SAMPLES
 
 SOURCES = ("white", "pink", "speechlike-modulated")
 
@@ -105,6 +106,10 @@ class SimConfig:
             raise ValueError(
                 f"duration: {self.duration} s at {self.sample_rate} Hz is shorter "
                 f"than one analysis frame (n_fft={self.n_fft})")
+        if self.duration * self.sample_rate > MAX_FLOAT32_SAMPLES:
+            raise ValueError(
+                f"duration: {self.duration} s at {self.sample_rate} Hz is more than the "
+                f"{MAX_FLOAT32_SAMPLES} samples a float32 WAV file can hold")
         if not self.devices:
             raise ValueError("devices: at least one device response is required")
         ids = [d.name for d in self.devices]

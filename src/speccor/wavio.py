@@ -14,6 +14,10 @@ _PCM = 1
 _IEEE_FLOAT = 3
 _EXTENSIBLE = 0xFFFE
 
+# Most samples a mono float32 file from write_wav can hold: the RIFF size
+# field (32 bits) counts 36 header bytes plus 4 bytes a sample.
+MAX_FLOAT32_SAMPLES = (2**32 - 1 - 36) // 4
+
 
 class AudioFileError(Exception):
     """Raised for malformed or unsupported WAV files."""

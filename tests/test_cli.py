@@ -221,6 +221,22 @@ def test_apply_rejects_sample_rate_mismatch(tmp_path, capsys):
     assert "sample_rate mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("features", ["--hop", "0"], "--hop must be >= 1, got 0"),
+    ("features", ["--n-fft", "1001"], "--n-fft must be an even integer >= 16, got 1001"),
+    ("estimate", ["--hop", "0"], "--hop must be >= 1, got 0"),
+], ids=["features-hop", "features-n-fft", "estimate-hop"])
+def test_bad_stft_flags_are_named_not_blamed_on_a_file(command, flags, message, sim_dir,
+                                                         tmp_path, capsys):
+    out = tmp_path / "out"
+    extra = ["--reference-device", "a"] if command == "estimate" else []
+    code = main([command, "--manifest", str(sim_dir / "manifest.tsv"), *extra, *flags,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_design_fir_rejects_even_taps(sim_dir, tmp_path, capsys):
     coeffs_dir = tmp_path / "c"
     assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"),
@@ -229,6 +245,18 @@ def test_design_fir_rejects_even_taps(sim_dir, tmp_path, capsys):
                  "--taps", "1024", "--out", str(tmp_path / "f.filt")])
     assert code == 1
     assert "odd" in capsys.readouterr().err
+
+
+def test_design_fir_rejects_more_taps_than_n_fft_plus_one(sim_dir, tmp_path, capsys):
+    coeffs_dir = tmp_path / "c"
+    assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--reference-device", "a", "--out", str(coeffs_dir)]) == 0
+    filt_path = tmp_path / "f.filt"
+    code = main(["design-fir", "--coeffs", str(coeffs_dir / "b.coeffs"),
+                 "--taps", str(2 * N_FFT + 1), "--out", str(filt_path)])
+    assert code == 1
+    assert f"num_taps {2 * N_FFT + 1} exceeds n_fft + 1 = {N_FFT + 1}" in capsys.readouterr().err
+    assert not filt_path.exists()
 
 
 def test_design_and_filter_pipeline(sim_dir, tmp_path):
@@ -429,6 +457,8 @@ BAD_SIM_CONFIGS = {
     "num-recordings-not-an-integer": ("[sim]\nnum_recordings = x\n", "[sim] num_recordings:"),
     "duration-nan": ("[sim]\nduration = nan\n", "[sim] duration:"),
     "duration-infinite": ("[sim]\nduration = inf\n", "[sim] duration:"),
+    "duration-1e308": ("[sim]\nduration = 1e308\n", "[sim] duration:"),
+    "duration-1e6": ("[sim]\nduration = 1e6\n", "[sim] duration:"),
     "seed-negative": ("[sim]\nseed = -1\n", "[sim] seed:"),
     "environments-negative": ("[sim]\nenvironments = -2\n", "[sim] environments:"),
     "response-db-infinite": ("[sim]\nresponse_db = -inf\n", "[sim] response_db:"),

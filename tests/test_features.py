@@ -245,6 +245,28 @@ def test_banded_projection_matches_dense(fb):
             fb.project(bad)
 
 
+@pytest.mark.parametrize("fb", [sc.mel_filterbank(SR, N_FFT, 256),
+                                sc.mel_filterbank(SR, N_FFT, 40, norm="area"),
+                                _overlapping_filterbank(),
+                                sc.mel_filterbank(SR, N_FFT, 1),
+                                sc.mel_filterbank(SR, N_FFT, 2000)],
+                         ids=["mel-256", "mel-40-area", "hand-built-overlapping", "mel-1",
+                              "mel-2000"])
+def test_projection_rows_do_not_depend_on_their_tile(fb):
+    # 40, 4 and 1 filters leave a partial chunk of filters; 130 rows leave a
+    # partial tile. A slice starting mid-tile puts each row at another tile
+    # position than in the whole call.
+    rng = np.random.default_rng(fb.n_mels)
+    mags = random_amplitude_spectrogram(rng, 2 * BLOCK_FRAMES + 2, fb.n_fft).mags
+    whole = fb.project(mags)
+    dense = mags @ fb.weights.T
+    assert np.abs(whole - dense).max() <= 1e-12 * np.abs(dense).max()
+    for rows in (1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, len(mags)):
+        for first in {0, 7, len(mags) - rows}:
+            part = slice(first, min(first + rows, len(mags)))
+            assert np.array_equal(fb.project(mags[part]), whole[part]), (rows, first)
+
+
 @pytest.mark.parametrize("grouping", ["global", "per_device"])
 def test_standardize_equals_concatenated_moments(grouping):
     # Groups of uneven lengths, interleaved: the streamed fold must give the

@@ -37,6 +37,31 @@ def test_design_rejects_bad_tap_counts():
         sc.design_ls(c, 1024)
     with pytest.raises(ValueError):
         sc.design_ls(c, 1)
+    with pytest.raises(ValueError,
+                       match=f"num_taps {N_FFT + 3} exceeds n_fft \\+ 1 = {N_FFT + 1}"):
+        sc.design_ls(c, N_FFT + 3)
+
+
+def _lstsq_taps(c, num_taps, clamp_db=sc.fir.DEFAULT_CLAMP_DB):
+    # The least-squares fit written out: the cosine basis on the bin grid.
+    clamp = 10.0 ** (clamp_db / 20.0)
+    target = np.clip(c.gains, 1.0 / clamp, clamp)
+    half = (num_taps - 1) // 2
+    angles = (2.0 * np.pi / c.n_fft) * np.outer(np.arange(c.freq_bins), np.arange(half + 1))
+    basis = np.where(np.arange(half + 1) == 0, 1.0, 2.0) * np.cos(angles)
+    a, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    return np.concatenate([a[:0:-1], a])
+
+
+@pytest.mark.parametrize("n_fft", [16, 17, 64, 1001, 2048])
+def test_design_equals_least_squares_fit(n_fft):
+    rng = np.random.default_rng(n_fft)
+    c = coeffs_from_gains(np.exp(rng.uniform(-3.0, 3.0, n_fft // 2 + 1)), n_fft)
+    for num_taps in sorted({3, 5, 129, 1025, n_fft - 1, n_fft, n_fft + 1}):
+        if 3 <= num_taps <= n_fft + 1 and num_taps % 2 == 1:
+            want = _lstsq_taps(c, num_taps)
+            got = sc.design_ls(c, num_taps).taps
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), num_taps
 
 
 def test_design_meets_tolerance_on_smooth_target(smooth_target):

@@ -221,6 +221,8 @@ def test_generate_dataset_analyzes_recordings_only_on_demand(monkeypatch):
 BAD_SIM_FIELDS = {
     "duration-nan": ({"duration": float("nan")}, "duration"),
     "duration-inf": ({"duration": float("inf")}, "duration"),
+    "duration-1e308": ({"duration": 1e308}, "duration"),
+    "duration-1e6": ({"duration": 1e6}, "duration"),
     "seed-negative": ({"seed": -1}, "seed"),
     "hop-zero": ({"hop": 0}, "hop"),
     "hop-equal-to-n-fft": ({"hop": 2048, "n_fft": 2048}, "hop"),
@@ -243,6 +245,18 @@ def test_sim_config_rejects_each_bad_field_on_construction(name):
     with pytest.raises(ValueError) as info:
         sc.SimConfig(**{**fields, **changes})
     assert str(info.value).startswith(f"{field}: "), str(info.value)
+
+
+def test_sim_config_duration_is_bounded_by_what_a_wav_file_holds():
+    # Construction allocates no audio, so the limit itself can be tried.
+    fields = dict(seed=0, num_recordings=1, source="white", aligned=True,
+                  devices=(sc.flat_response("a", N_FFT, SR),), sample_rate=SR,
+                  n_fft=N_FFT, hop=HOP)
+    limit = sc.wavio.MAX_FLOAT32_SAMPLES
+    assert limit == 1_073_741_814
+    sc.SimConfig(duration=limit / SR, **fields)
+    with pytest.raises(ValueError, match=f"^duration: .* more than the {limit} samples"):
+        sc.SimConfig(duration=(limit + 1) / SR, **fields)
 
 
 def test_check_grid_is_the_sim_config_grid_check():
