@@ -140,36 +140,33 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"reference-device {reference!r} not present in the manifest")
 
     # Headers are checked before any audio is read. Each worker then reduces
-    # its file, or aligned group, to per-bin log sums a block of frames at a
-    # time; the sums are folded in manifest order.
+    # one file to per-bin log sums a block of frames at a time; the sums are
+    # folded in manifest order, or with --aligned in group order.
     groups = _aligned_groups(rows, reference, devices) if args.aligned else {}
     used = [row for row in rows if row.group] if args.aligned else rows
     headers = _read_headers(args.manifest, used, args.n_fft, args.hop)
     _check_one_rate(args.manifest, headers, per_device=reference == "none")
+    for group, members in groups.items():
+        ref_frames = headers[members[reference]][0]
+        for device, row in members.items():
+            if headers[row][0] != ref_frames:
+                raise ValueError(f"group {group!r} is unaligned: device {device!r} has "
+                                 f"{headers[row][0]} frames, reference-device "
+                                 f"{reference!r} has {ref_frames}")
+
+    sums = _map_files(args.manifest, used, lambda row, wave:
+                      correction.waveform_log_sum(wave, args.n_fft, args.hop))
     if args.aligned:
-        for group, members in groups.items():
-            ref_frames = headers[members[reference]][0]
-            for device, row in members.items():
-                if headers[row][0] != ref_frames:
-                    raise ValueError(f"group {group!r} is unaligned: device {device!r} has "
-                                     f"{headers[row][0]} frames, reference-device "
-                                     f"{reference!r} has {ref_frames}")
+        by_row = dict(zip(used, sums))
 
-        def group_sums(members):
-            sources = [device for device in members if device != reference]
-            ref, *waves = (wavio.read_wav(_resolve(args.manifest, members[device].path))
-                           for device in [reference, *sources])
-            return dict(zip(sources, correction.aligned_waveform_sums(
-                ref, waves, args.n_fft, args.hop)))
+        def paired(device, member):  # member's sums over the groups device is in
+            return [by_row[members[member]] for members in groups.values()
+                    if device in members]
 
-        per_group = _map_ordered(group_sums, groups.values())
-        results = [correction.aligned_from_sums(
-                       [sums[device] for sums in per_group if device in sums],
-                       reference, device)
-                   for device in devices if device != reference]
+        results = [correction.aligned_from_sums(paired(d, reference), paired(d, d),
+                                                reference, d)
+                   for d in devices if d != reference]
     else:
-        sums = _map_files(args.manifest, rows, lambda row, wave:
-                          correction.waveform_log_sum(wave, args.n_fft, args.hop))
         by_device = {device: [] for device in devices}
         for row, item_sum in zip(rows, sums):
             by_device[row.device].append(item_sum)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dsp import (AMPLITUDE_FLOOR, AmplitudeSpectrogram, ComplexSpectrogram, Waveform,
-                  _fold_rows, _magnitude_blocks, frame_count)
+                  _fold_rows, _magnitude_blocks)
 
 ESTIMATORS = ("aligned", "unaligned", "simplified")
 
@@ -168,12 +168,10 @@ def _log_mags(spec: AmplitudeSpectrogram) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogSum:
-    """One item's share of an estimate: a per-bin log quantity summed over its frames.
+    """One recording's share of an estimate: its per-bin log amplitude summed over frames.
 
-    For a recording the quantity is its log amplitude; for an aligned pair,
-    the reference/source log-amplitude ratio. Estimates fold these raw sums,
-    never means, so they can be computed item by item and dropped with the
-    spectrogram they came from.
+    Estimates fold these raw sums, never means, so they can be computed
+    recording by recording and dropped with the spectrogram they came from.
     """
 
     total: np.ndarray
@@ -188,17 +186,6 @@ def log_amplitude_sum(spec: AmplitudeSpectrogram) -> LogSum:
                   spec.n_fft, spec.sample_rate)
 
 
-def log_ratio_sum(ref: AmplitudeSpectrogram, src: AmplitudeSpectrogram) -> LogSum:
-    """Sum over frames of log reference - log source, per bin, for one aligned pair."""
-    if src.mags.shape != ref.mags.shape:
-        raise ValueError(f"unaligned pair: reference shape {ref.mags.shape} vs "
-                         f"source shape {src.mags.shape}")
-    if (src.n_fft, src.sample_rate) != (ref.n_fft, ref.sample_rate):
-        raise ValueError("mixed STFT configuration across pairs")
-    return LogSum((_log_mags(ref) - _log_mags(src)).sum(axis=0), ref.frames,
-                  ref.n_fft, ref.sample_rate)
-
-
 def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512) -> LogSum:
     """``log_amplitude_sum(amplitude(stft(w, n_fft, hop)))``, bit for bit, reduced
     BLOCK_FRAMES frames at a time: no spectrogram is ever held."""
@@ -207,35 +194,6 @@ def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512) -> LogSum:
         total = _fold_rows(total, np.log(np.maximum(mags, AMPLITUDE_FLOOR)))
         frames += len(mags)
     return LogSum(total, frames, n_fft, w.sample_rate)
-
-
-def aligned_waveform_sums(ref: Waveform, sources: Sequence[Waveform], n_fft: int = 2048,
-                          hop: int = 512) -> list:
-    """One log-ratio sum per source recording of the reference's signal.
-
-    Item i is ``log_ratio_sum(amplitude(stft(ref)), amplitude(stft(sources[i])))``,
-    bit for bit. One pass runs over the reference's blocks of BLOCK_FRAMES
-    frames, and each source's matching block is subtracted in turn, so no
-    spectrogram is ever held. Sample rates and frame counts are checked
-    before any transform.
-    """
-    frames = frame_count(len(ref), n_fft, hop)
-    for src in sources:
-        if src.sample_rate != ref.sample_rate:
-            raise ValueError(f"sample_rate mismatch: reference is {ref.sample_rate} Hz, "
-                             f"source is {src.sample_rate} Hz")
-        if frame_count(len(src), n_fft, hop) != frames:
-            raise ValueError(f"unaligned pair: reference has {frames} frames, source has "
-                             f"{frame_count(len(src), n_fft, hop)}")
-    src_blocks = [_magnitude_blocks(src, n_fft, hop) for src in sources]
-    totals = [None] * len(sources)
-    for ref_mags in _magnitude_blocks(ref, n_fft, hop):
-        ref_log = np.log(np.maximum(ref_mags, AMPLITUDE_FLOOR))
-        del ref_mags  # only its log stays alive while the sources are read
-        for i, blocks in enumerate(src_blocks):
-            totals[i] = _fold_rows(
-                totals[i], ref_log - np.log(np.maximum(next(blocks), AMPLITUDE_FLOOR)))
-    return [LogSum(total, frames, n_fft, ref.sample_rate) for total in totals]
 
 
 def _fold(sums: Sequence[LogSum]):
@@ -262,15 +220,21 @@ def stats_from_sums(sums: Sequence[LogSum], device: str) -> DeviceSpectrumStats:
                                first.n_fft, first.sample_rate)
 
 
-def aligned_from_sums(sums: Sequence[LogSum], reference_device: str,
-                      source_device: str) -> CorrectionCoefficients:
-    """Fold per-pair log-ratio sums into aligned gains (their geometric mean)."""
-    if not sums:
-        raise ValueError("cannot estimate from an empty pair list")
-    total, frames, first = _fold(sums)
-    return CorrectionCoefficients(np.exp(total / frames), first.n_fft,
-                                  first.sample_rate, source_device,
-                                  reference_device, len(sums), "aligned")
+def aligned_from_sums(ref_sums: Sequence[LogSum], src_sums: Sequence[LogSum],
+                      reference_device: str, source_device: str) -> CorrectionCoefficients:
+    """Aligned gains from the log-amplitude sums of paired recordings.
+
+    Item i of both lists is one signal captured by the two devices. Over
+    paired frames, the mean log ratio is the reference's mean log amplitude
+    minus the source's, so this is ``estimate_unaligned`` over the pairs.
+    """
+    ref_frames, src_frames = [s.frames for s in ref_sums], [s.frames for s in src_sums]
+    if ref_frames != src_frames:
+        raise ValueError(f"unaligned pairs: reference frame counts {ref_frames}, "
+                         f"source frame counts {src_frames}")
+    return replace(estimate_unaligned(stats_from_sums(ref_sums, reference_device),
+                                      stats_from_sums(src_sums, source_device)),
+                   estimator="aligned")
 
 
 def accumulate_stats(specs: Sequence[AmplitudeSpectrogram],
@@ -292,8 +256,14 @@ def estimate_aligned(pairs, reference_device: str = "ref",
     gain per bin is the geometric mean, over all pairs and frames, of the
     reference/source amplitude ratio; AMPLITUDE_FLOOR is applied to both sides.
     """
-    sums = [log_ratio_sum(ref, src) for ref, src in pairs]
-    return aligned_from_sums(sums, reference_device, source_device)
+    pairs = list(pairs)
+    for ref, src in pairs:
+        if src.mags.shape != ref.mags.shape:
+            raise ValueError(f"unaligned pair: reference shape {ref.mags.shape} vs "
+                             f"source shape {src.mags.shape}")
+    return aligned_from_sums([log_amplitude_sum(ref) for ref, _ in pairs],
+                             [log_amplitude_sum(src) for _, src in pairs],
+                             reference_device, source_device)
 
 
 def estimate_unaligned(ref_stats: DeviceSpectrumStats,

@@ -263,27 +263,24 @@ def dataset_units(cfg: SimConfig) -> list:
 def generate_unit(cfg: SimConfig, unit) -> tuple:
     """The recordings of one of ``dataset_units(cfg)``.
 
-    An aligned group analyses its clean source once and shapes it by every
-    device's gains; an unaligned unit is one device's recording of a fresh
-    source. Per-recording seeds derive from (seed, indices), so units can be
-    generated in any order.
+    A unit's clean source is analysed once and shaped by its devices' gains:
+    every device for an aligned group, one device for an unaligned unit,
+    which records a fresh source. Per-recording seeds derive from (seed,
+    indices), so units can be generated in any order.
     """
     d_idx, i = unit
     num_samples = int(round(cfg.duration * cfg.sample_rate))
     env = cfg.environments[i % len(cfg.environments)] if cfg.environments else None
     if d_idx is None:
-        rng = np.random.default_rng([cfg.seed, i])
-        clean = _make_source(rng, cfg.source, num_samples, cfg.sample_rate)
-        group = f"g{i:04d}"
-        waves = dsp.apply_gains(clean, [_chain_gains(env, dev) for dev in cfg.devices],
-                                cfg.n_fft, cfg.hop)
-        return tuple(SimRecording(f"{group}_{dev.name}", dev.name, group, wave)
-                     for dev, wave in zip(cfg.devices, waves))
-    dev = cfg.devices[d_idx]
-    rng = np.random.default_rng([cfg.seed, d_idx, i])
-    clean = _make_source(rng, cfg.source, num_samples, cfg.sample_rate)
-    wave = record(clean, env, dev, hop=cfg.hop)
-    return (SimRecording(f"{dev.name}_{i:04d}", dev.name, None, wave),)
+        seed, devices, group = [cfg.seed, i], cfg.devices, f"g{i:04d}"
+    else:
+        seed, devices, group = [cfg.seed, d_idx, i], cfg.devices[d_idx:d_idx + 1], None
+    clean = _make_source(np.random.default_rng(seed), cfg.source, num_samples,
+                         cfg.sample_rate)
+    waves = dsp.apply_gains(clean, [_chain_gains(env, dev) for dev in devices],
+                            cfg.n_fft, cfg.hop)
+    return tuple(SimRecording(f"{group}_{dev.name}" if group else f"{dev.name}_{i:04d}",
+                              dev.name, group, wave) for dev, wave in zip(devices, waves))
 
 
 def generate_dataset(cfg: SimConfig) -> SimDataset:

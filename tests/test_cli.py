@@ -339,6 +339,33 @@ def test_estimate_is_deterministic_across_thread_counts(sim_dir, tmp_path,
         assert outputs[0] == outputs[1], mode
 
 
+def test_estimate_aligned_pools_each_device_over_the_groups_it_shares(tmp_path,
+                                                                     monkeypatch):
+    # c skips g1; its ungrouped row names no file, so exit 0 shows it is never read.
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    rows = [files.ManifestRow("missing_c.wav", "c")]
+    specs = {}
+    for g, devices in enumerate(["abc", "ab"]):
+        for k, device in enumerate(devices):
+            name = f"g{g}_{device}.wav"
+            sc.write_wav(tmp_path / name, white_waveform(300 + 3 * g + k, seconds=0.5))
+            wave = sc.read_wav(tmp_path / name)
+            specs[f"g{g}", device] = sc.amplitude(sc.stft(wave, N_FFT, HOP))
+            rows.append(files.ManifestRow(name, device, f"g{g}"))
+    manifest = tmp_path / "skips.tsv"
+    files.write_manifest(manifest, rows)
+    out = tmp_path / "out"
+    assert main(["estimate", "--manifest", str(manifest), "--reference-device", "a",
+                 "--aligned", "--out", str(out)]) == 0
+    for device, groups in (("b", ["g0", "g1"]), ("c", ["g0"])):
+        want = sc.estimate_aligned([(specs[g, "a"], specs[g, device]) for g in groups],
+                                   reference_device="a", source_device=device)
+        got = files.read_coefficients(out / f"{device}.coeffs")
+        assert np.array_equal(got.gains, want.gains), device
+        assert got.num_recordings == len(groups)
+        assert (got.estimator, got.reference_device) == ("aligned", "a")
+
+
 @pytest.fixture(scope="module")
 def group_manifests(tmp_path_factory):
     """Manifests of 2 and of 6 aligned groups of 1 s recordings by devices a and b."""

@@ -121,6 +121,27 @@ def test_aligned_rejects_shape_mismatch():
         sc.estimate_aligned([(a, b)])
 
 
+def test_aligned_accepts_an_iterator_of_pairs():
+    rng = np.random.default_rng(16)
+    refs = [random_amplitude_spectrogram(rng, 5, 64) for _ in range(3)]
+    srcs = [random_amplitude_spectrogram(rng, 5, 64) for _ in range(3)]
+    want = sc.estimate_aligned(list(zip(refs, srcs)))
+    got = sc.estimate_aligned(zip(refs, srcs))
+    assert np.array_equal(got.gains, want.gains)
+    assert got.num_recordings == want.num_recordings == 3
+
+
+def test_aligned_from_sums_rejects_unpaired_sums():
+    rng = np.random.default_rng(17)
+    refs = [correction.log_amplitude_sum(random_amplitude_spectrogram(rng, t, 64))
+            for t in (4, 5)]
+    with pytest.raises(ValueError, match=r"unaligned pairs: reference frame counts "
+                                         r"\[4, 5\], source frame counts \[4\]"):
+        correction.aligned_from_sums(refs, refs[:1], "r", "s")
+    with pytest.raises(ValueError, match=r"\[4, 5\], source frame counts \[5, 4\]"):
+        correction.aligned_from_sums(refs, refs[::-1], "r", "s")
+
+
 # -- reductions straight from the waveform ----------------------------------------
 
 @pytest.mark.parametrize("hop", [512, 384])
@@ -136,32 +157,14 @@ def test_waveform_reductions_equal_whole_matrix_path(frames, hop):
     assert np.array_equal(got.total, want.total)
     assert (got.frames, got.n_fft, got.sample_rate) == (frames, N_FFT, SR)
 
-    sums = sc.aligned_waveform_sums(ref, sources, N_FFT, hop)
-    assert len(sums) == len(sources)
-    for got, src in zip(sums, sources):
-        want = correction.log_ratio_sum(spec, sc.amplitude(sc.stft(src, N_FFT, hop)))
-        assert np.array_equal(got.total, want.total)
-        assert (got.frames, got.n_fft, got.sample_rate) == (frames, N_FFT, SR)
-
-
-def test_aligned_waveform_sums_check_sources_before_any_transform():
-    ref = white_waveform(15, seconds=0.5)
-    with pytest.raises(ValueError, match="sample_rate mismatch"):
-        sc.aligned_waveform_sums(ref, [sc.Waveform(ref.samples, 48000)])
-    with pytest.raises(ValueError, match="unaligned pair: reference has 40 frames, "
-                                         "source has 39"):
-        sc.aligned_waveform_sums(ref, [ref, sc.Waveform(ref.samples[:-HOP], SR)])
-    with pytest.raises(ValueError, match="input too short"):
-        sc.aligned_waveform_sums(ref, [sc.Waveform(ref.samples[:N_FFT - 1], SR)])
-
 
 @pytest.mark.parametrize("seconds", [5, 30])
-def test_aligned_waveform_sums_hold_no_spectrogram(seconds):
-    ref, *sources = [white_waveform(16 + k, seconds=seconds) for k in range(3)]
-    sc.aligned_waveform_sums(ref, sources)  # warm-up: FFT plan caches
+def test_waveform_log_sum_holds_no_spectrogram(seconds):
+    wave = white_waveform(16, seconds=seconds)
+    sc.waveform_log_sum(wave)  # warm-up: FFT plan caches
     tracemalloc.start()
     try:
-        sc.aligned_waveform_sums(ref, sources)
+        sc.waveform_log_sum(wave)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
