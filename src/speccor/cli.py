@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import correction, dsp, files, fir, simulate, wavio
-from .features import extract_waveform, iter_standardize, mel_filterbank
+from .features import (FeatureTensor, extract_waveform, group_keys, group_stats,
+                       mel_filterbank, scale_rows)
 from .wavio import AudioFileError
 
 
@@ -373,19 +374,34 @@ def cmd_features(args) -> int:
                                 args.hop)
 
     out_dir = Path(args.out)
-    if args.standardize:
-        # Only the raw log-mel tensors stay in memory; each standardized one
-        # is written and dropped in turn.
-        raw = _map_files(args.manifest, rows, raw_features)
-        grouping = "per_device" if args.standardize == "per-device" else "global"
-        scaled, _ = iter_standardize(raw, grouping, [row.device for row in rows])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for row, feat in zip(rows, scaled):
-            files.write_features(out_dir / _feature_name(row), feat)
-    else:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.standardize:
         _map_files(args.manifest, rows, lambda row, wave: files.write_features(
             out_dir / _feature_name(row), raw_features(row, wave)))
+    else:
+        # Each worker writes its file's raw log-mel rows to its own range of an
+        # unnamed file in --out; the statistics read them back in manifest
+        # order, then each worker scales its rows and writes its .feat file.
+        grouping = "per_device" if args.standardize == "per-device" else "global"
+        keys = group_keys(grouping, [row.device for row in rows], len(rows))
+        shapes = [(headers[row][0], args.n_mels) for row in rows]
+        index = {row: i for i, row in enumerate(rows)}
+        with files.RowSpill(out_dir, shapes) as spill:
+            def spill_raw(row, wave):
+                feat = raw_features(row, wave)
+                spill.write(index[row], feat.values)
+                return feat.correction
+
+            tags = _map_files(args.manifest, rows, spill_raw)
+            stats = group_stats(keys, shapes, spill.read)
+
+            def write_scaled(i):
+                values = spill.read(i, np.empty(shapes[i]))
+                files.write_features(out_dir / _feature_name(rows[i]), FeatureTensor(
+                    scale_rows(values, stats[keys[i]], out=values), grouping, keys[i],
+                    tags[i]))
+
+            _map_ordered(write_scaled, range(len(rows)))
     print(f"wrote {len(rows)} feature files to {out_dir}")
     return 0
 

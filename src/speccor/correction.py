@@ -191,7 +191,8 @@ def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512) -> LogSum:
     BLOCK_FRAMES frames at a time: no spectrogram is ever held."""
     total, frames = None, 0
     for mags in _magnitude_blocks(w, n_fft, hop):
-        total = _fold_rows(total, np.log(np.maximum(mags, AMPLITUDE_FLOOR)))
+        np.log(np.maximum(mags, AMPLITUDE_FLOOR, out=mags), out=mags)
+        total = _fold_rows(total, mags)
         frames += len(mags)
     return LogSum(total, frames, n_fft, w.sample_rate)
 

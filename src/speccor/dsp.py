@@ -221,33 +221,63 @@ def _window_sum(win: np.ndarray, frames: int, hop: int, length: int = 0) -> np.n
 
 
 def _normalize(acc: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Divide an overlap-add sum by the summed squared window ``scale``; samples
-    with almost no window weight become 0."""
+    """Divide an overlap-add sum by the summed squared window ``scale`` in place
+    and return it; samples with almost no window weight become 0."""
     valid = scale > 1e-11 * scale.max()
-    return np.where(valid, acc / np.where(valid, scale, 1.0), 0.0)
+    np.divide(acc, scale, out=acc, where=valid)
+    np.copyto(acc, 0.0, where=~valid)
+    return acc
+
+
+def _spectrum_blocks(frames: np.ndarray, win: np.ndarray, step: int):
+    """(first frame, rfft of the windowed frames, scratch) for each ``step``
+    frames in order; rfft transforms each row alone, so every block equals the
+    same rows of the whole spectrogram, bit for bit.
+
+    The frames are windowed into one float buffer, ``scratch``, reused from
+    block to block. Once rfft has read it, it is free until the next block:
+    it holds a block of the spectrum's size, as magnitudes or complex.
+    """
+    bins = win.size // 2 + 1
+    scratch = np.empty(min(step, len(frames)) * 2 * bins)
+    for first in range(0, len(frames), step):
+        block = frames[first:first + step]
+        windowed = np.multiply(block, win, out=scratch[:block.size].reshape(block.shape))
+        yield first, np.fft.rfft(windowed, axis=1), scratch
 
 
 def _magnitude_blocks(w: Waveform, n_fft: int, hop: int):
     """``amplitude(stft(w, n_fft, hop)).mags``, BLOCK_FRAMES rows at a time.
 
     Checks its arguments at once, then returns an iterator of the blocks in
-    frame order; rfft transforms each row alone, so every block equals the
-    same rows of the whole matrix, bit for bit.
+    frame order. Every block is a view of one buffer that the next block
+    overwrites, so the caller may change it in place but must not keep it.
     """
     win = _analysis_window(len(w), n_fft, hop, "hann")
     frames = _frames(w.samples, n_fft, hop)
-    return (np.abs(np.fft.rfft(frames[first:first + BLOCK_FRAMES] * win, axis=1))
-            for first in range(0, len(frames), BLOCK_FRAMES))
+
+    def blocks():
+        for _, bins, scratch in _spectrum_blocks(frames, win, BLOCK_FRAMES):
+            mags = np.abs(bins, out=scratch[:bins.size].reshape(bins.shape))
+            del bins  # not held while the next block is transformed
+            yield mags
+    return blocks()
 
 
 def _fold_rows(total: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """total + rows[0] + rows[1] + ... per column, added in row order.
+    """total + rows[0] + rows[1] + ... per column, added in row order; ``rows``
+    is the caller's to overwrite.
 
     numpy reduces axis 0 of a C-contiguous matrix of two or more columns one
-    row at a time, so folding block by block gives the column sums of their
-    concatenation bit for bit while copying only one block at a time.
+    row at a time, so adding ``total`` into the first row and summing gives
+    the column sums of the blocks' concatenation bit for bit, with no copy.
     """
-    return np.concatenate([rows] if total is None else [total[None], rows]).sum(axis=0)
+    if total is None:
+        return rows.sum(axis=0)
+    if not len(rows):
+        return total
+    rows[0] += total
+    return rows.sum(axis=0)
 
 
 def stft(w: Waveform, n_fft: int = 2048, hop: int = 512,
@@ -301,10 +331,11 @@ def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
     # At least one frame per phase, so a block costs no more Python steps
     # than the frames it holds.
     step = max(BLOCK_FRAMES, -(-n_fft // hop))
-    for first in range(0, len(frames), step):
-        bins = np.fft.rfft(frames[first:first + step] * win, axis=1)
+    for first, bins, scratch in _spectrum_blocks(frames, win, step):
+        shaped = scratch[:2 * bins.size].view(np.complex128).reshape(bins.shape)
         for acc, gains in zip(accs, curves):
-            _overlap_add(acc, np.fft.irfft(bins * gains, n=n_fft, axis=1) * win, first, hop)
+            out = np.fft.irfft(np.multiply(bins, gains, out=shaped), n=n_fft, axis=1)
+            _overlap_add(acc, np.multiply(out, win, out=out), first, hop)
     return [Waveform(_normalize(acc.ravel(), scale.ravel())[:len(w)], w.sample_rate)
             for acc in accs]
 

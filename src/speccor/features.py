@@ -199,10 +199,9 @@ def _correction(c: Optional[CorrectionCoefficients], fb: MelFilterbank):
     return c.gains, f"pre_mel:{c.source_device}->{c.reference_device}"
 
 
-def _log_mel(mags: np.ndarray, fb: MelFilterbank, gains) -> np.ndarray:
-    if gains is not None:
-        mags = mags * gains
-    return np.log(np.maximum(fb.project(mags), AMPLITUDE_FLOOR))
+def _log_mel(mags: np.ndarray, fb: MelFilterbank, out: np.ndarray) -> np.ndarray:
+    """log max(mags @ fb.weights.T, AMPLITUDE_FLOOR), written into ``out``."""
+    return np.log(np.maximum(fb.project(mags), AMPLITUDE_FLOOR, out=out), out=out)
 
 
 def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
@@ -214,7 +213,9 @@ def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
             f"shape mismatch: filterbank built for n_fft={fb.n_fft}@{fb.sample_rate} Hz, "
             f"spectrogram is n_fft={a.n_fft}@{a.sample_rate} Hz")
     gains, correction = _correction(c, fb)
-    return FeatureTensor(_log_mel(a.mags, fb, gains), "raw", "", correction)
+    mags = a.mags if gains is None else a.mags * gains
+    return FeatureTensor(_log_mel(mags, fb, np.empty((a.frames, fb.n_mels))),
+                         "raw", "", correction)
 
 
 def extract_waveform(w: Waveform, fb: MelFilterbank,
@@ -230,43 +231,80 @@ def extract_waveform(w: Waveform, fb: MelFilterbank,
     gains, correction = _correction(c, fb)
     values = np.empty((frame_count(len(w), fb.n_fft, hop), fb.n_mels))
     for i, mags in enumerate(blocks):
-        values[i * BLOCK_FRAMES:(i + 1) * BLOCK_FRAMES] = _log_mel(mags, fb, gains)
+        if gains is not None:
+            mags *= gains
+        _log_mel(mags, fb, values[i * BLOCK_FRAMES:(i + 1) * BLOCK_FRAMES])
     return FeatureTensor(values, "raw", "", correction)
+
+
+def group_keys(grouping: str, device_labels: Optional[Sequence[str]], count: int) -> list:
+    """The statistics group of each of ``count`` tensors: "global", or
+    "device:<label>" per tensor for "per_device"."""
+    if grouping not in GROUPINGS:
+        raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
+    if grouping == "global":
+        return ["global"] * count
+    if device_labels is None or len(device_labels) != count:
+        raise ValueError("per_device standardization requires one device label "
+                         "per feature tensor")
+    return [f"device:{label}" for label in device_labels]
+
+
+def group_stats(keys: Sequence[str], shapes: Sequence[tuple], read) -> dict:
+    """Each group's per-bin (mean, std) over the frames of its tensors.
+
+    Tensor i has shape ``shapes[i]`` and belongs to group ``keys[i]``;
+    ``read(i, out)`` fills ``out`` with its values. The tensors are read
+    twice, in list order, into one buffer that the folds overwrite: row sums
+    give each group's mean, then summed squared deviations from it give the
+    variance. Only that buffer and a few vectors per group are held, and the
+    moments equal those of each group's concatenated frames folded row by
+    row, bit for bit.
+    """
+    buffer = np.empty(max((rows * mels for rows, mels in shapes), default=0))
+
+    def rows_of(i):
+        out = buffer[:shapes[i][0] * shapes[i][1]].reshape(shapes[i])
+        read(i, out)
+        return out
+
+    sums, counts = {}, {}
+    for i, key in enumerate(keys):
+        if key in sums and sums[key].size != shapes[i][1]:
+            raise ValueError(f"group {key!r} mixes {sums[key].size} and {shapes[i][1]} mels")
+        sums[key] = _fold_rows(sums.get(key), rows_of(i))
+        counts[key] = counts.get(key, 0) + shapes[i][0]
+    means = {key: total / counts[key] for key, total in sums.items()}
+    squares: dict = {}
+    for i, key in enumerate(keys):
+        dev = rows_of(i)
+        dev -= means[key]
+        squares[key] = _fold_rows(squares.get(key), np.multiply(dev, dev, out=dev))
+    return {key: (means[key], np.sqrt(np.maximum(total / counts[key], VARIANCE_FLOOR)))
+            for key, total in squares.items()}
+
+
+def scale_rows(values: np.ndarray, stats: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(values - mean) / std for one group's (mean, std), into ``out`` if given."""
+    mean, std = stats
+    out = np.subtract(values, mean, out=out)
+    return np.divide(out, std, out=out)
 
 
 def iter_standardize(features: Sequence[FeatureTensor], grouping: str = "global",
                      device_labels: Optional[Sequence[str]] = None):
     """``standardize``, yielding the scaled tensors one at a time: (iterator, stats).
 
-    The statistics take two passes over the tensors in list order: row sums
-    give each group's mean, then summed squared deviations from it give the
-    variance, so only one vector per group is held besides the inputs.
+    The statistics come from ``group_stats``, so only one tensor's copy and
+    one vector per group are held besides the inputs. A one-shot iterator
+    is read into a list first; a sequence is read where it is.
     """
-    features = list(features)
-    if grouping not in GROUPINGS:
-        raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
-    if grouping == "per_device":
-        if device_labels is None or len(device_labels) != len(features):
-            raise ValueError("per_device standardization requires one device label "
-                             "per feature tensor")
-        keys = [f"device:{label}" for label in device_labels]
-    else:
-        keys = ["global"] * len(features)
-
-    sums, counts = {}, {}
-    for key, feat in zip(keys, features):
-        sums[key] = _fold_rows(sums.get(key), feat.values)
-        counts[key] = counts.get(key, 0) + feat.frames
-    means = {key: total / counts[key] for key, total in sums.items()}
-    squares: dict = {}
-    for key, feat in zip(keys, features):
-        dev = feat.values - means[key]
-        squares[key] = _fold_rows(squares.get(key), dev * dev)
-    stats = {key: (means[key], np.sqrt(np.maximum(total / counts[key], VARIANCE_FLOOR)))
-             for key, total in squares.items()}
-
-    scaled = (FeatureTensor((feat.values - stats[key][0]) / stats[key][1], grouping, key,
-                            feat.correction)
+    if not isinstance(features, Sequence):
+        features = list(features)
+    keys = group_keys(grouping, device_labels, len(features))
+    stats = group_stats(keys, [feat.values.shape for feat in features],
+                        lambda i, out: np.copyto(out, features[i].values))
+    scaled = (FeatureTensor(scale_rows(feat.values, stats[key]), grouping, key, feat.correction)
               for key, feat in zip(keys, features))
     return scaled, stats
 

@@ -1,4 +1,4 @@
-"""Line-based file formats: manifests, correction coefficients, FIR filters, feature tensors, and simulator ground-truth responses.
+"""Line-based file formats: manifests, correction coefficients, FIR filters, feature tensors, and simulator ground-truth responses; plus an unnamed spill file for float64 matrices.
 
 Floating-point values are written with 17 significant digits, which
 round-trips 64-bit floats losslessly, so write -> read -> write is
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -211,7 +213,7 @@ def write_features(path, feat: FeatureTensor) -> None:
     ])
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
-        handle.write(feat.values.astype("<f8").tobytes())
+        handle.write(np.ascontiguousarray(feat.values, "<f8"))
 
 
 @_names_file
@@ -244,6 +246,53 @@ def read_features(path) -> FeatureTensor:
     return FeatureTensor(values, fields["normalization"],
                          "" if stats_id == "-" else stats_id,
                          fields.get("correction", "none"))
+
+
+class RowSpill:
+    """Float64 matrices of fixed shapes kept in an unnamed temporary file.
+
+    The file is made in ``directory``, so it takes disk space on that
+    filesystem rather than memory, and the OS removes it when it is closed
+    or the process ends. Matrix i has its own byte range, fixed at creation,
+    so threads may write and read different matrices at once without a lock.
+    """
+
+    def __init__(self, directory, shapes: Sequence[tuple]):
+        self._shapes = [tuple(shape) for shape in shapes]
+        self._offsets = [0]
+        for rows, cols in self._shapes:
+            self._offsets.append(self._offsets[-1] + rows * cols * 8)
+        self._file = tempfile.TemporaryFile(dir=directory)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def _view(self, i: int, values: np.ndarray) -> memoryview:
+        if values.shape != self._shapes[i] or values.dtype != np.float64 \
+                or not values.flags.c_contiguous:
+            raise ValueError(f"matrix {i} is a C-contiguous float64 {self._shapes[i]}, "
+                             f"got {values.dtype} {values.shape}")
+        return memoryview(values.reshape(-1).view(np.uint8))
+
+    def write(self, i: int, values: np.ndarray) -> None:
+        """Store matrix i in its byte range."""
+        view, pos = self._view(i, values), self._offsets[i]
+        while view:
+            done = os.pwrite(self._file.fileno(), view, pos)
+            view, pos = view[done:], pos + done
+
+    def read(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Read matrix i into ``out`` and return it."""
+        view, pos = self._view(i, out), self._offsets[i]
+        while view:
+            done = os.preadv(self._file.fileno(), [view], pos)
+            if not done:
+                raise OSError(f"spill file ends before matrix {i} is complete")
+            view, pos = view[done:], pos + done
+        return out
 
 
 # -- simulator ground truth ------------------------------------------------------

@@ -618,9 +618,40 @@ def test_features_peak_memory_does_not_grow_with_the_corpus(standardize, group_m
         finally:
             tracemalloc.stop()
     tensor_bytes = ((SR - N_FFT) // HOP + 1) * 256 * 8
-    # Standardizing keeps the raw log-mel tensors: 8 more of them at 6 groups.
-    kept = 8 * tensor_bytes if standardize else 0
-    assert peaks[6] - peaks[2] < kept + tensor_bytes, peaks
+    # Standardizing keeps the raw log-mel tensors on disk, not in memory.
+    assert peaks[6] - peaks[2] < tensor_bytes, peaks
+
+
+def test_features_standardize_leaves_only_the_feature_files(sim_dir, tmp_path):
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"), "--standardize",
+                 "global", "--n-mels", "32", "--out", str(out)]) == 0
+    rows = files.read_manifest(sim_dir / "manifest.tsv")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        Path(row.path).stem + ".feat" for row in rows)
+
+
+def test_features_standardize_leaves_empty_out_for_a_bad_last_file(tmp_path, monkeypatch,
+                                                                    capsys):
+    rows = []
+    for k in range(3):
+        sc.write_wav(tmp_path / f"r{k}.wav", white_waveform(420 + k, seconds=0.2))
+        rows.append(files.ManifestRow(f"r{k}.wav", "ab"[k % 2]))
+    # A float WAV whose header is sound but whose audio holds a NaN: only
+    # reading the samples finds it, after the header pass.
+    sc.write_wav(tmp_path / "nan.wav", white_waveform(423, seconds=0.2))
+    raw = bytearray((tmp_path / "nan.wav").read_bytes())
+    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    (tmp_path / "nan.wav").write_bytes(bytes(raw))
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, rows + [files.ManifestRow("nan.wav", "b")])
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(manifest), "--standardize", "per-device",
+                 "--n-mels", "32", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'nan.wav'}: "), err
+    assert list(out.iterdir()) == []
 
 
 def test_features_rejects_coefficients_of_another_sample_rate(sim_dir, tmp_path, capsys):

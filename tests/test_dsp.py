@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import speccor as sc
+from speccor.dsp import BLOCK_FRAMES
 
 from conftest import SR, N_FFT, HOP, white_waveform
 
@@ -152,6 +155,25 @@ def test_apply_gains_checks_like_stft_and_istft():
         sc.apply_gains(w, flat, N_FFT, HOP, window="boxcar")
     with pytest.raises(ValueError, match="gain curve has shape"):
         sc.apply_gains(w, [np.ones(N_FFT // 2)], N_FFT, HOP)
+
+
+def test_apply_gains_makes_no_full_length_temporaries():
+    w = white_waveform(17, seconds=10.0)
+    curves = [np.full(N_FFT // 2 + 1, gain) for gain in (0.5, 1.0, 2.0)]
+    sc.apply_gains(w, curves, N_FFT, HOP)  # warm-up: FFT plan caches
+    tracemalloc.start()
+    try:
+        sc.apply_gains(w, curves, N_FFT, HOP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = len(w) * 8
+    # Windowed frames and their inverse transforms, the spectrum and its
+    # shaped copy: BLOCK_FRAMES rows each.
+    block_set = BLOCK_FRAMES * 8 * (2 * N_FFT + 2 * 2 * (N_FFT // 2 + 1))
+    # The outputs, the window sum, one block set, and boolean masks and
+    # checks worth half a float array.
+    assert peak < (len(curves) + 1) * full + block_set + full / 2, peak / full
 
 
 def test_amplitude_modulus_and_phase_invariance():

@@ -133,6 +133,15 @@ def test_standardize_per_device_needs_labels():
         sc.standardize(feats, "per-device")
 
 
+def test_standardize_rejects_a_group_of_mixed_mel_counts():
+    # A one-mel first tensor would otherwise broadcast silently into the sums.
+    feats = [sc.FeatureTensor(np.ones((3, 1))), sc.FeatureTensor(np.ones((2, 4)))]
+    with pytest.raises(ValueError, match="group 'global' mixes 1 and 4 mels"):
+        sc.standardize(feats, "global")
+    out, _ = sc.standardize(feats, "per_device", ["a", "b"])
+    assert [f.values.shape for f in out] == [(3, 1), (2, 4)]
+
+
 def test_per_device_standardization_removes_device_offset():
     # Uncorrected features from two devices with a constant 6 dB gap:
     # per-device statistics erase the gap, global statistics keep it.
@@ -289,5 +298,6 @@ def test_standardize_equals_concatenated_moments(grouping):
         mean, std = stats[key]
         assert np.array_equal(got.values, (feat.values - mean) / std)
         assert (got.normalization, got.stats_id) == (grouping, key)
-    lazy, _ = sc.iter_standardize(feats, grouping, labels)
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(lazy, out))
+    for source in (feats, iter(feats)):
+        lazy, _ = sc.iter_standardize(source, grouping, labels)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(lazy, out, strict=True))

@@ -1,7 +1,9 @@
 import os
 import re
 import struct
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -233,6 +235,28 @@ def test_features_file_field_without_value_names_it(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"normalization raw\n", b"normalization\n"))
     with pytest.raises(ValueError, match=re.escape(f"{path}: header field 'normalization' has no value")):
         files.read_features(path)
+
+
+def test_row_spill_keeps_each_matrix_under_concurrent_writes(tmp_path):
+    rng = np.random.default_rng(81)
+    shapes = [(int(rows), 7) for rows in rng.integers(0, 40, size=64)]
+    matrices = [rng.standard_normal(shape) for shape in shapes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with files.RowSpill(tmp_path, shapes) as spill:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(spill.write, range(len(shapes)), matrices, timeout=60))
+                got = list(pool.map(lambda i: spill.read(i, np.empty(shapes[i])),
+                                    reversed(range(len(shapes))), timeout=60))
+            assert list(tmp_path.iterdir()) == []
+            with pytest.raises(ValueError, match="matrix 3"):
+                spill.read(3, np.empty((shapes[3][0] + 1, 7)))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, have in zip(matrices, reversed(got), strict=True):
+        assert np.array_equal(want, have)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- responses -------------------------------------------------------------------------
