@@ -61,37 +61,40 @@ def _map_files(manifest_path, rows, fn):
         lambda row: fn(row, wavio.read_wav(_resolve(manifest_path, row.path))), rows)
 
 
-def _manifest_devices(rows) -> list:
-    devices = []
-    for row in rows:
-        if row.device not in devices:
-            devices.append(row.device)
-    return devices
-
-
 # -- estimate -----------------------------------------------------------------
 
-def _aligned_groups(rows, reference, devices) -> dict:
-    """Map group -> {device: row}, checked before any audio is read."""
-    groups: dict = {}
-    for row in rows:
-        if row.group:
-            members = groups.setdefault(row.group, {})
-            if row.device in members:
-                raise ValueError(f"group {row.group!r} lists device {row.device!r} twice")
-            members[row.device] = row
-    if not groups:
-        raise ValueError("manifest has no alignment groups; --aligned needs the "
-                         "group column filled in")
-    for group, members in groups.items():
-        if reference not in members:
-            raise ValueError(f"group {group!r} is missing reference-device {reference!r}")
-    grouped = {device for members in groups.values() for device in members}
-    for device in devices:
-        if device not in grouped:
-            raise ValueError(f"device {device!r} shares no alignment group "
-                             f"with {reference!r}")
-    return groups
+def _estimate_plan(rows, reference, aligned) -> dict:
+    """Map each device to estimate to (reference rows or None, own rows), checked
+    before any audio is read. With ``aligned``, item i of both lists is one group."""
+    devices = dict.fromkeys(row.device for row in rows)
+    if reference != "none" and reference not in devices:
+        raise ValueError(f"reference-device {reference!r} not present in the manifest")
+    if not aligned:
+        own = {d: [row for row in rows if row.device == d] for d in devices}
+        ref_rows = None if reference == "none" else own[reference]
+        plan = {d: (ref_rows, own[d]) for d in devices if ref_rows is None or d != reference}
+    else:
+        groups: dict = {}
+        for row in rows:
+            if row.group:
+                members = groups.setdefault(row.group, {})
+                if row.device in members:
+                    raise ValueError(f"group {row.group!r} lists device {row.device!r} twice")
+                members[row.device] = row
+        if not groups:
+            raise ValueError("manifest has no alignment groups; --aligned needs the "
+                             "group column filled in")
+        for group, members in groups.items():
+            if reference not in members:
+                raise ValueError(f"group {group!r} is missing reference-device {reference!r}")
+        plan = {}
+        for d in devices:
+            shared = [members for members in groups.values() if d in members]
+            if not shared:
+                raise ValueError(f"device {d!r} shares no alignment group with {reference!r}")
+            if d != reference:
+                plan[d] = ([m[reference] for m in shared], [m[d] for m in shared])
+    return plan
 
 
 def _check_stft_flags(n_fft, hop) -> None:
@@ -136,48 +139,38 @@ def cmd_estimate(args) -> int:
     if args.aligned and reference == "none":
         raise ValueError("conflicting flags: --aligned requires a concrete "
                          "--reference-device, not 'none'")
-    devices = _manifest_devices(rows)
-    if reference != "none" and reference not in devices:
-        raise ValueError(f"reference-device {reference!r} not present in the manifest")
+    plan = _estimate_plan(rows, reference, args.aligned)
 
     # Headers are checked before any audio is read. Each worker then reduces
-    # one file to per-bin log sums a block of frames at a time; the sums are
-    # folded in manifest order, or with --aligned in group order.
-    groups = _aligned_groups(rows, reference, devices) if args.aligned else {}
+    # one file to its per-bin log sum a block of frames at a time; each
+    # device's sums are merged in the plan's order.
     used = [row for row in rows if row.group] if args.aligned else rows
     headers = _read_headers(args.manifest, used, args.n_fft, args.hop)
     _check_one_rate(args.manifest, headers, per_device=reference == "none")
-    for group, members in groups.items():
-        ref_frames = headers[members[reference]][0]
-        for device, row in members.items():
-            if headers[row][0] != ref_frames:
-                raise ValueError(f"group {group!r} is unaligned: device {device!r} has "
-                                 f"{headers[row][0]} frames, reference-device "
-                                 f"{reference!r} has {ref_frames}")
+    if not plan:  # after the header pass, so an unreadable file still exits 2
+        raise ValueError(f"manifest has no device besides reference-device {reference!r}")
+    if args.aligned:  # item i of a device's two row lists is one group
+        for device, (ref_rows, own_rows) in plan.items():
+            for ref_row, row in zip(ref_rows, own_rows):
+                frames, ref_frames = headers[row][0], headers[ref_row][0]
+                if frames != ref_frames:
+                    raise ValueError(f"group {row.group!r} is unaligned: device {device!r} "
+                                     f"has {frames} frames, reference-device {reference!r} "
+                                     f"has {ref_frames}")
 
-    sums = _map_files(args.manifest, used, lambda row, wave:
-                      correction.waveform_log_sum(wave, args.n_fft, args.hop))
-    if args.aligned:
-        by_row = dict(zip(used, sums))
-
-        def paired(device, member):  # member's sums over the groups device is in
-            return [by_row[members[member]] for members in groups.values()
-                    if device in members]
-
-        results = [correction.aligned_from_sums(paired(d, reference), paired(d, d),
-                                                reference, d)
-                   for d in devices if d != reference]
-    else:
-        by_device = {device: [] for device in devices}
-        for row, item_sum in zip(rows, sums):
-            by_device[row.device].append(item_sum)
-        stats = {device: correction.stats_from_sums(device_sums, device)
-                 for device, device_sums in by_device.items()}
-        if reference == "none":
-            results = [correction.simplified_coefficients(stats[d]) for d in devices]
+    sums = dict(zip(used, _map_files(args.manifest, used, lambda row, wave:
+                    correction.waveform_log_sum(wave, args.n_fft, args.hop, row.device))))
+    results = []
+    for ref_rows, own_rows in plan.values():
+        own = [sums[row] for row in own_rows]
+        if ref_rows is None:
+            results.append(correction.simplified_coefficients(correction.merge_stats(own)))
+        elif args.aligned:
+            results.append(correction.aligned_from_sums([sums[r] for r in ref_rows], own))
         else:
-            results = [correction.estimate_unaligned(stats[reference], stats[d])
-                       for d in devices if d != reference]
+            results.append(correction.estimate_unaligned(
+                correction.merge_stats([sums[r] for r in ref_rows]),
+                correction.merge_stats(own)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,12 +239,26 @@ def _read_sim_section(path) -> configparser.SectionProxy:
     return parser["sim"]
 
 
-def _parse_sim_config(path) -> simulate.SimConfig:
-    """Read a simulate config; every error names the file, and the key if it has one.
+# Every [sim] key: its SectionProxy getter, its default (hop's is n_fft // 4) and,
+# for a key that is not a SimConfig field, the check SimConfig cannot make.
+_SIM_KEYS = {
+    "seed": ("getint", 0, None),
+    "sample_rate": ("getint", 44100, None),
+    "n_fft": ("getint", 2048, None),
+    "hop": ("getint", None, None),
+    "num_recordings": ("getint", 4, None),
+    "duration": ("getfloat", 3.0, None),
+    "response_db": ("getfloat", 20.0, (np.isfinite, "finite")),
+    "environments": ("getint", 0, (lambda v: v >= 0, ">= 0")),
+    "environment_db": ("getfloat", 6.0, (np.isfinite, "finite")),
+    "aligned": ("getboolean", True, None),
+    "devices": ("get", "a b", None),
+    "source": ("get", "white", None),
+}
 
-    ``SimConfig`` checks its own fields; only the keys that are not fields
-    (response_db, environments, environment_db) are checked here.
-    """
+
+def _parse_sim_config(path) -> simulate.SimConfig:
+    """Read a simulate config; every error names the file, and the key if it has one."""
     sec = _read_sim_section(path)
 
     def keyed(key, make):
@@ -260,41 +267,36 @@ def _parse_sim_config(path) -> simulate.SimConfig:
         except ValueError as exc:
             raise ValueError(f"{path}: [sim] {key + ': ' if key else ''}{exc}") from None
 
-    def value(key, get, default, valid=None, need=""):
-        got = keyed(key, lambda: get(key, default))
-        if valid is not None and not valid(got):
-            raise ValueError(f"{path}: [sim] {key}: must be {need}, got {got!r}")
-        return got
-
-    seed = value("seed", sec.getint, 0)
-    sample_rate = value("sample_rate", sec.getint, 44100)
-    n_fft = value("n_fft", sec.getint, 2048)
-    hop = value("hop", sec.getint, n_fft // 4)
-    num_recordings = value("num_recordings", sec.getint, 4)
-    duration = value("duration", sec.getfloat, 3.0)
-    response_db = value("response_db", sec.getfloat, 20.0, np.isfinite, "finite")
-    num_envs = value("environments", sec.getint, 0, lambda v: v >= 0, ">= 0")
-    environment_db = value("environment_db", sec.getfloat, 6.0, np.isfinite, "finite")
-    aligned = value("aligned", sec.getboolean, True)
-    names = [t for t in re.split(r"[,\s]+", sec.get("devices", "a b").strip()) if t]
+    for key in sec:
+        if key not in _SIM_KEYS:
+            raise ValueError(f"{path}: [sim] {key}: unknown key; the keys are "
+                             f"{', '.join(_SIM_KEYS)}")
+    v = {}
+    for key, (getter, default, check) in _SIM_KEYS.items():
+        default = v["n_fft"] // 4 if key == "hop" else default
+        v[key] = keyed(key, lambda: getattr(sec, getter)(key, default))
+        if check is not None and not check[0](v[key]):
+            raise ValueError(f"{path}: [sim] {key}: must be {check[1]}, got {v[key]!r}")
+    seed, sample_rate, n_fft, hop = (v[k] for k in ("seed", "sample_rate", "n_fft", "hop"))
+    names = [t for t in re.split(r"[,\s]+", v["devices"].strip()) if t]
     # The responses are drawn from the grid, so it is checked first.
     keyed("", lambda: simulate.check_grid(seed, sample_rate, n_fft, hop))
 
     def device(i, name):
-        if response_db <= 0:
+        if v["response_db"] <= 0:
             return simulate.flat_response(name, n_fft, sample_rate)
-        return simulate.make_smooth_response(seed * 1000003 + 7 + i, response_db,
+        return simulate.make_smooth_response(seed * 1000003 + 7 + i, v["response_db"],
                                              n_fft, sample_rate, device_id=name)
 
     devices = keyed("response_db", lambda: tuple(
         device(i, name) for i, name in enumerate(names)))
     environments = keyed("environment_db", lambda: tuple(
-        simulate.make_smooth_environment(seed * 7919 + 13 + j, environment_db,
+        simulate.make_smooth_environment(seed * 7919 + 13 + j, v["environment_db"],
                                          n_fft, sample_rate, scene_id=f"e{j}")
-        for j in range(num_envs)))
+        for j in range(v["environments"])))
     return keyed("", lambda: simulate.SimConfig(
-        seed=seed, num_recordings=num_recordings, duration=duration,
-        source=sec.get("source", "white"), aligned=aligned, devices=devices,
+        seed=seed, num_recordings=v["num_recordings"], duration=v["duration"],
+        source=v["source"], aligned=v["aligned"], devices=devices,
         environments=environments, sample_rate=sample_rate, n_fft=n_fft, hop=hop))
 
 
@@ -345,7 +347,7 @@ def cmd_features(args) -> int:
 
     coeffs_by_device: dict = {}
     if args.coeffs_dir:
-        for device in _manifest_devices(rows):
+        for device in dict.fromkeys(row.device for row in rows):
             path = Path(args.coeffs_dir) / f"{device}.coeffs"
             if path.exists():
                 coeffs = files.read_coefficients(path)

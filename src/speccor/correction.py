@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,13 +62,14 @@ class CorrectionCoefficients:
 
 @dataclass(frozen=True)
 class DeviceSpectrumStats:
-    """Running per-bin mean of log amplitudes for one device.
+    """Per-bin sum over frames of log max(|X|, AMPLITUDE_FLOOR) for one device.
 
-    This is the whole sufficient statistic for unaligned estimation: shards
-    can be accumulated independently and merged.
+    This is the whole sufficient statistic for unaligned estimation. ``merge``
+    adds sums and counts, so shards merged in list order give the same bits
+    as accumulating their recordings in that order.
     """
 
-    log_mean: np.ndarray
+    log_sum: np.ndarray
     total_frames: int
     num_recordings: int
     device: str
@@ -75,30 +77,33 @@ class DeviceSpectrumStats:
     sample_rate: int
 
     def __post_init__(self):
-        log_mean = np.asarray(self.log_mean, dtype=np.float64)
-        if log_mean.ndim != 1 or log_mean.size != self.n_fft // 2 + 1:
+        log_sum = np.asarray(self.log_sum, dtype=np.float64)
+        if log_sum.ndim != 1 or log_sum.size != self.n_fft // 2 + 1:
             raise ValueError(
-                f"log_mean must have length n_fft//2+1 = {self.n_fft // 2 + 1}, "
-                f"got shape {log_mean.shape}")
-        if not np.all(np.isfinite(log_mean)):
-            raise ValueError("log_mean must be finite")
+                f"log_sum must have length n_fft//2+1 = {self.n_fft // 2 + 1}, "
+                f"got shape {log_sum.shape}")
+        if not np.all(np.isfinite(log_sum)):
+            raise ValueError("log_sum must be finite")
         if self.num_recordings < 1 or self.total_frames < self.num_recordings:
             raise ValueError(
                 f"need total_frames >= num_recordings >= 1, got "
                 f"{self.total_frames} / {self.num_recordings}")
-        object.__setattr__(self, "log_mean", log_mean)
+        object.__setattr__(self, "log_sum", log_sum)
+
+    @property
+    def log_mean(self) -> np.ndarray:
+        """Per-bin mean log amplitude over every (frame, recording) cell."""
+        return self.log_sum / self.total_frames
 
     def merge(self, other: "DeviceSpectrumStats") -> "DeviceSpectrumStats":
-        """Combine two shards; the merged mean is frame-weighted."""
-        if (other.device != self.device or other.n_fft != self.n_fft
-                or other.sample_rate != self.sample_rate):
+        """Combine two shards by adding their sums and counts."""
+        if (other.device, other.n_fft, other.sample_rate) != (
+                self.device, self.n_fft, self.sample_rate):
             raise ValueError(
-                f"cannot merge stats for {other.device!r}@{other.n_fft}/{other.sample_rate} "
-                f"into {self.device!r}@{self.n_fft}/{self.sample_rate}")
-        frames = self.total_frames + other.total_frames
-        log_mean = (self.log_mean * self.total_frames
-                    + other.log_mean * other.total_frames) / frames
-        return DeviceSpectrumStats(log_mean, frames,
+                f"cannot merge mixed statistics: {other.device!r}@{other.n_fft}/"
+                f"{other.sample_rate} into {self.device!r}@{self.n_fft}/{self.sample_rate}")
+        return DeviceSpectrumStats(self.log_sum + other.log_sum,
+                                   self.total_frames + other.total_frames,
                                    self.num_recordings + other.num_recordings,
                                    self.device, self.n_fft, self.sample_rate)
 
@@ -166,75 +171,45 @@ def _log_mags(spec: AmplitudeSpectrogram) -> np.ndarray:
     return np.log(np.maximum(spec.mags, AMPLITUDE_FLOOR))
 
 
-@dataclass(frozen=True)
-class LogSum:
-    """One recording's share of an estimate: its per-bin log amplitude summed over frames.
-
-    Estimates fold these raw sums, never means, so they can be computed
-    recording by recording and dropped with the spectrogram they came from.
-    """
-
-    total: np.ndarray
-    frames: int
-    n_fft: int
-    sample_rate: int
+def log_amplitude_sum(spec: AmplitudeSpectrogram, device: str = "") -> DeviceSpectrumStats:
+    """One recording's statistics: log max(|X|, AMPLITUDE_FLOOR) summed over frames."""
+    return DeviceSpectrumStats(_log_mags(spec).sum(axis=0), spec.frames, 1, device,
+                               spec.n_fft, spec.sample_rate)
 
 
-def log_amplitude_sum(spec: AmplitudeSpectrogram) -> LogSum:
-    """Sum over frames of log max(|X|, AMPLITUDE_FLOOR) for one recording."""
-    return LogSum(_log_mags(spec).sum(axis=0), spec.frames,
-                  spec.n_fft, spec.sample_rate)
-
-
-def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512) -> LogSum:
-    """``log_amplitude_sum(amplitude(stft(w, n_fft, hop)))``, bit for bit, reduced
-    BLOCK_FRAMES frames at a time: no spectrogram is ever held."""
+def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512,
+                     device: str = "") -> DeviceSpectrumStats:
+    """``log_amplitude_sum(amplitude(stft(w, n_fft, hop)), device)``, bit for bit,
+    reduced BLOCK_FRAMES frames at a time: no spectrogram is ever held."""
     total, frames = None, 0
     for mags in _magnitude_blocks(w, n_fft, hop):
         np.log(np.maximum(mags, AMPLITUDE_FLOOR, out=mags), out=mags)
         total = _fold_rows(total, mags)
         frames += len(mags)
-    return LogSum(total, frames, n_fft, w.sample_rate)
+    return DeviceSpectrumStats(total, frames, 1, device, n_fft, w.sample_rate)
 
 
-def _fold(sums: Sequence[LogSum]):
-    """Add the sums in list order; returns (total, frames, first sum)."""
-    first = sums[0]
-    total = np.zeros(first.total.size)
-    frames = 0
-    for s in sums:
-        if (s.n_fft, s.sample_rate) != (first.n_fft, first.sample_rate):
-            raise ValueError(
-                f"mixed STFT configuration: {s.n_fft}/{s.sample_rate} vs "
-                f"{first.n_fft}/{first.sample_rate}")
-        total += s.total
-        frames += s.frames
-    return total, frames, first
-
-
-def stats_from_sums(sums: Sequence[LogSum], device: str) -> DeviceSpectrumStats:
-    """Fold per-recording log-amplitude sums of one device into its statistics."""
-    if not sums:
+def merge_stats(shards: Sequence[DeviceSpectrumStats]) -> DeviceSpectrumStats:
+    """Merge the shards in list order; ``estimate`` folds each device this way."""
+    if not shards:
         raise ValueError("cannot accumulate statistics from an empty recording list")
-    total, frames, first = _fold(sums)
-    return DeviceSpectrumStats(total / frames, frames, len(sums), device,
-                               first.n_fft, first.sample_rate)
+    return reduce(DeviceSpectrumStats.merge, shards)
 
 
-def aligned_from_sums(ref_sums: Sequence[LogSum], src_sums: Sequence[LogSum],
-                      reference_device: str, source_device: str) -> CorrectionCoefficients:
-    """Aligned gains from the log-amplitude sums of paired recordings.
+def aligned_from_sums(ref_sums: Sequence[DeviceSpectrumStats],
+                      src_sums: Sequence[DeviceSpectrumStats]) -> CorrectionCoefficients:
+    """Aligned gains from the one-recording statistics of paired recordings.
 
     Item i of both lists is one signal captured by the two devices. Over
     paired frames, the mean log ratio is the reference's mean log amplitude
     minus the source's, so this is ``estimate_unaligned`` over the pairs.
     """
-    ref_frames, src_frames = [s.frames for s in ref_sums], [s.frames for s in src_sums]
+    ref_frames = [s.total_frames for s in ref_sums]
+    src_frames = [s.total_frames for s in src_sums]
     if ref_frames != src_frames:
         raise ValueError(f"unaligned pairs: reference frame counts {ref_frames}, "
                          f"source frame counts {src_frames}")
-    return replace(estimate_unaligned(stats_from_sums(ref_sums, reference_device),
-                                      stats_from_sums(src_sums, source_device)),
+    return replace(estimate_unaligned(merge_stats(ref_sums), merge_stats(src_sums)),
                    estimator="aligned")
 
 
@@ -246,7 +221,7 @@ def accumulate_stats(specs: Sequence[AmplitudeSpectrogram],
     runs over every (frame, recording) cell. Accumulation happens in the
     log domain in list order, so the result is deterministic.
     """
-    return stats_from_sums([log_amplitude_sum(spec) for spec in specs], device)
+    return merge_stats([log_amplitude_sum(spec, device) for spec in specs])
 
 
 def estimate_aligned(pairs, reference_device: str = "ref",
@@ -262,9 +237,8 @@ def estimate_aligned(pairs, reference_device: str = "ref",
         if src.mags.shape != ref.mags.shape:
             raise ValueError(f"unaligned pair: reference shape {ref.mags.shape} vs "
                              f"source shape {src.mags.shape}")
-    return aligned_from_sums([log_amplitude_sum(ref) for ref, _ in pairs],
-                             [log_amplitude_sum(src) for _, src in pairs],
-                             reference_device, source_device)
+    return aligned_from_sums([log_amplitude_sum(ref, reference_device) for ref, _ in pairs],
+                             [log_amplitude_sum(src, source_device) for _, src in pairs])
 
 
 def estimate_unaligned(ref_stats: DeviceSpectrumStats,

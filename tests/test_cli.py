@@ -157,6 +157,45 @@ def test_estimate_rejects_an_unaligned_group_before_reading_audio(sim_dir, tmp_p
     assert "group 'g0' is unaligned: device 'b' has 40 frames" in err, err
 
 
+def test_estimate_rejects_a_reference_only_manifest_before_reading_audio(sim_dir, tmp_path,
+                                                                       monkeypatch, capsys):
+    manifest = tmp_path / "only_a.tsv"
+    files.write_manifest(manifest, [files.ManifestRow(str(sim_dir / f"g000{k}_a.wav"), "a")
+                                    for k in range(2)])
+    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    out = tmp_path / "c"
+    assert main(["estimate", "--manifest", str(manifest), "--reference-device", "a",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "manifest has no device besides reference-device 'a'" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reference", ["a", "none"])
+def test_estimate_equals_per_file_shards_merged_in_manifest_order(reference, sim_dir,
+                                                                 tmp_path):
+    # The library route for sharded estimation: one waveform_log_sum per file,
+    # merged per device in manifest order, gives the bits the CLI writes.
+    stats = {}
+    for row in files.read_manifest(sim_dir / "manifest.tsv"):
+        shard = sc.waveform_log_sum(sc.read_wav(sim_dir / row.path), N_FFT, HOP, row.device)
+        stats[row.device] = stats[row.device].merge(shard) if row.device in stats else shard
+    out = tmp_path / "out"
+    assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--reference-device", reference, "--out", str(out)]) == 0
+    for device, device_stats in stats.items():
+        if reference == "none":
+            want = sc.simplified_coefficients(device_stats)
+        elif device != reference:
+            want = sc.estimate_unaligned(stats[reference], device_stats)
+        else:
+            assert not (out / f"{device}.coeffs").exists()
+            continue
+        got = files.read_coefficients(out / f"{device}.coeffs")
+        assert np.array_equal(got.gains, want.gains), device
+        assert got.num_recordings == device_stats.num_recordings == 3
+
+
 @pytest.mark.parametrize("command", ["estimate", "features"])
 def test_per_file_errors_name_the_file(command, tmp_path, capsys):
     long_path, short_path = tmp_path / "long.wav", tmp_path / "short.wav"
@@ -495,6 +534,8 @@ BAD_SIM_CONFIGS = {
     "hop-not-invertible": ("[sim]\nhop = 2048\n", "[sim] hop:"),
     "device-name-with-slash": ("[sim]\ndevices = a/b c\n", "[sim] devices: device 'a/b'"),
     "line-without-equals": ("[sim]\nseed = 1\njunk\n", "line 3:"),
+    "unknown-key": ("[sim]\nnum_recording = 1\ndevicse = x y z\nsorce = pink\n",
+                    "[sim] num_recording: unknown key"),
 }
 
 
