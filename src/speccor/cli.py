@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import correction, dsp, files, fir, simulate, wavio
-from .features import (FeatureTensor, extract_waveform, group_keys, group_stats,
-                       mel_filterbank, scale_rows)
+from .dsp import BLOCK_FRAMES
+from .features import group_keys, group_stats, log_mel_blocks, mel_filterbank, scale_rows
 from .wavio import AudioFileError
 
 
@@ -56,9 +56,13 @@ def _resolve(manifest_path, row_path) -> Path:
 
 
 def _map_files(manifest_path, rows, fn):
-    """fn(row, waveform) for each manifest row, in order."""
-    return _map_ordered(
-        lambda row: fn(row, wavio.read_wav(_resolve(manifest_path, row.path))), rows)
+    """fn(row, audio) for each manifest row, in order. ``audio`` is the row's WAV,
+    opened by the worker as a stream (``wavio.open_wav``) and closed when fn
+    returns or raises, so a worker holds one read chunk, not the recording."""
+    def one(row):
+        with wavio.open_wav(_resolve(manifest_path, row.path)) as audio:
+            return fn(row, audio)
+    return _map_ordered(one, rows)
 
 
 # -- estimate -----------------------------------------------------------------
@@ -158,8 +162,8 @@ def cmd_estimate(args) -> int:
                                      f"has {frames} frames, reference-device {reference!r} "
                                      f"has {ref_frames}")
 
-    sums = dict(zip(used, _map_files(args.manifest, used, lambda row, wave:
-                    correction.waveform_log_sum(wave, args.n_fft, args.hop, row.device))))
+    sums = dict(zip(used, _map_files(args.manifest, used, lambda row, audio:
+                    correction.waveform_log_sum(audio, args.n_fft, args.hop, row.device))))
     results = []
     for ref_rows, own_rows in plan.values():
         own = [sums[row] for row in own_rows]
@@ -371,37 +375,48 @@ def cmd_features(args) -> int:
     fbs = {rate: mel_filterbank(rate, args.n_fft, args.n_mels)
            for rate in {rate for _, rate in headers.values()}}
 
-    def raw_features(row, wave):
-        return extract_waveform(wave, fbs[wave.sample_rate], coeffs_by_device.get(row.device),
-                                args.hop)
+    def log_mel(row, audio):
+        return log_mel_blocks(audio, fbs[audio.sample_rate], coeffs_by_device.get(row.device),
+                              args.hop)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.standardize:
-        _map_files(args.manifest, rows, lambda row, wave: files.write_features(
-            out_dir / _feature_name(row), raw_features(row, wave)))
+        def write_raw(row, audio):
+            tag, blocks = log_mel(row, audio)
+            files.write_feature_blocks(out_dir / _feature_name(row),
+                                       (headers[row][0], args.n_mels),
+                                       (values for _, values in blocks), correction=tag)
+
+        _map_files(args.manifest, rows, write_raw)
     else:
-        # Each worker writes its file's raw log-mel rows to its own range of an
-        # unnamed file in --out; the statistics read them back in manifest
-        # order, then each worker scales its rows and writes its .feat file.
+        # Each worker writes its file's raw log-mel rows, a block at a time, to
+        # its own range of an unnamed file in --out; the statistics read them
+        # back in manifest order, then each worker scales its rows and writes
+        # its .feat file, a block at a time too.
         grouping = "per_device" if args.standardize == "per-device" else "global"
         keys = group_keys(grouping, [row.device for row in rows], len(rows))
         shapes = [(headers[row][0], args.n_mels) for row in rows]
         index = {row: i for i, row in enumerate(rows)}
         with files.RowSpill(out_dir, shapes) as spill:
-            def spill_raw(row, wave):
-                feat = raw_features(row, wave)
-                spill.write(index[row], feat.values)
-                return feat.correction
+            def spill_raw(row, audio):
+                tag, blocks = log_mel(row, audio)
+                for first, values in blocks:
+                    spill.write(index[row], values, first)
+                return tag
 
             tags = _map_files(args.manifest, rows, spill_raw)
             stats = group_stats(keys, shapes, spill.read)
 
             def write_scaled(i):
-                values = spill.read(i, np.empty(shapes[i]))
-                files.write_features(out_dir / _feature_name(rows[i]), FeatureTensor(
-                    scale_rows(values, stats[keys[i]], out=values), grouping, keys[i],
-                    tags[i]))
+                buffer = np.empty((BLOCK_FRAMES, args.n_mels))
+
+                def scaled():
+                    for first in range(0, shapes[i][0], BLOCK_FRAMES):
+                        values = spill.read(i, buffer[:shapes[i][0] - first], first)
+                        yield scale_rows(values, stats[keys[i]], out=values)
+                files.write_feature_blocks(out_dir / _feature_name(rows[i]), shapes[i],
+                                           scaled(), grouping, keys[i], tags[i])
 
             _map_ordered(write_scaled, range(len(rows)))
     print(f"wrote {len(rows)} feature files to {out_dir}")

@@ -180,7 +180,8 @@ def log_amplitude_sum(spec: AmplitudeSpectrogram, device: str = "") -> DeviceSpe
 def waveform_log_sum(w: Waveform, n_fft: int = 2048, hop: int = 512,
                      device: str = "") -> DeviceSpectrumStats:
     """``log_amplitude_sum(amplitude(stft(w, n_fft, hop)), device)``, bit for bit,
-    reduced BLOCK_FRAMES frames at a time: no spectrogram is ever held."""
+    reduced BLOCK_FRAMES frames at a time: no spectrogram is ever held. ``w``
+    may also be an open WAV (``wavio.open_wav``), read a block at a time."""
     total, frames = None, 0
     for mags in _magnitude_blocks(w, n_fft, hop):
         np.log(np.maximum(mags, AMPLITUDE_FLOOR, out=mags), out=mags)

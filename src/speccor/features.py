@@ -218,22 +218,43 @@ def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
                          "raw", "", correction)
 
 
+def log_mel_blocks(audio, fb: MelFilterbank, c: Optional[CorrectionCoefficients] = None,
+                   hop: int = 512):
+    """(provenance tag, iterator of (first frame, log-mel rows)): the rows of
+    ``extract_waveform(audio, fb, c, hop)``, BLOCK_FRAMES at a time.
+
+    ``audio`` is a Waveform or an open WAV (``wavio.open_wav``). The arguments
+    are checked at once. Every block is a view of one buffer that the next
+    block overwrites, so the caller must not keep it.
+    """
+    if fb.sample_rate != audio.sample_rate:
+        raise ValueError(f"sample_rate mismatch: filterbank built for {fb.sample_rate} Hz, "
+                         f"waveform is {audio.sample_rate} Hz")
+    blocks = _magnitude_blocks(audio, fb.n_fft, hop)
+    gains, correction = _correction(c, fb)
+    out = np.empty((BLOCK_FRAMES, fb.n_mels))
+
+    def rows():
+        first = 0
+        for mags in blocks:
+            if gains is not None:
+                mags *= gains
+            yield first, _log_mel(mags, fb, out[:len(mags)])
+            first += len(mags)
+    return correction, rows()
+
+
 def extract_waveform(w: Waveform, fb: MelFilterbank,
                      c: Optional[CorrectionCoefficients] = None,
                      hop: int = 512) -> FeatureTensor:
     """``extract(amplitude(stft(w, fb.n_fft, hop)), fb, c)``, bit for bit,
-    computed BLOCK_FRAMES frames at a time: no whole complex, magnitude or
-    corrected spectrogram is ever held, only the log-mel rows."""
-    if fb.sample_rate != w.sample_rate:
-        raise ValueError(f"sample_rate mismatch: filterbank built for {fb.sample_rate} Hz, "
-                         f"waveform is {w.sample_rate} Hz")
-    blocks = _magnitude_blocks(w, fb.n_fft, hop)
-    gains, correction = _correction(c, fb)
+    computed BLOCK_FRAMES frames at a time (``log_mel_blocks``): no whole
+    complex, magnitude or corrected spectrogram is ever held, only the log-mel
+    rows. ``w`` may also be an open WAV."""
+    correction, blocks = log_mel_blocks(w, fb, c, hop)
     values = np.empty((frame_count(len(w), fb.n_fft, hop), fb.n_mels))
-    for i, mags in enumerate(blocks):
-        if gains is not None:
-            mags *= gains
-        _log_mel(mags, fb, values[i * BLOCK_FRAMES:(i + 1) * BLOCK_FRAMES])
+    for first, rows in blocks:
+        values[first:first + len(rows)] = rows
     return FeatureTensor(values, "raw", "", correction)
 
 
@@ -254,32 +275,36 @@ def group_stats(keys: Sequence[str], shapes: Sequence[tuple], read) -> dict:
     """Each group's per-bin (mean, std) over the frames of its tensors.
 
     Tensor i has shape ``shapes[i]`` and belongs to group ``keys[i]``;
-    ``read(i, out)`` fills ``out`` with its values. The tensors are read
-    twice, in list order, into one buffer that the folds overwrite: row sums
-    give each group's mean, then summed squared deviations from it give the
-    variance. Only that buffer and a few vectors per group are held, and the
-    moments equal those of each group's concatenated frames folded row by
-    row, bit for bit.
+    ``read(i, out, first)`` fills ``out`` with its rows from ``first`` on.
+    The tensors are read twice, in list order and BLOCK_FRAMES rows at a time,
+    into one buffer that the folds overwrite: row sums give each group's mean,
+    then summed squared deviations from it give the variance. Only that
+    buffer and a few vectors per group are held, and the moments equal those
+    of each group's concatenated frames folded row by row, bit for bit.
     """
-    buffer = np.empty(max((rows * mels for rows, mels in shapes), default=0))
+    buffer = np.empty(BLOCK_FRAMES * max((mels for _, mels in shapes), default=0))
 
-    def rows_of(i):
-        out = buffer[:shapes[i][0] * shapes[i][1]].reshape(shapes[i])
-        read(i, out)
-        return out
+    def blocks(i):
+        rows, mels = shapes[i]
+        for first in range(0, max(rows, 1), BLOCK_FRAMES):  # one empty block if no rows
+            count = min(BLOCK_FRAMES, rows - first)
+            out = buffer[:count * mels].reshape(count, mels)
+            read(i, out, first)
+            yield out
 
     sums, counts = {}, {}
     for i, key in enumerate(keys):
         if key in sums and sums[key].size != shapes[i][1]:
             raise ValueError(f"group {key!r} mixes {sums[key].size} and {shapes[i][1]} mels")
-        sums[key] = _fold_rows(sums.get(key), rows_of(i))
+        for rows in blocks(i):
+            sums[key] = _fold_rows(sums.get(key), rows)
         counts[key] = counts.get(key, 0) + shapes[i][0]
     means = {key: total / counts[key] for key, total in sums.items()}
     squares: dict = {}
     for i, key in enumerate(keys):
-        dev = rows_of(i)
-        dev -= means[key]
-        squares[key] = _fold_rows(squares.get(key), np.multiply(dev, dev, out=dev))
+        for dev in blocks(i):
+            dev -= means[key]
+            squares[key] = _fold_rows(squares.get(key), np.multiply(dev, dev, out=dev))
     return {key: (means[key], np.sqrt(np.maximum(total / counts[key], VARIANCE_FLOOR)))
             for key, total in squares.items()}
 
@@ -295,15 +320,16 @@ def iter_standardize(features: Sequence[FeatureTensor], grouping: str = "global"
                      device_labels: Optional[Sequence[str]] = None):
     """``standardize``, yielding the scaled tensors one at a time: (iterator, stats).
 
-    The statistics come from ``group_stats``, so only one tensor's copy and
-    one vector per group are held besides the inputs. A one-shot iterator
-    is read into a list first; a sequence is read where it is.
+    The statistics come from ``group_stats``, so besides the inputs only one
+    scaled tensor at a time and one vector per group are held. A one-shot
+    iterator is read into a list first; a sequence is read where it is.
     """
     if not isinstance(features, Sequence):
         features = list(features)
     keys = group_keys(grouping, device_labels, len(features))
     stats = group_stats(keys, [feat.values.shape for feat in features],
-                        lambda i, out: np.copyto(out, features[i].values))
+                        lambda i, out, first: np.copyto(
+                            out, features[i].values[first:first + len(out)]))
     scaled = (FeatureTensor(scale_rows(feat.values, stats[key]), grouping, key, feat.correction)
               for key, feat in zip(keys, features))
     return scaled, stats

@@ -201,19 +201,42 @@ def read_filter(path) -> FirFilter:
 # -- feature tensors -----------------------------------------------------------
 
 def write_features(path, feat: FeatureTensor) -> None:
+    write_feature_blocks(path, feat.values.shape, [feat.values], feat.normalization,
+                         feat.stats_id, feat.correction)
+
+
+def write_feature_blocks(path, shape: tuple, blocks, normalization: str = "raw",
+                         stats_id: str = "", correction: str = "none") -> None:
+    """``write_features`` for a (frames x mels) tensor given as its consecutive
+    row blocks, so it is never held whole. Blocks that do not fill ``shape``
+    exactly raise ValueError; on any error the partial file is removed."""
+    frames, mels = shape
     header = "\n".join([
         FEATURES_MAGIC,
-        f"frames {feat.frames}",
-        f"mels {feat.n_mels}",
-        f"normalization {feat.normalization}",
-        f"stats_id {feat.stats_id or '-'}",
-        f"correction {feat.correction}",
+        f"frames {frames}",
+        f"mels {mels}",
+        f"normalization {normalization}",
+        f"stats_id {stats_id or '-'}",
+        f"correction {correction}",
         "dtype float64-le",
         "",
     ])
     with open(path, "wb") as handle:
-        handle.write(header.encode("ascii"))
-        handle.write(np.ascontiguousarray(feat.values, "<f8"))
+        try:
+            handle.write(header.encode("ascii"))
+            written = 0
+            for block in blocks:
+                if block.shape[1:] != (mels,) or written + len(block) > frames:
+                    raise ValueError(f"{path}: block of shape {block.shape} does not fit "
+                                     f"rows {written}.. of a {frames} x {mels} tensor")
+                handle.write(np.ascontiguousarray(block, "<f8"))
+                written += len(block)
+            if written != frames:
+                raise ValueError(f"{path}: blocks hold {written} of {frames} rows")
+        except BaseException:
+            handle.close()
+            Path(path).unlink(missing_ok=True)
+            raise
 
 
 @_names_file
@@ -255,6 +278,7 @@ class RowSpill:
     filesystem rather than memory, and the OS removes it when it is closed
     or the process ends. Matrix i has its own byte range, fixed at creation,
     so threads may write and read different matrices at once without a lock.
+    A matrix may be written and read whole or a run of rows at a time.
     """
 
     def __init__(self, directory, shapes: Sequence[tuple]):
@@ -270,23 +294,26 @@ class RowSpill:
     def __exit__(self, *exc):
         self._file.close()
 
-    def _view(self, i: int, values: np.ndarray) -> memoryview:
-        if values.shape != self._shapes[i] or values.dtype != np.float64 \
-                or not values.flags.c_contiguous:
+    def _range(self, i: int, values: np.ndarray, first: int):
+        """(bytes view of ``values``, file offset) for rows ``first`` on of matrix i."""
+        rows, cols = self._shapes[i]
+        if values.ndim != 2 or values.shape[1] != cols or values.dtype != np.float64 \
+                or not values.flags.c_contiguous or not 0 <= first <= rows - len(values):
             raise ValueError(f"matrix {i} is a C-contiguous float64 {self._shapes[i]}, "
-                             f"got {values.dtype} {values.shape}")
-        return memoryview(values.reshape(-1).view(np.uint8))
+                             f"got {values.dtype} {values.shape} at row {first}")
+        return (memoryview(values.reshape(-1).view(np.uint8)),
+                self._offsets[i] + first * cols * 8)
 
-    def write(self, i: int, values: np.ndarray) -> None:
-        """Store matrix i in its byte range."""
-        view, pos = self._view(i, values), self._offsets[i]
+    def write(self, i: int, values: np.ndarray, first: int = 0) -> None:
+        """Store ``values`` as rows ``first`` on of matrix i."""
+        view, pos = self._range(i, values, first)
         while view:
             done = os.pwrite(self._file.fileno(), view, pos)
             view, pos = view[done:], pos + done
 
-    def read(self, i: int, out: np.ndarray) -> np.ndarray:
-        """Read matrix i into ``out`` and return it."""
-        view, pos = self._view(i, out), self._offsets[i]
+    def read(self, i: int, out: np.ndarray, first: int = 0) -> np.ndarray:
+        """Read rows ``first`` on of matrix i into ``out`` and return it."""
+        view, pos = self._range(i, out, first)
         while view:
             done = os.preadv(self._file.fileno(), [view], pos)
             if not done:

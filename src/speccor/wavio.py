@@ -18,6 +18,12 @@ _EXTENSIBLE = 0xFFFE
 # field (32 bits) counts 36 header bytes plus 4 bytes a sample.
 MAX_FLOAT32_SAMPLES = (2**32 - 1 - 36) // 4
 
+# 'data' bytes an open_wav stream reads, and checks, per system call: four
+# 64-frame STFT blocks of mono float32 at hop 512, so most blocks are converted
+# with no system call, and a stream holds less than read_wav's result for a
+# 3 s file.
+READ_CHUNK_BYTES = 1 << 19
+
 
 class AudioFileError(Exception):
     """Raised for malformed or unsupported WAV files."""
@@ -101,27 +107,133 @@ def read_wav_info(path) -> WavInfo:
         return _read_info(f, path)
 
 
+def _convert(raw, info: WavInfo, out: np.ndarray) -> None:
+    """Convert whole sample frames of 'data' bytes to mono float64 samples in
+    ``out``: PCM16 is scaled by 1/32768, float32 passes through exactly and
+    stereo is the mean of its two channels. Every read, ``read_wav``'s too,
+    goes through an open_wav stream and so through here."""
+    x = np.frombuffer(raw, info.dtype)
+    if info.channels == 1:
+        np.copyto(out, x)
+    else:
+        np.add(x[0::2], x[1::2], out=out, dtype=np.float64)
+    # The scales are powers of two, so (l + r) * scale / 2 in float64 has the
+    # bits of the mean of the scaled channels.
+    if info.channels * info.scale != 1.0:
+        out *= info.scale / info.channels
+
+
+class open_wav:
+    """Open a mono or stereo WAV file's audio as mono float64 samples, read
+    forward in ranges.
+
+    ``read(start, stop)`` returns samples [start, stop) as a view that stays
+    valid until the next call; neither end may move back. The 'data' bytes are
+    read READ_CHUNK_BYTES at a time into one buffer, where each chunk's samples
+    are checked to be finite, and converted range by range into a second one,
+    which keeps only the overlap with the previous range. So a stream holds
+    about one read chunk plus its largest range, however long the file is.
+    Bytes between two ranges are read and checked too: reading up to
+    ``len(stream)`` finds any non-finite sample, as ``read_wav`` does. Use it
+    as a context manager, ``with open_wav(path) as audio:``, named like the
+    ``open`` it wraps; the file is closed on exit.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            self._info = info = _read_info(self._file, path)
+            self._file.seek(info.data_offset)
+        except BaseException:
+            self._file.close()
+            raise
+        self.sample_rate = info.sample_rate
+        self._frame_bytes = info.channels * info.dtype.itemsize
+        self._unread = info.samples * self._frame_bytes  # 'data' bytes not yet read
+        chunk = READ_CHUNK_BYTES // self._frame_bytes * self._frame_bytes
+        self._raw = bytearray(min(chunk, self._unread))
+        self._raw_pos = self._raw_end = 0  # _raw[pos:end] is read, not yet converted
+        self._buf = np.empty(0)
+        self._lo = self._hi = 0  # _buf[:hi - lo] holds samples [lo, hi)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __len__(self) -> int:
+        return self._info.samples
+
+    def _read_raw(self) -> None:
+        """Read the next chunk of 'data' bytes and check that its samples are finite."""
+        # Both sizes are whole sample frames; a buffered read returns less
+        # only at the end of the file.
+        want = min(len(self._raw), self._unread)
+        raw = memoryview(self._raw)[:want]
+        if self._file.readinto(raw) != want:
+            raise AudioFileError(f"{self.path}: truncated file in chunk 'data'")
+        if self._info.dtype.kind == "f" and not np.isfinite(
+                np.frombuffer(raw, self._info.dtype)).all():
+            raise AudioFileError(f"{self.path}: waveform samples must be finite")
+        self._unread -= want
+        self._raw_pos, self._raw_end = 0, want
+
+    def _skip(self, samples: int) -> None:
+        """Move past the next ``samples`` samples; their bytes are still read,
+        so a non-finite one between two ranges is found."""
+        skip = samples * self._frame_bytes
+        while skip:
+            if self._raw_pos == self._raw_end:
+                self._read_raw()
+            n = min(skip, self._raw_end - self._raw_pos)
+            self._raw_pos, skip = self._raw_pos + n, skip - n
+
+    def _decode(self, out: np.ndarray) -> None:
+        """Convert the next ``out.size`` samples of the file into ``out``."""
+        done = 0
+        while done < out.size:
+            if self._raw_pos == self._raw_end:
+                self._read_raw()
+            n = min(out.size - done, (self._raw_end - self._raw_pos) // self._frame_bytes)
+            end = self._raw_pos + n * self._frame_bytes
+            _convert(memoryview(self._raw)[self._raw_pos:end], self._info, out[done:done + n])
+            self._raw_pos, done = end, done + n
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop) as float64, converted as ``read_wav`` converts them."""
+        lo, hi = self._lo, self._hi
+        if not (lo <= start <= stop <= len(self) and stop >= hi):
+            raise ValueError(f"{self.path}: cannot read samples [{start}, {stop}) after "
+                             f"[{lo}, {hi}) of {len(self)}: ranges only move forward")
+        keep = max(hi - start, 0)
+        if self._buf.size < stop - start:
+            buf = np.empty(stop - start)
+            buf[:keep] = self._buf[start - lo:hi - lo]
+            self._buf = buf
+        elif keep:
+            self._buf[:keep] = self._buf[start - lo:hi - lo]
+        if start > hi:
+            self._skip(start - hi)
+        self._decode(self._buf[keep:stop - start])
+        self._lo, self._hi = start, stop
+        return self._buf[:stop - start]
+
+
 def read_wav(path) -> Waveform:
     """Read a mono or stereo WAV file as a normalized mono waveform.
 
     PCM16 samples are scaled by 1/32768; float32 samples pass through
-    exactly. Stereo is downmixed by averaging the channels. Only the 'data'
-    chunk's bytes are read, and they are converted and scaled in one float64
-    array.
+    exactly. Stereo is downmixed by averaging the channels. The 'data'
+    chunk is read and converted as a stream reads it, one read chunk at a
+    time, into the one float64 array returned.
     """
-    with open(path, "rb") as f:
-        info = _read_info(f, path)
-        f.seek(info.data_offset)
-        # The bytes read are dropped once converted.
-        samples = np.frombuffer(f.read(info.samples * info.channels * info.dtype.itemsize),
-                                dtype=info.dtype).astype(np.float64)
-    samples *= info.scale
-    if info.channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    try:
-        return Waveform(samples, info.sample_rate)
-    except ValueError as exc:  # non-finite float samples
-        raise AudioFileError(f"{path}: {exc}") from None
+    with open_wav(path) as audio:
+        return Waveform(audio.read(0, len(audio)), audio.sample_rate)
 
 
 def write_wav(path, w: Waveform, encoding: str = "float32") -> None:

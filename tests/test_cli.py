@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import speccor as sc
-from speccor import cli, files
+from speccor import cli, files, wavio
 from speccor.cli import main
 
 from conftest import SR, N_FFT, HOP, white_waveform
@@ -693,6 +693,105 @@ def test_features_standardize_leaves_empty_out_for_a_bad_last_file(tmp_path, mon
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'nan.wav'}: "), err
     assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def length_manifests(tmp_path_factory):
+    """Manifests of one 3 s and of one 30 s recording by each of devices a and b."""
+    root = tmp_path_factory.mktemp("lengths")
+    manifests = {}
+    for seconds in (3, 30):
+        rows = []
+        for k, device in enumerate("ab"):
+            name = f"{device}{seconds}.wav"
+            sc.write_wav(root / name, white_waveform(300 + seconds + k, seconds=seconds))
+            rows.append(files.ManifestRow(name, device))
+        manifests[seconds] = root / f"s{seconds}.tsv"
+        files.write_manifest(manifests[seconds], rows)
+    return manifests
+
+
+LENGTH_COMMANDS = {
+    "estimate": ["estimate", "--reference-device", "a"],
+    "features-standardize": ["features", "--standardize", "per-device"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LENGTH_COMMANDS))
+def test_peak_memory_is_independent_of_recording_length(command, length_manifests,
+                                                        tmp_path, monkeypatch):
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+    flags = LENGTH_COMMANDS[command]
+    assert main([*flags, "--manifest", str(length_manifests[3]),
+                 "--out", str(tmp_path / "warm")]) == 0
+    peaks = {}
+    for seconds, manifest in length_manifests.items():
+        tracemalloc.start()
+        try:
+            assert main([*flags, "--manifest", str(manifest),
+                         "--out", str(tmp_path / str(seconds))]) == 0
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # A 30 s float32 file holds 5.3 MB of samples, 10.6 MB as float64.
+    assert peaks[30] - peaks[3] < wavio.READ_CHUNK_BYTES, peaks
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def nan_manifest(tmp_path):
+    """Four 4 s recordings by devices a, b, a, b; the second holds a NaN past
+    its first read chunk, where only reading its samples finds it."""
+    rows = []
+    for k, device in enumerate("abab"):
+        sc.write_wav(tmp_path / f"r{k}.wav", white_waveform(430 + k, seconds=4.0))
+        rows.append(files.ManifestRow(f"r{k}.wav", device))
+    raw = bytearray((tmp_path / "r1.wav").read_bytes())
+    at = 44 + 4 * (wavio.READ_CHUNK_BYTES // 4 + 1000)
+    raw[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    (tmp_path / "r1.wav").write_bytes(bytes(raw))
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, rows)
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["estimate", "features", "features-standardize"])
+def test_a_non_finite_sample_mid_stream_exits_2_and_writes_nothing(command, nan_manifest,
+                                                                   tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    flags = {"estimate": ["estimate", "--reference-device", "a"],
+             "features": ["features", "--n-mels", "32"],
+             "features-standardize": ["features", "--n-mels", "32", "--standardize",
+                                      "per-device"]}[command]
+    out = tmp_path / "out"
+    before = _open_fds()
+    assert main([*flags, "--manifest", str(nan_manifest), "--out", str(out)]) == 2
+    assert _open_fds() == before
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'r1.wav'}: waveform samples must be finite\n", err
+    if command == "estimate":
+        assert not out.exists()
+    elif command == "features":  # the other files' .feat files may be written
+        assert not (out / "r1.feat").exists()
+    else:
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["estimate", "--reference-device", "a"],
+                                     ["estimate", "--reference-device", "a", "--aligned"],
+                                     ["features"],
+                                     ["features", "--standardize", "global"]],
+                         ids=["unaligned", "aligned", "features", "standardize"])
+def test_estimate_and_features_close_every_file(command, sim_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    before = _open_fds()
+    assert main([*command, "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert _open_fds() == before
 
 
 def test_features_rejects_coefficients_of_another_sample_rate(sim_dir, tmp_path, capsys):

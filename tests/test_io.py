@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import speccor as sc
 from speccor import files, wavio
+from speccor.dsp import BLOCK_FRAMES
 from speccor.wavio import AudioFileError
 
 from conftest import SR, N_FFT, white_waveform
@@ -116,6 +117,123 @@ def test_read_wav_info_counts_stereo_frames_and_skips_other_chunks(tmp_path):
     info = wavio.read_wav_info(path)
     assert (info.sample_rate, info.channels, info.samples) == (SR, 2, 5)
     assert len(sc.read_wav(path)) == 5
+
+
+# -- streamed WAV -----------------------------------------------------------------
+
+# A chunk of odd size, with its pad byte, and a LIST chunk: readers must skip both.
+ODD_CHUNK = b"junk" + struct.pack("<I", 3) + b"abc\0"
+LIST_CHUNK = b"LIST" + struct.pack("<I", 4) + b"INFO"
+
+
+def _wav_file(path, samples, channels, encoding, before=b"", after=b""):
+    """A WAV file of ``samples`` (frames x channels, in [-1, 1)), with the raw
+    chunks ``before`` and ``after`` around its 'data' chunk."""
+    if encoding == "float32":
+        payload, audio_format, bits = np.asarray(samples, "<f4").tobytes(), 3, 32
+    else:
+        codes = np.clip(np.rint(np.asarray(samples) * 32768.0), -32768, 32767)
+        payload, audio_format, bits = codes.astype("<i2").tobytes(), 1, 16
+    align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", audio_format, channels, SR, SR * align, align, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + before \
+        + b"data" + struct.pack("<I", len(payload)) + payload + after
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
+def _noise(seed, frames, channels):
+    return np.random.default_rng(seed).uniform(-0.5, 0.5, (frames, channels))
+
+
+# Per-channel lengths: one frame; whole hops past one frame; a ragged tail;
+# and, at every sample width, more than several read chunks.
+STREAM_LENGTHS = {
+    "n_fft": N_FFT,
+    "n_fft+5hop": N_FFT + 5 * 512,
+    "ragged": N_FFT + 5 * 512 + 77,
+    "chunks": 3 * wavio.READ_CHUNK_BYTES // 2 + 1234,
+}
+
+
+@pytest.mark.parametrize("length", sorted(STREAM_LENGTHS))
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_reductions_over_open_wav_equal_read_wav(channels, encoding, length, tmp_path):
+    frames = STREAM_LENGTHS[length]
+    path = _wav_file(tmp_path / "x.wav", _noise(frames + channels, frames, channels),
+                     channels, encoding, before=ODD_CHUNK, after=LIST_CHUNK)
+    wave = sc.read_wav(path)
+    fb = sc.mel_filterbank(SR, N_FFT, 40)
+    want_sum = sc.waveform_log_sum(wave, N_FFT, 512, "b")
+    want_feat = sc.extract_waveform(wave, fb, hop=512)
+    with sc.open_wav(path) as audio:
+        assert (len(audio), audio.sample_rate) == (frames, SR)
+        got_sum = sc.waveform_log_sum(audio, N_FFT, 512, "b")
+    with sc.open_wav(path) as audio:
+        got_feat = sc.extract_waveform(audio, fb, hop=512)
+    assert np.array_equal(got_sum.log_sum, want_sum.log_sum)
+    assert (got_sum.total_frames, got_sum.device) == (want_sum.total_frames, "b")
+    assert np.array_equal(got_feat.values, want_feat.values)
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_wav_stream_reads_forward_ranges_as_read_wav_does(channels, encoding, tmp_path):
+    frames = wavio.READ_CHUNK_BYTES // 2 + 999
+    path = _wav_file(tmp_path / "x.wav", _noise(7 * channels, frames, channels), channels,
+                     encoding, before=ODD_CHUNK, after=LIST_CHUNK)
+    whole = sc.read_wav(path).samples
+    # Overlapping, repeated, empty, gapped and chunk-straddling ranges.
+    ranges = [(0, 10), (5, 10), (7, 3000), (2000, 70000), (70000, 70000), (90001, 90001),
+              (90001, 200000), (199999, frames), (frames, frames)]
+    with sc.open_wav(path) as audio:
+        for start, stop in ranges:
+            assert np.array_equal(audio.read(start, stop), whole[start:stop]), (start, stop)
+        with pytest.raises(ValueError, match="ranges only move forward"):
+            audio.read(frames - 1, frames)
+    with sc.open_wav(path) as audio:
+        audio.read(100, 200)
+        for start, stop in ((99, 300), (150, 199), (150, frames + 1)):
+            with pytest.raises(ValueError, match=re.escape(f"[{start}, {stop})")):
+                audio.read(start, stop)
+
+
+@pytest.mark.parametrize("where", ["tail", "gap", "late"])
+def test_open_wav_finds_a_non_finite_sample_outside_every_frame(where, tmp_path):
+    hop = N_FFT + 300  # frames, and so blocks of frames, leave gaps between them
+    frames = N_FFT + 70 * hop + 100  # and a tail after the last
+    samples = _noise(5, frames, 1)
+    samples[{"tail": frames - 1, "gap": (BLOCK_FRAMES - 1) * hop + N_FFT + 10,
+             "late": wavio.READ_CHUNK_BYTES // 4 + 5}[where]] = np.nan
+    path = _wav_file(tmp_path / "nan.wav", samples, 1, "float32")
+    message = re.escape(f"{path}: waveform samples must be finite")
+    with pytest.raises(AudioFileError, match=message):
+        sc.read_wav(path)
+    fb = sc.mel_filterbank(SR, N_FFT, 40)
+    for reduce in (lambda audio: sc.waveform_log_sum(audio, N_FFT, hop),
+                   lambda audio: sc.extract_waveform(audio, fb, hop=hop)):
+        with sc.open_wav(path) as audio:
+            with pytest.raises(AudioFileError, match=message):
+                reduce(audio)
+
+
+def test_open_wav_reductions_with_gaps_equal_read_wav(tmp_path):
+    hop = N_FFT + 300
+    path = _wav_file(tmp_path / "x.wav", _noise(6, N_FFT + 70 * hop + 100, 2), 2, "pcm16")
+    want = sc.waveform_log_sum(sc.read_wav(path), N_FFT, hop)
+    with sc.open_wav(path) as audio:
+        got = sc.waveform_log_sum(audio, N_FFT, hop)
+    assert np.array_equal(got.log_sum, want.log_sum)
+
+
+def test_open_wav_closes_its_file_on_a_bad_header(tmp_path):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4) + b"WAVE")
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(AudioFileError, match="missing 'fmt ' chunk"):
+        sc.open_wav(path)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_wav_rejects_non_riff(tmp_path):
@@ -256,6 +374,40 @@ def test_row_spill_keeps_each_matrix_under_concurrent_writes(tmp_path):
         sys.setswitchinterval(interval)
     for want, have in zip(matrices, reversed(got), strict=True):
         assert np.array_equal(want, have)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_row_spill_reads_and_writes_runs_of_rows(tmp_path):
+    values = np.random.default_rng(82).standard_normal((10, 3))
+    with files.RowSpill(tmp_path, [(2, 3), (10, 3)]) as spill:
+        for first in (0, 4, 7):
+            spill.write(1, values[first:first + 4], first)
+        assert np.array_equal(spill.read(1, np.empty((10, 3))), values)
+        assert np.array_equal(spill.read(1, np.empty((3, 3)), 6), values[6:9])
+        for rows, first in ((4, 7), (1, -1), (11, 0)):
+            with pytest.raises(ValueError, match=f"matrix 1 .* at row {first}"):
+                spill.read(1, np.empty((rows, 3)), first)
+
+
+def test_feature_blocks_write_the_bytes_of_the_whole_tensor(tmp_path):
+    feat = sc.FeatureTensor(np.random.default_rng(83).standard_normal((9, 4)), "per_device",
+                            "device:b", "pre_mel:b->a")
+    files.write_features(tmp_path / "whole.feat", feat)
+    files.write_feature_blocks(tmp_path / "blocks.feat", (9, 4),
+                               (feat.values[i:i + 4] for i in range(0, 9, 4)),
+                               "per_device", "device:b", "pre_mel:b->a")
+    assert (tmp_path / "blocks.feat").read_bytes() == (tmp_path / "whole.feat").read_bytes()
+
+
+def test_feature_blocks_leave_no_file_when_the_blocks_fail(tmp_path):
+    def blocks():
+        yield np.zeros((4, 3))
+        raise AudioFileError("x.wav: waveform samples must be finite")
+
+    with pytest.raises(AudioFileError):
+        files.write_feature_blocks(tmp_path / "x.feat", (9, 3), blocks())
+    with pytest.raises(ValueError, match="blocks hold 4 of 9 rows"):
+        files.write_feature_blocks(tmp_path / "x.feat", (9, 3), [np.zeros((4, 3))])
     assert list(tmp_path.iterdir()) == []
 
 
