@@ -351,6 +351,8 @@ def cmd_features(args) -> int:
 
     coeffs_by_device: dict = {}
     if args.coeffs_dir:
+        if not Path(args.coeffs_dir).is_dir():
+            raise NotADirectoryError(f"--coeffs-dir {args.coeffs_dir}: no such directory")
         for device in dict.fromkeys(row.device for row in rows):
             path = Path(args.coeffs_dir) / f"{device}.coeffs"
             if path.exists():
@@ -358,6 +360,9 @@ def cmd_features(args) -> int:
                 if coeffs.n_fft != args.n_fft:
                     raise ValueError(f"{path}: coefficients are for n_fft={coeffs.n_fft}, "
                                      f"--n-fft is {args.n_fft}")
+                if coeffs.source_device != device:
+                    raise ValueError(f"{path}: coefficients are for device "
+                                     f"{coeffs.source_device!r}, not {device!r}")
                 coeffs_by_device[device] = coeffs
             else:
                 print(f"note: no coefficients for device {device!r}, leaving it "
@@ -381,44 +386,53 @@ def cmd_features(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not args.standardize:
-        def write_raw(row, audio):
-            tag, blocks = log_mel(row, audio)
-            files.write_feature_blocks(out_dir / _feature_name(row),
-                                       (headers[row][0], args.n_mels),
-                                       (values for _, values in blocks), correction=tag)
 
+    def write_raw(row, audio):
+        tag, blocks = log_mel(row, audio)
+        return tag, files.write_feature_blocks(out_dir / _feature_name(row),
+                                               (headers[row][0], args.n_mels),
+                                               (values for _, values in blocks), correction=tag)
+
+    if not args.standardize:
         _map_files(args.manifest, rows, write_raw)
     else:
-        # Each worker writes its file's raw log-mel rows, a block at a time, to
-        # its own range of an unnamed file in --out; the statistics read them
-        # back in manifest order, then each worker scales its rows and writes
-        # its .feat file, a block at a time too.
+        # The raw pass writes every .feat file; the statistics read their rows
+        # back in manifest order; then each worker scales its own file's rows,
+        # a block at a time, into <name>.feat.part (no output name ends in
+        # .part) and replaces the raw file with it. On any error every output
+        # name is removed, so --out holds none of them.
         grouping = "per_device" if args.standardize == "per-device" else "global"
         keys = group_keys(grouping, [row.device for row in rows], len(rows))
         shapes = [(headers[row][0], args.n_mels) for row in rows]
-        index = {row: i for i, row in enumerate(rows)}
-        with files.RowSpill(out_dir, shapes) as spill:
-            def spill_raw(row, audio):
-                tag, blocks = log_mel(row, audio)
-                for first, values in blocks:
-                    spill.write(index[row], values, first)
-                return tag
-
-            tags = _map_files(args.manifest, rows, spill_raw)
-            stats = group_stats(keys, shapes, spill.read)
+        paths = [out_dir / _feature_name(row) for row in rows]
+        try:
+            raw = _map_files(args.manifest, rows, write_raw)
+            stats = group_stats(keys, shapes, lambda i, out, first: files.read_feature_rows(
+                paths[i], raw[i][1], out, first))
 
             def write_scaled(i):
+                tag, offset = raw[i]
                 buffer = np.empty((BLOCK_FRAMES, args.n_mels))
 
                 def scaled():
                     for first in range(0, shapes[i][0], BLOCK_FRAMES):
-                        values = spill.read(i, buffer[:shapes[i][0] - first], first)
+                        values = files.read_feature_rows(
+                            paths[i], offset, buffer[:shapes[i][0] - first], first)
                         yield scale_rows(values, stats[keys[i]], out=values)
-                files.write_feature_blocks(out_dir / _feature_name(rows[i]), shapes[i],
-                                           scaled(), grouping, keys[i], tags[i])
+                part = paths[i].with_name(paths[i].name + ".part")
+                files.write_feature_blocks(part, shapes[i], scaled(), grouping, keys[i], tag)
+                # Renaming over an existing file makes ext4 start writing the
+                # renamed file back at once (auto_da_alloc), which cost features
+                # about 3.5% of its wall time; a rename to a free name does not.
+                paths[i].unlink()
+                os.replace(part, paths[i])
 
             _map_ordered(write_scaled, range(len(rows)))
+        except BaseException:
+            for path in paths:
+                path.unlink(missing_ok=True)
+                path.with_name(path.name + ".part").unlink(missing_ok=True)
+            raise
     print(f"wrote {len(rows)} feature files to {out_dir}")
     return 0
 
@@ -426,6 +440,8 @@ def cmd_features(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.tolerance_db < np.inf:
+        raise ValueError(f"--tolerance-db must be finite and >= 0, got {args.tolerance_db}")
     sample_rate, n_fft, device_truth, _ = files.read_responses(
         Path(args.sim_dir) / "responses.txt")
     coeff_paths = sorted(Path(args.coeffs_dir).glob("*.coeffs"))

@@ -1,4 +1,4 @@
-"""Line-based file formats: manifests, correction coefficients, FIR filters, feature tensors, and simulator ground-truth responses; plus an unnamed spill file for float64 matrices.
+"""Line-based file formats: manifests, correction coefficients, FIR filters, feature tensors, and simulator ground-truth responses.
 
 Floating-point values are written with 17 significant digits, which
 round-trips 64-bit floats losslessly, so write -> read -> write is
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import functools
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -206,9 +205,10 @@ def write_features(path, feat: FeatureTensor) -> None:
 
 
 def write_feature_blocks(path, shape: tuple, blocks, normalization: str = "raw",
-                         stats_id: str = "", correction: str = "none") -> None:
+                         stats_id: str = "", correction: str = "none") -> int:
     """``write_features`` for a (frames x mels) tensor given as its consecutive
-    row blocks, so it is never held whole. Blocks that do not fill ``shape``
+    row blocks, so it is never held whole; returns the byte offset of the
+    payload (``read_feature_rows``). Blocks that do not fill ``shape``
     exactly raise ValueError; on any error the partial file is removed."""
     frames, mels = shape
     header = "\n".join([
@@ -220,10 +220,10 @@ def write_feature_blocks(path, shape: tuple, blocks, normalization: str = "raw",
         f"correction {correction}",
         "dtype float64-le",
         "",
-    ])
+    ]).encode("ascii")
     with open(path, "wb") as handle:
         try:
-            handle.write(header.encode("ascii"))
+            handle.write(header)
             written = 0
             for block in blocks:
                 if block.shape[1:] != (mels,) or written + len(block) > frames:
@@ -237,6 +237,25 @@ def write_feature_blocks(path, shape: tuple, blocks, normalization: str = "raw",
             handle.close()
             Path(path).unlink(missing_ok=True)
             raise
+    return len(header)
+
+
+def read_feature_rows(path, offset: int, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Read rows ``first`` on of the feature file ``path``, whose payload starts
+    at byte ``offset``, into the C-contiguous float64 matrix ``out``; return it."""
+    if out.ndim != 2 or out.dtype != np.dtype("<f8") or not out.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous float64 matrix, got {out.dtype} {out.shape}")
+    view, pos = memoryview(out).cast("B"), offset + first * out.shape[1] * 8
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        while view:
+            done = os.preadv(fd, [view], pos)
+            if not done:
+                raise ValueError(f"{path}: payload ends before row {first + len(out)}")
+            view, pos = view[done:], pos + done
+    finally:
+        os.close(fd)
+    return out
 
 
 @_names_file
@@ -269,57 +288,6 @@ def read_features(path) -> FeatureTensor:
     return FeatureTensor(values, fields["normalization"],
                          "" if stats_id == "-" else stats_id,
                          fields.get("correction", "none"))
-
-
-class RowSpill:
-    """Float64 matrices of fixed shapes kept in an unnamed temporary file.
-
-    The file is made in ``directory``, so it takes disk space on that
-    filesystem rather than memory, and the OS removes it when it is closed
-    or the process ends. Matrix i has its own byte range, fixed at creation,
-    so threads may write and read different matrices at once without a lock.
-    A matrix may be written and read whole or a run of rows at a time.
-    """
-
-    def __init__(self, directory, shapes: Sequence[tuple]):
-        self._shapes = [tuple(shape) for shape in shapes]
-        self._offsets = [0]
-        for rows, cols in self._shapes:
-            self._offsets.append(self._offsets[-1] + rows * cols * 8)
-        self._file = tempfile.TemporaryFile(dir=directory)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._file.close()
-
-    def _range(self, i: int, values: np.ndarray, first: int):
-        """(bytes view of ``values``, file offset) for rows ``first`` on of matrix i."""
-        rows, cols = self._shapes[i]
-        if values.ndim != 2 or values.shape[1] != cols or values.dtype != np.float64 \
-                or not values.flags.c_contiguous or not 0 <= first <= rows - len(values):
-            raise ValueError(f"matrix {i} is a C-contiguous float64 {self._shapes[i]}, "
-                             f"got {values.dtype} {values.shape} at row {first}")
-        return (memoryview(values.reshape(-1).view(np.uint8)),
-                self._offsets[i] + first * cols * 8)
-
-    def write(self, i: int, values: np.ndarray, first: int = 0) -> None:
-        """Store ``values`` as rows ``first`` on of matrix i."""
-        view, pos = self._range(i, values, first)
-        while view:
-            done = os.pwrite(self._file.fileno(), view, pos)
-            view, pos = view[done:], pos + done
-
-    def read(self, i: int, out: np.ndarray, first: int = 0) -> np.ndarray:
-        """Read rows ``first`` on of matrix i into ``out`` and return it."""
-        view, pos = self._range(i, out, first)
-        while view:
-            done = os.preadv(self._file.fileno(), [view], pos)
-            if not done:
-                raise OSError(f"spill file ends before matrix {i} is complete")
-            view, pos = view[done:], pos + done
-        return out
 
 
 # -- simulator ground truth ------------------------------------------------------

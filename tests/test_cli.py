@@ -695,6 +695,58 @@ def test_features_standardize_leaves_empty_out_for_a_bad_last_file(tmp_path, mon
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_features_standardize_leaves_empty_out_when_scaling_fails(step, sim_dir, tmp_path,
+                                                                  monkeypatch, capsys):
+    """The last file's scaled write, or the rename of its .part file to the
+    output name, fails after every raw file exists: no .feat and no .part
+    file is left."""
+    rows = files.read_manifest(sim_dir / "manifest.tsv")
+    names = [Path(row.path).stem + ".feat" for row in rows]
+    last = names[-1] + ".part"
+    out = tmp_path / "f"
+    write, replace = files.write_feature_blocks, os.replace
+
+    def full_disk(blocks):
+        yield next(blocks)
+        raise OSError(28, "No space left on device")
+
+    def failing_write(path, shape, blocks, *args, **kwargs):
+        if path.name == last:
+            assert all((out / name).exists() for name in names)  # the raw pass is done
+            blocks = full_disk(blocks)
+        return write(path, shape, blocks, *args, **kwargs)
+
+    def failing_replace(src, dst):
+        if Path(src).name == last:
+            assert (out / last).exists()
+            raise OSError(28, "No space left on device")
+        return replace(src, dst)
+
+    if step == "write":
+        monkeypatch.setattr(files, "write_feature_blocks", failing_write)
+    else:
+        monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"), "--standardize",
+                 "per-device", "--n-mels", "32", "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_features_standardize_failure_keeps_unrelated_files_in_out(nan_manifest, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("notes.txt", "other.feat"):
+        (out / name).write_text("kept\n")
+    assert main(["features", "--n-mels", "32", "--standardize", "global",
+                 "--manifest", str(nan_manifest), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "other.feat"]
+    assert (out / "other.feat").read_text() == "kept\n"
+
+
 @pytest.fixture(scope="module")
 def length_manifests(tmp_path_factory):
     """Manifests of one 3 s and of one 30 s recording by each of devices a and b."""
@@ -808,6 +860,34 @@ def test_features_rejects_coefficients_of_another_sample_rate(sim_dir, tmp_path,
     assert str(path) in err and "48000 Hz" in err and f"{SR} Hz" in err
 
 
+def test_features_rejects_coefficients_of_another_device(sim_dir, tmp_path, capsys):
+    coeffs_dir = tmp_path / "c"
+    assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--reference-device", "a", "--aligned", "--out", str(coeffs_dir)]) == 0
+    path = coeffs_dir / "a.coeffs"
+    path.write_bytes((coeffs_dir / "b.coeffs").read_bytes())
+    capsys.readouterr()
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--coeffs-dir", str(coeffs_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: coefficients are for device 'b', "
+                                       "not 'a'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_features_rejects_a_coefficients_dir_that_is_not_a_directory(kind, sim_dir, tmp_path,
+                                                                     capsys):
+    coeffs_dir = tmp_path / "c"
+    if kind == "file":
+        coeffs_dir.write_text("")
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"),
+                 "--coeffs-dir", str(coeffs_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --coeffs-dir {coeffs_dir}: no such directory\n"
+    assert not out.exists()
+
+
 def test_features_checks_coefficients_n_fft_before_reading_audio(tmp_path, capsys):
     (tmp_path / "x.wav").write_bytes(b"not a wav file")  # would exit 2 if read
     manifest = tmp_path / "m.tsv"
@@ -918,6 +998,15 @@ def test_verify_names_the_coefficients_it_cannot_score(name, sim_dir, tmp_path, 
     files.write_coefficients(path, coeffs)
     assert main(["verify", "--sim-dir", str(sim_dir), "--coeffs-dir", str(path.parent)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-0.5"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(tolerance, sim_dir,
+                                                                        tmp_path, capsys):
+    assert main(["verify", "--sim-dir", str(sim_dir), "--coeffs-dir", str(tmp_path),
+                 f"--tolerance-db={tolerance}"]) == 1
+    assert capsys.readouterr().err == ("error: --tolerance-db must be finite and >= 0, "
+                                       f"got {float(tolerance)}\n")
 
 
 def test_verify_names_an_empty_coefficients_directory(sim_dir, tmp_path, capsys):

@@ -1,9 +1,7 @@
 import os
 import re
 import struct
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -355,40 +353,6 @@ def test_features_file_field_without_value_names_it(tmp_path):
         files.read_features(path)
 
 
-def test_row_spill_keeps_each_matrix_under_concurrent_writes(tmp_path):
-    rng = np.random.default_rng(81)
-    shapes = [(int(rows), 7) for rows in rng.integers(0, 40, size=64)]
-    matrices = [rng.standard_normal(shape) for shape in shapes]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with files.RowSpill(tmp_path, shapes) as spill:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(spill.write, range(len(shapes)), matrices, timeout=60))
-                got = list(pool.map(lambda i: spill.read(i, np.empty(shapes[i])),
-                                    reversed(range(len(shapes))), timeout=60))
-            assert list(tmp_path.iterdir()) == []
-            with pytest.raises(ValueError, match="matrix 3"):
-                spill.read(3, np.empty((shapes[3][0] + 1, 7)))
-    finally:
-        sys.setswitchinterval(interval)
-    for want, have in zip(matrices, reversed(got), strict=True):
-        assert np.array_equal(want, have)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_row_spill_reads_and_writes_runs_of_rows(tmp_path):
-    values = np.random.default_rng(82).standard_normal((10, 3))
-    with files.RowSpill(tmp_path, [(2, 3), (10, 3)]) as spill:
-        for first in (0, 4, 7):
-            spill.write(1, values[first:first + 4], first)
-        assert np.array_equal(spill.read(1, np.empty((10, 3))), values)
-        assert np.array_equal(spill.read(1, np.empty((3, 3)), 6), values[6:9])
-        for rows, first in ((4, 7), (1, -1), (11, 0)):
-            with pytest.raises(ValueError, match=f"matrix 1 .* at row {first}"):
-                spill.read(1, np.empty((rows, 3)), first)
-
-
 def test_feature_blocks_write_the_bytes_of_the_whole_tensor(tmp_path):
     feat = sc.FeatureTensor(np.random.default_rng(83).standard_normal((9, 4)), "per_device",
                             "device:b", "pre_mel:b->a")
@@ -397,6 +361,21 @@ def test_feature_blocks_write_the_bytes_of_the_whole_tensor(tmp_path):
                                (feat.values[i:i + 4] for i in range(0, 9, 4)),
                                "per_device", "device:b", "pre_mel:b->a")
     assert (tmp_path / "blocks.feat").read_bytes() == (tmp_path / "whole.feat").read_bytes()
+
+
+def test_feature_rows_read_runs_of_rows_at_the_payload_offset(tmp_path):
+    values = np.random.default_rng(82).standard_normal((10, 3))
+    path = tmp_path / "x.feat"
+    offset = files.write_feature_blocks(path, (10, 3), [values[:4], values[4:]],
+                                        correction="pre_mel:b->a")
+    assert path.read_bytes()[offset:] == values.astype("<f8").tobytes()
+    assert np.array_equal(files.read_feature_rows(path, offset, np.empty((10, 3))), values)
+    assert np.array_equal(files.read_feature_rows(path, offset, np.empty((3, 3)), 6),
+                          values[6:9])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload ends before row 11")):
+        files.read_feature_rows(path, offset, np.empty((4, 3)), 7)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        files.read_feature_rows(path, offset, np.empty((3, 6))[:, ::2])
 
 
 def test_feature_blocks_leave_no_file_when_the_blocks_fail(tmp_path):
