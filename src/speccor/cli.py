@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import os
 import re
 import sys
@@ -187,14 +188,35 @@ def cmd_estimate(args) -> int:
 
 # -- apply / design-fir / filter -----------------------------------------------
 
+def _write_wavs(paths, sample_rate, length, blocks) -> None:
+    """Write row k of each (files x samples) block of ``blocks`` to the WAV file
+    paths[k] as it arrives (``wavio.create_wav``); on an error no file of
+    ``paths`` is left."""
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(wavio.create_wav(path, sample_rate, length))
+                for path in paths]
+        for block in blocks:
+            for out, samples in zip(outs, block):
+                out.write(samples)
+
+
 def cmd_apply(args) -> int:
+    if args.hop < 0:
+        raise ValueError(f"--hop must be >= 1, or 0 for n_fft/4, got {args.hop}")
     coeffs = files.read_coefficients(args.coeffs)
-    wave = wavio.read_wav(args.input)
-    if wave.sample_rate != coeffs.sample_rate:
-        raise ValueError(f"sample_rate mismatch: audio is {wave.sample_rate} Hz, "
-                         f"coefficients are for {coeffs.sample_rate} Hz")
-    hop = args.hop if args.hop else coeffs.n_fft // 4
-    wavio.write_wav(args.out, dsp.apply_gains(wave, [coeffs.gains], coeffs.n_fft, hop)[0])
+    hop = args.hop or coeffs.n_fft // 4
+    # Every check is made before --out is created; the output is then written
+    # while the input is read, a block of frames at a time.
+    with wavio.open_wav(args.input) as audio:
+        if audio.sample_rate != coeffs.sample_rate:
+            raise ValueError(f"sample_rate mismatch: audio is {audio.sample_rate} Hz, "
+                             f"coefficients are for {coeffs.sample_rate} Hz")
+        try:
+            dsp.frame_count(len(audio), coeffs.n_fft, hop)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}: {exc}") from None
+        blocks = dsp.shaped_blocks(audio, [coeffs.gains], coeffs.n_fft, hop)
+        _write_wavs([args.out], audio.sample_rate, len(audio), blocks)
     print(f"wrote {args.out}")
     return 0
 
@@ -309,15 +331,15 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each worker generates one unit (an aligned group or one recording),
-    # writes its WAVs and keeps only their manifest rows.
+    # Each worker draws one unit's source (an aligned group or one recording),
+    # streams its WAVs block by block and keeps only their manifest rows.
     def write_unit(unit):
-        rows = []
-        for rec in simulate.generate_unit(cfg, unit):
-            name = f"{rec.recording_id}.wav"
-            wavio.write_wav(out_dir / name, rec.waveform)
-            rows.append(files.ManifestRow(name, rec.device_id, rec.group_id))
-        return rows
+        clean, recordings, curves = simulate.unit_plan(cfg, unit)
+        names = [f"{recording_id}.wav" for recording_id, _, _ in recordings]
+        _write_wavs([out_dir / name for name in names], cfg.sample_rate, len(clean),
+                    dsp.shaped_blocks(clean, curves, cfg.n_fft, cfg.hop))
+        return [files.ManifestRow(name, device, group)
+                for name, (_, device, group) in zip(names, recordings)]
 
     rows = [row for unit_rows in _map_ordered(write_unit, simulate.dataset_units(cfg))
             for row in unit_rows]
@@ -444,6 +466,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tolerance-db must be finite and >= 0, got {args.tolerance_db}")
     sample_rate, n_fft, device_truth, _ = files.read_responses(
         Path(args.sim_dir) / "responses.txt")
+    if not Path(args.coeffs_dir).is_dir():
+        raise NotADirectoryError(f"--coeffs-dir {args.coeffs_dir}: no such directory")
     coeff_paths = sorted(Path(args.coeffs_dir).glob("*.coeffs"))
     if not coeff_paths:
         raise ValueError(f"no *.coeffs files found in {args.coeffs_dir}")

@@ -214,20 +214,20 @@ def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int, hop: int) -> N
         out[first + j:first + j + part.shape[0], :part.shape[1]] += part
 
 
-def _window_sum(win: np.ndarray, frames: int, hop: int, length: int = 0) -> np.ndarray:
+def _window_sum(win: np.ndarray, frames: int, hop: int) -> np.ndarray:
     """Overlap-add of the squared window over ``frames`` frames, in a rows x hop
-    buffer with room for ``length`` samples too; the zero rows past the last
-    frame pad the output."""
+    buffer."""
     n_fft = win.size
-    scale = np.zeros((max(frames - 1 + -(-n_fft // hop), -(-length // hop)), hop))
+    scale = np.zeros((frames - 1 + -(-n_fft // hop), hop))
     _overlap_add(scale, np.broadcast_to(win * win, (frames, n_fft)), 0, hop)
     return scale
 
 
-def _normalize(acc: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _normalize(acc: np.ndarray, scale: np.ndarray, peak: float) -> np.ndarray:
     """Divide an overlap-add sum by the summed squared window ``scale`` in place
-    and return it; samples with almost no window weight become 0."""
-    valid = scale > 1e-11 * scale.max()
+    and return it; samples whose window weight is at most 1e-11 of the whole
+    sum's maximum ``peak`` become 0. ``scale`` broadcasts against ``acc``."""
+    valid = scale > 1e-11 * peak
     np.divide(acc, scale, out=acc, where=valid)
     np.copyto(acc, 0.0, where=~valid)
     return acc
@@ -323,7 +323,7 @@ def istft(c: ComplexSpectrogram) -> Waveform:
     scale = _window_sum(win, c.frames, c.hop)
     acc = np.zeros_like(scale)
     _overlap_add(acc, np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win, 0, c.hop)
-    out = _normalize(acc.ravel(), scale.ravel())
+    out = _normalize(acc.ravel(), scale.ravel(), scale.max())
     return Waveform(out[:(c.frames - 1) * c.hop + c.n_fft], c.sample_rate)
 
 
@@ -334,27 +334,77 @@ def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
     For each curve the result equals ``istft`` of ``stft(w, n_fft, hop)`` with
     its bins multiplied by the curve, zero-padded back to ``len(w)``, bit for
     bit. The analysis runs once for all curves, and BLOCK_FRAMES frames at a
-    time, so no whole spectrogram is ever held. Returns one waveform per curve.
+    time (``shaped_blocks``), so no whole spectrogram is ever held. Returns
+    one waveform per curve.
     """
-    _analysis_window(len(w), n_fft, hop, window)
+    curves = list(curves)
+    outs = np.empty((len(curves), len(w)))
+    done = 0
+    for block in shaped_blocks(w, curves, n_fft, hop, window):
+        outs[:, done:done + block.shape[1]] = block
+        done += block.shape[1]
+    return [Waveform(out, w.sample_rate) for out in outs]
+
+
+def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str = "hann"):
+    """``apply_gains`` of a Waveform or an open WAV, as consecutive blocks of
+    finished output samples.
+
+    Checks its arguments at once, then returns an iterator of (curves x
+    samples) matrices in order; joined along their columns, they are
+    ``apply_gains``' outputs bit for bit. Frame t adds to the output rows
+    (hop samples each) t to t + ceil(n_fft / hop) - 1 only, so once the
+    frames [first, first + rows) are added, the rows below first + rows get
+    no more terms: they are normalized and handed out. The overlap-add sums
+    and the window sum, added block by block in frame order as the whole
+    sums would be, live in buffers of BLOCK_FRAMES + ceil(n_fft / hop) rows
+    however long the input is. Every block is a view of one buffer that the
+    next block overwrites, so the caller must not keep it.
+    """
+    _analysis_window(len(audio), n_fft, hop, window)
     win = _synthesis_window(window, n_fft, hop)
     curves = [np.asarray(gains, dtype=np.float64) for gains in curves]
     for gains in curves:
         if gains.shape != (n_fft // 2 + 1,):
             raise ValueError(f"gain curve has shape {gains.shape}, n_fft={n_fft} "
                              f"needs ({n_fft // 2 + 1},)")
-    scale = _window_sum(win, frame_count(len(w), n_fft, hop), hop, len(w))
-    accs = [np.zeros_like(scale) for _ in curves]
+    frames, span = frame_count(len(audio), n_fft, hop), -(-n_fft // hop)
+    # Every row of the whole window sum is a row of this one, which holds a
+    # start, a middle that every phase covers, and an end.
+    peak = _window_sum(win, min(frames, 2 * span), hop).max()
     # At least one frame per phase, so a block costs no more Python steps
     # than the frames it holds.
-    step = max(BLOCK_FRAMES, -(-n_fft // hop))
-    for first, bins, scratch in _spectrum_blocks(w, win, hop, step):
-        shaped = scratch[:2 * bins.size].view(np.complex128).reshape(bins.shape)
-        for acc, gains in zip(accs, curves):
-            out = np.fft.irfft(np.multiply(bins, gains, out=shaped), n=n_fft, axis=1)
-            _overlap_add(acc, np.multiply(out, win, out=out), first, hop)
-    return [Waveform(_normalize(acc.ravel(), scale.ravel())[:len(w)], w.sample_rate)
-            for acc in accs]
+    step = max(BLOCK_FRAMES, span)
+
+    def blocks():
+        scale = np.zeros((step + span, hop))
+        accs = np.zeros((len(curves), step + span, hop))
+        squared = np.broadcast_to(win * win, (step, n_fft))
+        inverse = np.empty((step, n_fft))
+
+        def finished(rows):
+            _normalize(accs[:, :rows], scale[:rows], peak)
+            return accs[:, :rows].reshape(len(curves), rows * hop)
+
+        for _, bins, scratch in _spectrum_blocks(audio, win, hop, step):
+            rows = bins.shape[0]
+            _overlap_add(scale, squared[:rows], 0, hop)
+            shaped = scratch[:2 * bins.size].view(np.complex128).reshape(bins.shape)
+            for acc, gains in zip(accs, curves):
+                out = np.fft.irfft(np.multiply(bins, gains, out=shaped), n=n_fft, axis=1,
+                                   out=inverse[:rows])
+                _overlap_add(acc, np.multiply(out, win, out=out), 0, hop)
+            yield finished(rows)
+            # The rows the next block's frames add to move to the top.
+            for buf in (scale, accs.swapaxes(0, 1)):
+                buf[:span - 1] = buf[rows:rows + span - 1]
+                buf[span - 1:] = 0.0
+        # The last frames' rows, then the zero rows that pad to len(audio):
+        # fewer than hop samples lie past the last frame's rows.
+        tail = len(audio) - frames * hop
+        if tail:
+            yield finished(-(-tail // hop))[:, :tail]
+    return blocks()
 
 
 def amplitude(c: ComplexSpectrogram) -> AmplitudeSpectrogram:

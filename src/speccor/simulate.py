@@ -248,7 +248,8 @@ def _make_source(rng: np.random.Generator, kind: str, num_samples: int,
     else:
         raise ValueError(f"source must be one of {SOURCES}, got {kind!r}")
     rms = np.sqrt(np.mean(samples ** 2))
-    return Waveform(samples * (0.1 / rms), sample_rate)
+    samples *= 0.1 / rms
+    return Waveform(samples, sample_rate)
 
 
 def dataset_units(cfg: SimConfig) -> list:
@@ -260,13 +261,13 @@ def dataset_units(cfg: SimConfig) -> list:
             for i in range(cfg.num_recordings)]
 
 
-def generate_unit(cfg: SimConfig, unit) -> tuple:
-    """The recordings of one of ``dataset_units(cfg)``.
+def unit_plan(cfg: SimConfig, unit) -> tuple:
+    """(clean source, recordings, gain curves) of one of ``dataset_units(cfg)``.
 
-    A unit's clean source is analysed once and shaped by its devices' gains:
-    every device for an aligned group, one device for an unaligned unit,
-    which records a fresh source. Per-recording seeds derive from (seed,
-    indices), so units can be generated in any order.
+    Recording k is (recording id, device id, group id) and is the source
+    shaped by curve k: every device for an aligned group, one device for an
+    unaligned unit, which records a fresh source. Per-recording seeds derive
+    from (seed, indices), so units can be generated in any order.
     """
     d_idx, i = unit
     num_samples = int(round(cfg.duration * cfg.sample_rate))
@@ -277,10 +278,17 @@ def generate_unit(cfg: SimConfig, unit) -> tuple:
         seed, devices, group = [cfg.seed, d_idx, i], cfg.devices[d_idx:d_idx + 1], None
     clean = _make_source(np.random.default_rng(seed), cfg.source, num_samples,
                          cfg.sample_rate)
-    waves = dsp.apply_gains(clean, [_chain_gains(env, dev) for dev in devices],
-                            cfg.n_fft, cfg.hop)
-    return tuple(SimRecording(f"{group}_{dev.name}" if group else f"{dev.name}_{i:04d}",
-                              dev.name, group, wave) for dev, wave in zip(devices, waves))
+    recordings = [(f"{group}_{dev.name}" if group else f"{dev.name}_{i:04d}", dev.name, group)
+                  for dev in devices]
+    return clean, recordings, [_chain_gains(env, dev) for dev in devices]
+
+
+def generate_unit(cfg: SimConfig, unit) -> tuple:
+    """The recordings of one of ``dataset_units(cfg)``: its ``unit_plan``'s
+    source, analysed once and shaped by every curve (``dsp.apply_gains``)."""
+    clean, recordings, curves = unit_plan(cfg, unit)
+    waves = dsp.apply_gains(clean, curves, cfg.n_fft, cfg.hop)
+    return tuple(SimRecording(*ids, wave) for ids, wave in zip(recordings, waves))
 
 
 def generate_dataset(cfg: SimConfig) -> SimDataset:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -23,6 +24,10 @@ MAX_FLOAT32_SAMPLES = (2**32 - 1 - 36) // 4
 # with no system call, and a stream holds less than read_wav's result for a
 # 3 s file.
 READ_CHUNK_BYTES = 1 << 19
+
+# Samples a create_wav stream converts at a time into its one buffer: one
+# 64-frame STFT block at hop 512, 128 KiB as float32.
+WRITE_CHUNK_SAMPLES = 1 << 15
 
 
 class AudioFileError(Exception):
@@ -236,27 +241,97 @@ def read_wav(path) -> Waveform:
         return Waveform(audio.read(0, len(audio)), audio.sample_rate)
 
 
+class create_wav:
+    """Create a mono WAV file of ``samples`` samples and write its audio
+    forward in blocks: the dual of ``open_wav``.
+
+    The length is known, so the header goes first; ``write(block)`` appends
+    the block's float64 samples, converted as ``write_wav`` converts them,
+    WRITE_CHUNK_SAMPLES at a time through one reused buffer. The file is
+    written as ``<path>.part`` and renamed to ``path`` when the context exits
+    cleanly with exactly ``samples`` samples written, so ``path`` may be a
+    file still being read. On any error, and on too few or too many samples,
+    the ``.part`` file is removed. Use it as a context manager,
+    ``with create_wav(path, rate, n) as out: out.write(block)``.
+    """
+
+    def __init__(self, path, sample_rate: int, samples: int, encoding: str = "float32"):
+        if encoding == "float32":
+            audio_format, dtype = _IEEE_FLOAT, np.dtype("<f4")
+        elif encoding == "pcm16":
+            audio_format, dtype = _PCM, np.dtype("<i2")
+        else:
+            raise ValueError(f"encoding must be 'float32' or 'pcm16', got {encoding!r}")
+        width = dtype.itemsize
+        # The RIFF size field (32 bits) counts 36 header bytes and the payload.
+        if not 0 <= samples <= (2**32 - 1 - 36) // width:
+            raise ValueError(f"{path}: {samples} samples do not fit a {encoding} WAV file")
+        if not 0 < sample_rate * width < 2**32:
+            raise ValueError(f"{path}: sample rate {sample_rate} Hz does not fit a WAV header")
+        payload = samples * width
+        fmt = struct.pack("<HHIIHH", audio_format, 1, sample_rate, sample_rate * width,
+                          width, 8 * width)
+        header = b"RIFF" + struct.pack("<I", 36 + payload + (payload & 1)) + b"WAVE" \
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", payload)
+        self.path, self.samples = path, samples
+        self._part = f"{os.fspath(path)}.part"
+        self._buf = np.empty(min(max(samples, 1), WRITE_CHUNK_SAMPLES), dtype)
+        self._written = 0
+        self._file = open(self._part, "wb")
+        self._file.write(header)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+    def write(self, block: np.ndarray) -> None:
+        """Append the samples of the 1-D float64 array ``block``."""
+        if self._written + block.size > self.samples:
+            raise ValueError(f"{self.path}: {self._written + block.size} samples written "
+                             f"to a file of {self.samples}")
+        for start in range(0, block.size, self._buf.size):
+            part = block[start:start + self._buf.size]
+            out = self._buf[:part.size]
+            if out.dtype.kind == "f":
+                np.copyto(out, part)
+            else:  # pcm16: round to the nearest step, clip at full scale
+                np.clip(np.rint(part * 32768.0), -32768, 32767, out=out, casting="unsafe")
+            self._file.write(out)
+        self._written += block.size
+
+    def close(self) -> None:
+        """Finish the file and rename it to ``path``; a file short of samples is
+        removed and raises ValueError."""
+        if self._file.closed:
+            return
+        try:
+            if self._written != self.samples:
+                raise ValueError(f"{self.path}: {self._written} samples written to a file "
+                                 f"of {self.samples}")
+            if self._written * self._buf.itemsize & 1:
+                self._file.write(b"\x00")  # chunks are word-aligned
+            self._file.close()
+            os.replace(self._part, self.path)
+        except BaseException:
+            self.discard()
+            raise
+
+    def discard(self) -> None:
+        """Close and remove the ``.part`` file; ``path`` is left as it was."""
+        self._file.close()
+        Path(self._part).unlink(missing_ok=True)
+
+
 def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
-    """Write a mono WAV file.
+    """Write a mono WAV file: a ``create_wav`` stream fed once.
 
     float32 is bit-exact for round trips; pcm16 rounds to the nearest
     integer step and clips at full scale.
     """
-    if encoding == "float32":
-        audio_format, bits = _IEEE_FLOAT, 32
-        payload = w.samples.astype("<f4").tobytes()
-    elif encoding == "pcm16":
-        audio_format, bits = _PCM, 16
-        ints = np.clip(np.rint(w.samples * 32768.0), -32768, 32767)
-        payload = ints.astype("<i2").tobytes()
-    else:
-        raise ValueError(f"encoding must be 'float32' or 'pcm16', got {encoding!r}")
-
-    block_align = bits // 8
-    fmt = struct.pack("<HHIIHH", audio_format, 1, w.sample_rate,
-                      w.sample_rate * block_align, block_align, bits)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
-        + b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        body += b"\x00"
-    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with create_wav(path, w.sample_rate, len(w), encoding) as out:
+        out.write(w.samples)

@@ -260,6 +260,47 @@ def test_apply_rejects_sample_rate_mismatch(tmp_path, capsys):
     assert "sample_rate mismatch" in capsys.readouterr().err
 
 
+def _random_coefficients(path, sample_rate=SR):
+    gains = np.exp(np.random.default_rng(92).uniform(-1.0, 1.0, N_FFT // 2 + 1))
+    files.write_coefficients(path, sc.CorrectionCoefficients(gains, N_FFT, sample_rate, "b",
+                                                             "a", 1, "aligned"))
+    return path
+
+
+APPLY_ERRORS = {
+    "hop-negative": (["--hop=-5"], 0.1, SR, "--hop must be >= 1, or 0 for n_fft/4, got -5"),
+    "hop-not-invertible": (["--hop", str(N_FFT)], 0.1, SR,
+                           "reconstruction condition violated"),
+    "sample-rate": ([], 0.1, 48000, "sample_rate mismatch: audio is 44100 Hz, "
+                                    "coefficients are for 48000 Hz"),
+    "too-short": ([], 0.01, SR, "in.wav: input too short: 441 samples < n_fft=2048"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPLY_ERRORS))
+def test_apply_checks_everything_before_creating_out(name, tmp_path, capsys):
+    flags, seconds, coeffs_rate, message = APPLY_ERRORS[name]
+    coeffs = _random_coefficients(tmp_path / "c.coeffs", coeffs_rate)
+    sc.write_wav(tmp_path / "in.wav", white_waveform(93, seconds=seconds))
+    assert main(["apply", "--coeffs", str(coeffs), "--in", str(tmp_path / "in.wav"),
+                 "--out", str(tmp_path / "out.wav"), *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs", "in.wav"]
+
+
+def test_apply_in_place_writes_the_bytes_of_another_path(tmp_path):
+    coeffs = _random_coefficients(tmp_path / "c.coeffs")
+    sc.write_wav(tmp_path / "x.wav", white_waveform(94, seconds=2.0))
+    sc.write_wav(tmp_path / "y.wav", white_waveform(94, seconds=2.0))
+    for target in ("other.wav", "x.wav"):
+        assert main(["apply", "--coeffs", str(coeffs), "--in", str(tmp_path / "x.wav"),
+                     "--out", str(tmp_path / target)]) == 0
+    assert (tmp_path / "x.wav").read_bytes() == (tmp_path / "other.wav").read_bytes()
+    assert (tmp_path / "x.wav").read_bytes() != (tmp_path / "y.wav").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs", "other.wav", "x.wav",
+                                                          "y.wav"]
+
+
 @pytest.mark.parametrize("command,flags,message", [
     ("features", ["--hop", "0"], "--hop must be >= 1, got 0"),
     ("features", ["--n-fft", "1001"], "--n-fft must be an even integer >= 16, got 1001"),
@@ -516,6 +557,43 @@ def test_simulate_peak_memory_does_not_grow_with_the_groups(tmp_path, monkeypatc
     assert peaks[6] - peaks[2] < recording_bytes, peaks
 
 
+def test_simulate_gives_the_same_bytes_on_every_run(tmp_path, monkeypatch):
+    config = tmp_path / "sim.cfg"
+    config.write_text(SIM_THREAD_CONFIGS["aligned-environments"])
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    trees = []
+    for run in range(3):
+        out = tmp_path / str(run)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    assert len(trees[0]) == 3 * 3 + 2 and not any(name.endswith(".part") for name in trees[0])
+
+
+def test_simulate_streams_each_device_to_its_file(tmp_path, monkeypatch):
+    """A group of 3 devices holds one block set per extra device, not its
+    full-length outputs (a 20 s float64 recording is 7 MB)."""
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+
+    def simulate(devices, out):
+        config = tmp_path / f"sim{out}.cfg"
+        config.write_text(f"[sim]\nseed = 8\nnum_recordings = 1\nduration = 20.0\n"
+                          f"aligned = true\ndevices = {devices}\n")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+
+    simulate("a", "warm")
+    peaks = {}
+    for devices in ("a", "a b c"):
+        tracemalloc.start()
+        try:
+            simulate(devices, str(len(devices)))
+            peaks[devices] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block_set = sc.dsp.BLOCK_FRAMES * 8 * (2 * N_FFT + 2 * 2 * (N_FFT // 2 + 1))
+    assert peaks["a b c"] - peaks["a"] < 2 * block_set, peaks
+
+
 BAD_SIM_CONFIGS = {
     "no-section-header": ("seed = 1\n", "[sim]:"),
     "duplicate-section": ("[sim]\nseed = 1\n[sim]\nseed = 2\n", "[sim]:"),
@@ -711,11 +789,16 @@ def test_features_standardize_leaves_empty_out_when_scaling_fails(step, sim_dir,
         yield next(blocks)
         raise OSError(28, "No space left on device")
 
-    def failing_write(path, shape, blocks, *args, **kwargs):
+    raw_written = set()
+
+    def failing_write(path, shape, blocks, normalization="raw", *args, **kwargs):
         if path.name == last:
-            assert all((out / name).exists() for name in names)  # the raw pass is done
+            assert raw_written == set(names)  # the raw pass is done
             blocks = full_disk(blocks)
-        return write(path, shape, blocks, *args, **kwargs)
+        offset = write(path, shape, blocks, normalization, *args, **kwargs)
+        if normalization == "raw":
+            raw_written.add(path.name)
+        return offset
 
     def failing_replace(src, dst):
         if Path(src).name == last:
@@ -789,6 +872,26 @@ def test_peak_memory_is_independent_of_recording_length(command, length_manifest
     assert peaks[30] - peaks[3] < wavio.READ_CHUNK_BYTES, peaks
 
 
+def test_apply_peak_memory_is_independent_of_recording_length(length_manifests, tmp_path):
+    coeffs = _random_coefficients(tmp_path / "c.coeffs")
+
+    def apply(seconds, out):
+        wav = length_manifests[seconds].parent / f"b{seconds}.wav"
+        assert main(["apply", "--coeffs", str(coeffs), "--in", str(wav),
+                     "--out", str(tmp_path / out)]) == 0
+
+    apply(3, "warm.wav")
+    peaks = {}
+    for seconds in (3, 30):
+        tracemalloc.start()
+        try:
+            apply(seconds, f"{seconds}.wav")
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[30] - peaks[3] < wavio.READ_CHUNK_BYTES, peaks
+
+
 def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
@@ -831,6 +934,19 @@ def test_a_non_finite_sample_mid_stream_exits_2_and_writes_nothing(command, nan_
         assert not (out / "r1.feat").exists()
     else:
         assert list(out.iterdir()) == []
+
+
+def test_apply_of_a_non_finite_sample_mid_stream_leaves_no_out(nan_manifest, tmp_path,
+                                                               capsys):
+    coeffs = _random_coefficients(tmp_path / "c.coeffs")
+    out = tmp_path / "out.wav"
+    before = _open_fds()
+    assert main(["apply", "--coeffs", str(coeffs), "--in", str(tmp_path / "r1.wav"),
+                 "--out", str(out)]) == 2
+    assert _open_fds() == before
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'r1.wav'}: waveform samples "
+                                       "must be finite\n")
+    assert not out.exists() and not (tmp_path / "out.wav.part").exists()
 
 
 @pytest.mark.parametrize("command", [["estimate", "--reference-device", "a"],
@@ -1007,6 +1123,12 @@ def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(toleranc
                  f"--tolerance-db={tolerance}"]) == 1
     assert capsys.readouterr().err == ("error: --tolerance-db must be finite and >= 0, "
                                        f"got {float(tolerance)}\n")
+
+
+def test_verify_rejects_a_missing_coefficients_directory(sim_dir, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["verify", "--sim-dir", str(sim_dir), "--coeffs-dir", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: --coeffs-dir {missing}: no such directory\n"
 
 
 def test_verify_names_an_empty_coefficients_directory(sim_dir, tmp_path, capsys):

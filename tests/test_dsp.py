@@ -169,11 +169,12 @@ def test_apply_gains_makes_no_full_length_temporaries():
         tracemalloc.stop()
     full = len(w) * 8
     # Windowed frames and their inverse transforms, the spectrum and its
-    # shaped copy: BLOCK_FRAMES rows each.
-    block_set = BLOCK_FRAMES * 8 * (2 * N_FFT + 2 * 2 * (N_FFT // 2 + 1))
-    # The outputs, the window sum, one block set, and boolean masks and
-    # checks worth half a float array.
-    assert peak < (len(curves) + 1) * full + block_set + full / 2, peak / full
+    # shaped copy: BLOCK_FRAMES rows each; and each curve's overlap-add sum
+    # and the window sum, BLOCK_FRAMES + N_FFT / HOP rows of HOP samples each.
+    block_set = BLOCK_FRAMES * 8 * (2 * N_FFT + 2 * 2 * (N_FFT // 2 + 1)) \
+        + (len(curves) + 1) * (BLOCK_FRAMES + N_FFT // HOP) * HOP * 8
+    # The outputs and one block set: no full-length sum or mask.
+    assert peak < len(curves) * full + block_set, (peak - len(curves) * full) / block_set
 
 
 def test_amplitude_modulus_and_phase_invariance():

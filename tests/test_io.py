@@ -268,6 +268,87 @@ def test_wav_write_rejects_unknown_encoding(tmp_path):
                      encoding="mp3")
 
 
+def _reference_wav_bytes(w, encoding):
+    """A mono WAV file built whole: header fields packed around the converted payload."""
+    if encoding == "float32":
+        audio_format, bits, payload = 3, 32, w.samples.astype("<f4").tobytes()
+    else:
+        audio_format, bits = 1, 16
+        payload = np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", audio_format, 1, w.sample_rate, w.sample_rate * bits // 8,
+                      bits // 8, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+        + b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 1001, 1002, 3 * wavio.WRITE_CHUNK_SAMPLES + 7])
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_wav_stream_writes_the_bytes_of_the_whole_file(encoding, length, tmp_path):
+    samples = np.random.default_rng(length).standard_normal(length) * 0.6
+    samples[:2] = [-0.0, 1.5][:length]  # a negative zero, and a clipped sample
+    w = sc.Waveform(samples, SR)
+    want = _reference_wav_bytes(w, encoding)
+    sc.write_wav(tmp_path / "whole.wav", w, encoding)
+    assert (tmp_path / "whole.wav").read_bytes() == want
+    with sc.create_wav(tmp_path / "blocks.wav", SR, length, encoding) as out:
+        for start, stop in [(0, 0), (0, length // 3), (length // 3, length)]:
+            out.write(samples[start:stop])
+    assert (tmp_path / "blocks.wav").read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.wav", "whole.wav"]
+
+
+@pytest.mark.parametrize("fed", [999, 1001])
+def test_wav_stream_fed_too_few_or_too_many_samples_leaves_no_file(fed, tmp_path):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {fed} samples written to a "
+                                                   "file of 1000")):
+        with sc.create_wav(path, SR, 1000) as out:
+            out.write(np.zeros(fed))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wav_stream_leaves_no_file_when_its_blocks_fail(tmp_path):
+    (tmp_path / "x.wav").write_bytes(b"kept")
+    with pytest.raises(OSError, match="No space left"):
+        with sc.create_wav(tmp_path / "x.wav", SR, 1000) as out:
+            out.write(np.zeros(500))
+            raise OSError(28, "No space left on device")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
+    assert (tmp_path / "x.wav").read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_wav_stream_rejects_a_length_its_size_field_cannot_hold(encoding, tmp_path):
+    width = 4 if encoding == "float32" else 2
+    most = (2**32 - 1 - 36) // width
+    assert encoding == "pcm16" or most == wavio.MAX_FLOAT32_SAMPLES
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {most + 1} samples do not fit")):
+        sc.create_wav(path, SR, most + 1, encoding)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sample rate")):
+        sc.create_wav(path, 2**32 // width, 10, encoding)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 0 samples written to a file "
+                                                   f"of {most}")):
+        sc.create_wav(path, SR, most, encoding).close()  # the header fits
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_shaped_blocks_over_open_wav_equal_apply_gains(encoding, tmp_path):
+    length = 3 * wavio.READ_CHUNK_BYTES // 4 + 77  # several read chunks, a ragged tail
+    path = _wav_file(tmp_path / "x.wav", _noise(9, length, 2), 2, encoding)
+    curves = [np.exp(np.random.default_rng(k).uniform(-1, 1, N_FFT // 2 + 1))
+              for k in range(2)]
+    want = sc.apply_gains(sc.read_wav(path), curves, N_FFT, 384)
+    with sc.open_wav(path) as audio:
+        got = np.concatenate(
+            [block.copy() for block in sc.dsp.shaped_blocks(audio, curves, N_FFT, 384)],
+            axis=1)
+    assert np.array_equal(got, [w.samples for w in want])
+
+
 # -- coefficients / filters ---------------------------------------------------------
 
 def test_coefficients_file_round_trip(tmp_path):
