@@ -102,12 +102,14 @@ def _estimate_plan(rows, reference, aligned) -> dict:
     return plan
 
 
-def _check_stft_flags(n_fft, hop) -> None:
-    """--n-fft and --hop, checked once before any file is read."""
+def _check_stft_flags(n_fft, hop, n_mels=1) -> None:
+    """--n-fft, --hop and features' --n-mels, checked once before any file is read."""
     if n_fft < 16 or n_fft % 2 != 0:
         raise ValueError(f"--n-fft must be an even integer >= 16, got {n_fft}")
     if hop < 1:
         raise ValueError(f"--hop must be >= 1, got {hop}")
+    if n_mels < 1:
+        raise ValueError(f"--n-mels must be >= 1, got {n_mels}")
 
 
 def _read_headers(manifest_path, rows, n_fft, hop) -> dict:
@@ -360,7 +362,7 @@ def _feature_name(row) -> str:
 
 
 def cmd_features(args) -> int:
-    _check_stft_flags(args.n_fft, args.hop)
+    _check_stft_flags(args.n_fft, args.hop, args.n_mels)
     rows = files.read_manifest(args.manifest)
     # Workers write their own files, so two rows must never share an output
     # name: checked before any audio is read or --out is created.

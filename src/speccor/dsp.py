@@ -103,6 +103,46 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
+class ForwardReader:
+    """Base of audio read forward in ranges, as a Waveform is read, but made
+    range by range: decoded from a file (``wavio.open_wav``) or drawn from a
+    seeded generator (``simulate.unit_plan``'s sources).
+
+    ``read(start, stop)`` returns samples [start, stop) as a view that stays
+    valid until the next call; neither end may move back. Its one buffer
+    keeps only the overlap with the previous range and the subclass makes
+    the rest: ``_fill(out)`` writes the next ``out.size`` samples into
+    ``out``, and ``_skip(samples)`` moves past the next ``samples`` samples,
+    those between two ranges. So a reader holds its largest range, however
+    long the signal is. A subclass also gives ``__len__`` and ``sample_rate``;
+    ``name`` starts the error of a range that moves back.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self._buf = np.empty(0)
+        self._lo = self._hi = 0  # _buf[:hi - lo] holds samples [lo, hi)
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop) as float64."""
+        lo, hi = self._lo, self._hi
+        if not (lo <= start <= stop <= len(self) and stop >= hi):
+            raise ValueError(f"{self.name}: cannot read samples [{start}, {stop}) after "
+                             f"[{lo}, {hi}) of {len(self)}: ranges only move forward")
+        keep = max(hi - start, 0)
+        if self._buf.size < stop - start:
+            buf = np.empty(stop - start)
+            buf[:keep] = self._buf[start - lo:hi - lo]
+            self._buf = buf
+        elif keep:
+            self._buf[:keep] = self._buf[start - lo:hi - lo]
+        if start > hi:
+            self._skip(start - hi)
+        self._fill(self._buf[keep:stop - start])
+        self._lo, self._hi = start, stop
+        return self._buf[:stop - start]
+
+
 @dataclass(frozen=True)
 class ComplexSpectrogram:
     """One-sided complex STFT, laid out frames x bins with F = n_fft//2 + 1."""
@@ -238,9 +278,9 @@ def _spectrum_blocks(audio, win: np.ndarray, hop: int, step: int):
     frames of ``audio`` in order; rfft transforms each row alone, so every
     block equals the same rows of the whole spectrogram, bit for bit.
 
-    ``audio`` is a Waveform or an open WAV (``wavio.open_wav``): each block's
-    samples come from one forward ``audio.read(start, stop)``, so a file is
-    never held whole, and every sample is read once the blocks run out.
+    ``audio`` is a Waveform or a ForwardReader, such as an open WAV
+    (``wavio.open_wav``): each block's samples come from one forward
+    ``audio.read(start, stop)``, so a file is never held whole, and every sample is read once the blocks run out.
     The frames are windowed into one float buffer, ``scratch``, and
     transformed into one complex buffer, both reused from block to block, so
     the loop allocates no block-sized array. Once rfft has read ``scratch``,
@@ -335,7 +375,7 @@ def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
     its bins multiplied by the curve, zero-padded back to ``len(w)``, bit for
     bit. The analysis runs once for all curves, and BLOCK_FRAMES frames at a
     time (``shaped_blocks``), so no whole spectrogram is ever held. Returns
-    one waveform per curve.
+    one waveform per curve. ``w`` may also be a ForwardReader.
     """
     curves = list(curves)
     outs = np.empty((len(curves), len(w)))
@@ -347,8 +387,8 @@ def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
 
 
 def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str = "hann"):
-    """``apply_gains`` of a Waveform or an open WAV, as consecutive blocks of
-    finished output samples.
+    """``apply_gains`` of a Waveform or a ForwardReader (an open WAV, a
+    simulator source), as consecutive blocks of finished output samples.
 
     Checks its arguments at once, then returns an iterator of (curves x
     samples) matrices in order; joined along their columns, they are

@@ -125,6 +125,10 @@ class SimConfig:
                 if (resp.n_fft, resp.sample_rate) != (self.n_fft, self.sample_rate):
                     raise ValueError(f"{field}: response {resp.name!r} does not match the "
                                      "dataset's n_fft and sample_rate")
+        if self.aligned and len(self.devices) < 2:
+            # read_manifest rejects a group of one device, so no corpus could be read.
+            raise ValueError(f"devices: an aligned dataset needs at least two devices, "
+                             f"got {len(self.devices)}")
 
 
 @dataclass(frozen=True)
@@ -228,28 +232,95 @@ def _chain_gains(env: Optional[Response], dev: Response) -> np.ndarray:
     return dev.gains if env is None else dev.gains * env.gains
 
 
-def _make_source(rng: np.random.Generator, kind: str, num_samples: int,
-                 sample_rate: int) -> Waveform:
-    if kind == "white":
-        samples = rng.standard_normal(num_samples)
-    elif kind == "pink":
-        white = np.fft.rfft(rng.standard_normal(num_samples))
-        freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate)
-        freqs[0] = freqs[1]
-        samples = np.fft.irfft(white / np.sqrt(freqs), n=num_samples)
-    elif kind == "speechlike-modulated":
-        # White noise under a slow (~4 Hz) log-amplitude envelope.
-        samples = rng.standard_normal(num_samples)
-        knots = max(2, int(round(4.0 * num_samples / sample_rate)) + 1)
-        env = np.interp(np.linspace(0.0, 1.0, num_samples),
-                        np.linspace(0.0, 1.0, knots),
-                        rng.standard_normal(knots))
-        samples = samples * np.exp(0.5 * env)
-    else:
-        raise ValueError(f"source must be one of {SOURCES}, got {kind!r}")
-    rms = np.sqrt(np.mean(samples ** 2))
-    samples *= 0.1 / rms
+# Most samples a streamed source draws at a time while it folds its sum of
+# squares or skips ahead: 256 KiB as float64.
+SUM_LEAF = 1 << 15
+
+
+def sum_of_squares(draw, n: int) -> float:
+    """The sum of x ** 2 over the n samples x that successive ``draw(size)``
+    calls return, in numpy's pairwise order, so that divided by n it is
+    ``np.mean(x ** 2)`` bit for bit.
+
+    numpy splits a sum of more than 128 terms at n//2 - (n//2) % 8 and adds
+    the halves' sums; a node of at most SUM_LEAF samples is summed by numpy
+    itself, which splits it the same way. The nodes are drawn in order.
+    """
+    if n <= SUM_LEAF:
+        return np.add.reduce(draw(n) ** 2, initial=0.0)
+    half = n // 2 - (n // 2) % 8
+    return sum_of_squares(draw, half) + sum_of_squares(draw, n - half)
+
+
+def _pink(rng: np.random.Generator, num_samples: int, sample_rate: int) -> Waveform:
+    """Pink noise shaped by one FFT over the whole signal, so it is made whole."""
+    white = np.fft.rfft(rng.standard_normal(num_samples))
+    freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate)
+    freqs[0] = freqs[1]
+    samples = np.fft.irfft(white / np.sqrt(freqs), n=num_samples)
+    samples *= 0.1 / np.sqrt(np.mean(samples ** 2))
     return Waveform(samples, sample_rate)
+
+
+class _NoiseSource(dsp.ForwardReader):
+    """A white or speechlike-modulated source at RMS 0.1, drawn from its seed
+    as it is read forward (``dsp.ForwardReader``); no full-length array exists.
+
+    The samples are those of one ``standard_normal(len)`` draw: "white" scaled,
+    "speechlike-modulated" times exp(0.5 * env) and then scaled, where env
+    interpolates knots drawn after the samples at a slow (~4 Hz) rate over
+    ``linspace(0, 1, len)``. A generator drawn in chunks gives the stream of
+    one call, and every step but the RMS is pointwise, so a range is made
+    alone. One pass (two for the speechlike knots, which lie after the
+    samples) folds the sum of squares in numpy's order (``sum_of_squares``),
+    so the scale has the bits of the whole-array RMS; reads re-seed and draw
+    the samples again.
+    """
+
+    def __init__(self, seed, kind: str, num_samples: int, sample_rate: int):
+        super().__init__(f"{kind} source")
+        self.sample_rate = sample_rate
+        self._seed, self._len = seed, num_samples
+        self._scratch = np.empty(min(num_samples, SUM_LEAF))
+        self._knots = None
+        if kind == "speechlike-modulated":
+            self._restart()
+            self._skip(num_samples)
+            knots = max(2, int(round(4.0 * num_samples / sample_rate)) + 1)
+            self._knots = (np.linspace(0.0, 1.0, knots), self._rng.standard_normal(knots))
+        self._restart()
+        total = sum_of_squares(lambda size: self._draw(self._scratch[:size]), num_samples)
+        self._scale = 0.1 / np.sqrt(total / num_samples)
+        self._restart()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _restart(self) -> None:
+        self._rng, self._pos = np.random.default_rng(self._seed), 0
+
+    def _draw(self, out: np.ndarray) -> np.ndarray:
+        """The next ``out.size`` samples before scaling, drawn into ``out``."""
+        start, stop = self._pos, self._pos + out.size
+        self._rng.standard_normal(out=out)
+        if self._knots is not None:
+            # linspace(0, 1, len)[start:stop], as linspace computes it
+            x = np.arange(start, stop, dtype=np.float64)
+            x *= 1.0 / (self._len - 1)
+            x[self._len - 1 - start:] = 1.0
+            out *= np.exp(0.5 * np.interp(x, *self._knots))
+        self._pos = stop
+        return out
+
+    def _fill(self, out: np.ndarray) -> None:
+        self._draw(out)
+        out *= self._scale
+
+    def _skip(self, samples: int) -> None:
+        for start in range(0, samples, self._scratch.size):
+            n = min(self._scratch.size, samples - start)
+            self._rng.standard_normal(out=self._scratch[:n])
+            self._pos += n
 
 
 def dataset_units(cfg: SimConfig) -> list:
@@ -264,6 +335,10 @@ def dataset_units(cfg: SimConfig) -> list:
 def unit_plan(cfg: SimConfig, unit) -> tuple:
     """(clean source, recordings, gain curves) of one of ``dataset_units(cfg)``.
 
+    The source reads forward in ranges, as a Waveform does: white and
+    speechlike-modulated sources are drawn from the unit's seed as they are
+    read, and a pink one, shaped by one FFT, is a Waveform.
+
     Recording k is (recording id, device id, group id) and is the source
     shaped by curve k: every device for an aligned group, one device for an
     unaligned unit, which records a fresh source. Per-recording seeds derive
@@ -276,8 +351,10 @@ def unit_plan(cfg: SimConfig, unit) -> tuple:
         seed, devices, group = [cfg.seed, i], cfg.devices, f"g{i:04d}"
     else:
         seed, devices, group = [cfg.seed, d_idx, i], cfg.devices[d_idx:d_idx + 1], None
-    clean = _make_source(np.random.default_rng(seed), cfg.source, num_samples,
-                         cfg.sample_rate)
+    if cfg.source == "pink":
+        clean = _pink(np.random.default_rng(seed), num_samples, cfg.sample_rate)
+    else:
+        clean = _NoiseSource(seed, cfg.source, num_samples, cfg.sample_rate)
     recordings = [(f"{group}_{dev.name}" if group else f"{dev.name}_{i:04d}", dev.name, group)
                   for dev in devices]
     return clean, recordings, [_chain_gains(env, dev) for dev in devices]

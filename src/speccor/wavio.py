@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 from pathlib import Path
@@ -9,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import ForwardReader, Waveform
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -128,16 +129,15 @@ def _convert(raw, info: WavInfo, out: np.ndarray) -> None:
         out *= info.scale / info.channels
 
 
-class open_wav:
+class open_wav(ForwardReader):
     """Open a mono or stereo WAV file's audio as mono float64 samples, read
-    forward in ranges.
+    forward in ranges (``ForwardReader.read``).
 
-    ``read(start, stop)`` returns samples [start, stop) as a view that stays
-    valid until the next call; neither end may move back. The 'data' bytes are
-    read READ_CHUNK_BYTES at a time into one buffer, where each chunk's samples
-    are checked to be finite, and converted range by range into a second one,
-    which keeps only the overlap with the previous range. So a stream holds
-    about one read chunk plus its largest range, however long the file is.
+    The 'data' bytes are read READ_CHUNK_BYTES at a time into one buffer,
+    where each chunk's samples are checked to be finite, and converted range
+    by range into the reader's window, which keeps only the overlap with the
+    previous range. So a stream holds about one read chunk plus its largest
+    range, however long the file is.
     Bytes between two ranges are read and checked too: reading up to
     ``len(stream)`` finds any non-finite sample, as ``read_wav`` does. Use it
     as a context manager, ``with open_wav(path) as audio:``, named like the
@@ -145,6 +145,7 @@ class open_wav:
     """
 
     def __init__(self, path):
+        super().__init__(path)
         self.path = path
         self._file = open(path, "rb")
         try:
@@ -159,8 +160,6 @@ class open_wav:
         chunk = READ_CHUNK_BYTES // self._frame_bytes * self._frame_bytes
         self._raw = bytearray(min(chunk, self._unread))
         self._raw_pos = self._raw_end = 0  # _raw[pos:end] is read, not yet converted
-        self._buf = np.empty(0)
-        self._lo = self._hi = 0  # _buf[:hi - lo] holds samples [lo, hi)
 
     def __enter__(self):
         return self
@@ -198,7 +197,7 @@ class open_wav:
             n = min(skip, self._raw_end - self._raw_pos)
             self._raw_pos, skip = self._raw_pos + n, skip - n
 
-    def _decode(self, out: np.ndarray) -> None:
+    def _fill(self, out: np.ndarray) -> None:
         """Convert the next ``out.size`` samples of the file into ``out``."""
         done = 0
         while done < out.size:
@@ -208,25 +207,6 @@ class open_wav:
             end = self._raw_pos + n * self._frame_bytes
             _convert(memoryview(self._raw)[self._raw_pos:end], self._info, out[done:done + n])
             self._raw_pos, done = end, done + n
-
-    def read(self, start: int, stop: int) -> np.ndarray:
-        """Samples [start, stop) as float64, converted as ``read_wav`` converts them."""
-        lo, hi = self._lo, self._hi
-        if not (lo <= start <= stop <= len(self) and stop >= hi):
-            raise ValueError(f"{self.path}: cannot read samples [{start}, {stop}) after "
-                             f"[{lo}, {hi}) of {len(self)}: ranges only move forward")
-        keep = max(hi - start, 0)
-        if self._buf.size < stop - start:
-            buf = np.empty(stop - start)
-            buf[:keep] = self._buf[start - lo:hi - lo]
-            self._buf = buf
-        elif keep:
-            self._buf[:keep] = self._buf[start - lo:hi - lo]
-        if start > hi:
-            self._skip(start - hi)
-        self._decode(self._buf[keep:stop - start])
-        self._lo, self._hi = start, stop
-        return self._buf[:stop - start]
 
 
 def read_wav(path) -> Waveform:
@@ -277,7 +257,14 @@ class create_wav:
         self._part = f"{os.fspath(path)}.part"
         self._buf = np.empty(min(max(samples, 1), WRITE_CHUNK_SAMPLES), dtype)
         self._written = 0
-        self._file = open(self._part, "wb")
+        # Errors name path, not the .part file, and a directory is refused
+        # before any audio is made for it.
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        try:
+            self._file = open(self._part, "wb")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         self._file.write(header)
 
     def __enter__(self):

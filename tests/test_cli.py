@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -301,14 +302,37 @@ def test_apply_in_place_writes_the_bytes_of_another_path(tmp_path):
                                                           "y.wav"]
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["apply", "filter"])
+def test_an_out_that_cannot_be_created_is_named_and_leaves_no_part_file(command, target,
+                                                                        tmp_path, capsys):
+    coeffs = _random_coefficients(tmp_path / "c.coeffs")
+    assert main(["design-fir", "--coeffs", str(coeffs), "--taps", "65",
+                 "--out", str(tmp_path / "f.filt")]) == 0
+    sc.write_wav(tmp_path / "in.wav", white_waveform(95, seconds=0.2))
+    (tmp_path / "taken").mkdir()
+    out, code = {"missing-dir": (tmp_path / "nodir" / "x.wav", errno.ENOENT),
+                 "directory": (tmp_path / "taken", errno.EISDIR)}[target]
+    flags = {"apply": ["--coeffs", str(coeffs)],
+             "filter": ["--filter", str(tmp_path / "f.filt")]}[command]
+    capsys.readouterr()
+    assert main([command, *flags, "--in", str(tmp_path / "in.wav"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.coeffs", "f.filt", "in.wav",
+                                                          "taken"]
+
+
 @pytest.mark.parametrize("command,flags,message", [
     ("features", ["--hop", "0"], "--hop must be >= 1, got 0"),
     ("features", ["--n-fft", "1001"], "--n-fft must be an even integer >= 16, got 1001"),
     ("estimate", ["--hop", "0"], "--hop must be >= 1, got 0"),
-], ids=["features-hop", "features-n-fft", "estimate-hop"])
+    ("features", ["--n-mels", "0"], "--n-mels must be >= 1, got 0"),
+], ids=["features-hop", "features-n-fft", "estimate-hop", "features-n-mels"])
 def test_bad_stft_flags_are_named_not_blamed_on_a_file(command, flags, message, sim_dir,
-                                                         tmp_path, capsys):
+                                                         tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
+    # The flags are checked before any header is read.
+    monkeypatch.setattr(cli.wavio, "read_wav_info", lambda path: pytest.fail(f"read {path}"))
     extra = ["--reference-device", "a"] if command == "estimate" else []
     code = main([command, "--manifest", str(sim_dir / "manifest.tsv"), *extra, *flags,
                  "--out", str(out)])
@@ -571,8 +595,8 @@ def test_simulate_gives_the_same_bytes_on_every_run(tmp_path, monkeypatch):
 
 
 def test_simulate_streams_each_device_to_its_file(tmp_path, monkeypatch):
-    """A group of 3 devices holds one block set per extra device, not its
-    full-length outputs (a 20 s float64 recording is 7 MB)."""
+    """A group of 4 devices holds one block set per extra device over a group
+    of 2, not its full-length outputs (a 20 s float64 recording is 7 MB)."""
     monkeypatch.setenv("SPECCOR_THREADS", "1")
 
     def simulate(devices, out):
@@ -581,9 +605,9 @@ def test_simulate_streams_each_device_to_its_file(tmp_path, monkeypatch):
                           f"aligned = true\ndevices = {devices}\n")
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 0
 
-    simulate("a", "warm")
+    simulate("a b", "warm")
     peaks = {}
-    for devices in ("a", "a b c"):
+    for devices in ("a b", "a b c d"):
         tracemalloc.start()
         try:
             simulate(devices, str(len(devices)))
@@ -591,7 +615,32 @@ def test_simulate_streams_each_device_to_its_file(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     block_set = sc.dsp.BLOCK_FRAMES * 8 * (2 * N_FFT + 2 * 2 * (N_FFT // 2 + 1))
-    assert peaks["a b c"] - peaks["a"] < 2 * block_set, peaks
+    assert peaks["a b c d"] - peaks["a b"] < 2 * block_set, peaks
+
+
+@pytest.mark.parametrize("source", ["white", "speechlike-modulated"])
+def test_simulate_peak_memory_is_independent_of_recording_length(source, tmp_path,
+                                                                 monkeypatch):
+    """A worker draws its source as it is read, so a 30 s group peaks within
+    1 MB of a 3 s group (the whole 30 s source is 10.6 MB as float64)."""
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+
+    def simulate(seconds, out):
+        config = tmp_path / f"sim{out}.cfg"
+        config.write_text(f"[sim]\nseed = 8\nnum_recordings = 1\nduration = {seconds}\n"
+                          f"source = {source}\naligned = true\ndevices = a b\n")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+
+    simulate(3.0, "warm")
+    peaks = {}
+    for seconds in (3.0, 30.0):
+        tracemalloc.start()
+        try:
+            simulate(seconds, str(seconds))
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[30.0] - peaks[3.0] < 1 << 20, peaks
 
 
 BAD_SIM_CONFIGS = {
@@ -611,6 +660,8 @@ BAD_SIM_CONFIGS = {
     "aligned-not-a-boolean": ("[sim]\naligned = maybe\n", "[sim] aligned:"),
     "hop-not-invertible": ("[sim]\nhop = 2048\n", "[sim] hop:"),
     "device-name-with-slash": ("[sim]\ndevices = a/b c\n", "[sim] devices: device 'a/b'"),
+    "aligned-one-device": ("[sim]\naligned = true\ndevices = a\n",
+                           "[sim] devices: an aligned dataset needs at least two devices"),
     "line-without-equals": ("[sim]\nseed = 1\njunk\n", "line 3:"),
     "unknown-key": ("[sim]\nnum_recording = 1\ndevicse = x y z\nsorce = pink\n",
                     "[sim] num_recording: unknown key"),
@@ -630,7 +681,7 @@ def test_simulate_rejects_bad_config_naming_file_and_key(name, tmp_path, capsys)
 
 def test_simulate_reads_percent_signs_literally(tmp_path):
     config = tmp_path / "sim.cfg"
-    config.write_text("[sim]\nnum_recordings = 1\nduration = 0.1\ndevices = a%b\n")
+    config.write_text("[sim]\nnum_recordings = 1\nduration = 0.1\ndevices = a%b c\n")
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "g0000_a%b.wav").exists()
 

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import re
 import struct
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import speccor as sc
 from speccor import files, wavio
 from speccor.dsp import BLOCK_FRAMES
+from speccor.simulate import SOURCES, SUM_LEAF, unit_plan
 from speccor.wavio import AudioFileError
 
 from conftest import SR, N_FFT, white_waveform
@@ -223,6 +225,46 @@ def test_open_wav_reductions_with_gaps_equal_read_wav(tmp_path):
     with sc.open_wav(path) as audio:
         got = sc.waveform_log_sum(audio, N_FFT, hop)
     assert np.array_equal(got.log_sum, want.log_sum)
+
+
+FORWARD_LENGTH = 2 * SUM_LEAF + 4321
+
+
+@pytest.mark.parametrize("kind", ["wav", *SOURCES])
+def test_forward_reads_are_slices_of_the_whole_signal(kind, tmp_path):
+    """open_wav and every simulator source read forward as slices of the whole
+    signal: over overlapping, repeated, gapped and empty ranges."""
+    if kind == "wav":
+        path = _wav_file(tmp_path / "x.wav", _noise(8, FORWARD_LENGTH, 2), 2, "pcm16")
+        whole = sc.read_wav(path).samples
+
+        def reader():
+            return sc.open_wav(path)
+    else:
+        cfg = sc.SimConfig(seed=9, num_recordings=1, duration=FORWARD_LENGTH / SR,
+                           source=kind, aligned=False,
+                           devices=(sc.flat_response("a", N_FFT, SR),), sample_rate=SR)
+
+        def reader():
+            return contextlib.nullcontext(unit_plan(cfg, (0, 0))[0])
+        with reader() as audio:
+            whole = audio.read(0, FORWARD_LENGTH).copy()
+    assert whole.size == FORWARD_LENGTH
+
+    # Each step moves the start on (past the last stop: a gap) and reads at
+    # least to the last stop; a step of 0 and 0 repeats or reads nothing.
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, 3 * N_FFT), st.integers(0, 40000)),
+                          max_size=12))
+    def forward(steps):
+        start = stop = 0
+        with reader() as audio:
+            for advance, size in steps + [(FORWARD_LENGTH, 0)]:
+                start = min(start + advance, FORWARD_LENGTH)
+                stop = min(max(stop, start + size), FORWARD_LENGTH)
+                assert np.array_equal(audio.read(start, stop), whole[start:stop]), (start, stop)
+
+    forward()
 
 
 def test_open_wav_closes_its_file_on_a_bad_header(tmp_path):

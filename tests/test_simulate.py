@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import speccor as sc
-from speccor.simulate import MAX_LOG_STEP, check_grid
+from speccor.simulate import MAX_LOG_STEP, SOURCES, SUM_LEAF, check_grid, sum_of_squares
 
 from conftest import SR, N_FFT, HOP, white_waveform
 
@@ -166,7 +166,7 @@ def test_generate_dataset_source_kinds_differ():
     specs = {}
     for source in ("white", "pink", "speechlike-modulated"):
         cfg = sc.SimConfig(seed=3, num_recordings=1, duration=1.0, source=source,
-                           aligned=True, devices=devices,
+                           aligned=False, devices=devices,
                            sample_rate=SR, n_fft=N_FFT, hop=HOP)
         mags = sc.generate_dataset(cfg).recordings.items[0][2].mags
         specs[source] = mags.mean(axis=0)
@@ -233,13 +233,14 @@ BAD_SIM_FIELDS = {
                                "devices"),
     "environment-off-grid": ({"environments": (sc.flat_response("e", 1024, SR),)},
                              "environments"),
+    "aligned-one-device": ({"aligned": True}, "devices"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_SIM_FIELDS))
 def test_sim_config_rejects_each_bad_field_on_construction(name):
     changes, field = BAD_SIM_FIELDS[name]
-    fields = dict(seed=0, num_recordings=1, duration=1.0, source="white", aligned=True,
+    fields = dict(seed=0, num_recordings=1, duration=1.0, source="white", aligned=False,
                   devices=(sc.flat_response("a", N_FFT, SR),), sample_rate=SR,
                   n_fft=N_FFT, hop=HOP)
     with pytest.raises(ValueError) as info:
@@ -249,7 +250,7 @@ def test_sim_config_rejects_each_bad_field_on_construction(name):
 
 def test_sim_config_duration_is_bounded_by_what_a_wav_file_holds():
     # Construction allocates no audio, so the limit itself can be tried.
-    fields = dict(seed=0, num_recordings=1, source="white", aligned=True,
+    fields = dict(seed=0, num_recordings=1, source="white", aligned=False,
                   devices=(sc.flat_response("a", N_FFT, SR),), sample_rate=SR,
                   n_fft=N_FFT, hop=HOP)
     limit = sc.wavio.MAX_FLOAT32_SAMPLES
@@ -265,3 +266,67 @@ def test_check_grid_is_the_sim_config_grid_check():
         check_grid(0, SR, N_FFT, N_FFT)
     with pytest.raises(ValueError, match=r"^seed: must be an integer >= 0, got 1\.5"):
         check_grid(1.5, SR, N_FFT, HOP)
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 127, 128, 129, 65537, 441000, 2646000])
+def test_sum_of_squares_over_n_is_the_mean_of_squares_bit_for_bit(length):
+    # A tree split elsewhere gives the same bits for about half of such
+    # signals, so each length is tried on several.
+    for seed in range(8):
+        rng = np.random.default_rng([length, seed])
+        x = rng.standard_normal(length) * np.exp(rng.uniform(-3.0, 3.0, length))
+        sizes = []
+
+        def draw(size):
+            start = sum(sizes)
+            sizes.append(size)
+            return x[start:start + size].copy()
+
+        total = sum_of_squares(draw, length)
+        assert sum(sizes) == length and max(sizes) <= SUM_LEAF
+        assert total / length == np.mean(x ** 2), seed
+
+
+def _whole_source(rng, kind, num_samples, sample_rate):
+    """A clean source made whole, as the simulator made every source before
+    its white and speechlike-modulated sources were drawn as they are read."""
+    if kind == "white":
+        samples = rng.standard_normal(num_samples)
+    elif kind == "pink":
+        white = np.fft.rfft(rng.standard_normal(num_samples))
+        freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate)
+        freqs[0] = freqs[1]
+        samples = np.fft.irfft(white / np.sqrt(freqs), n=num_samples)
+    else:
+        samples = rng.standard_normal(num_samples)
+        knots = max(2, int(round(4.0 * num_samples / sample_rate)) + 1)
+        env = np.interp(np.linspace(0.0, 1.0, num_samples),
+                        np.linspace(0.0, 1.0, knots),
+                        rng.standard_normal(knots))
+        samples = samples * np.exp(0.5 * env)
+    rms = np.sqrt(np.mean(samples ** 2))
+    samples *= 0.1 / rms
+    return samples
+
+
+@pytest.mark.parametrize("unit,seed", [((None, 1), [12, 1]), ((2, 0), [12, 2, 0])],
+                         ids=["aligned", "unaligned"])
+@pytest.mark.parametrize("kind", SOURCES)
+def test_unit_source_equals_the_whole_array_formula(kind, unit, seed):
+    devices = tuple(sc.flat_response(name, N_FFT, SR) for name in "abc")
+    # At 441002 samples, (n - 1) * (1 / (n - 1)) is not 1.0, so the envelope's
+    # last point must be linspace's exact 1.0.
+    cfg = sc.SimConfig(seed=12, num_recordings=2, duration=441002 / SR, source=kind,
+                       aligned=unit[0] is None, devices=devices,
+                       sample_rate=SR, n_fft=N_FFT, hop=HOP)
+    clean = sc.simulate.unit_plan(cfg, unit)[0]
+    want = _whole_source(np.random.default_rng(seed), kind, 441002, SR)
+    # Only pink, shaped by one FFT, is held whole.
+    assert isinstance(clean, sc.Waveform) == (kind == "pink")
+    assert (len(clean), clean.sample_rate) == (want.size, SR)
+    # Read as dsp.shaped_blocks reads it: 64 frames at a time, overlapping.
+    got = np.empty(want.size)
+    for start in range(0, want.size, 64 * HOP):
+        stop = min(start + 63 * HOP + N_FFT, want.size)
+        got[start:stop] = clean.read(start, stop)
+    assert np.array_equal(got, want)
