@@ -10,10 +10,8 @@ outputs always follow manifest order, so results are deterministic either way.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import os
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -110,6 +108,9 @@ def _check_stft_flags(n_fft, hop, n_mels=1) -> None:
         raise ValueError(f"--hop must be >= 1, got {hop}")
     if n_mels < 1:
         raise ValueError(f"--n-mels must be >= 1, got {n_mels}")
+    if n_mels > n_fft // 2 + 1:  # a projection of F bins has rank at most F
+        raise ValueError(f"--n-mels must be <= n_fft/2 + 1 = {n_fft // 2 + 1} for "
+                         f"--n-fft {n_fft}, got {n_mels}")
 
 
 def _read_headers(manifest_path, rows, n_fft, hop) -> dict:
@@ -242,94 +243,8 @@ def cmd_filter(args) -> int:
 
 # -- simulate --------------------------------------------------------------------
 
-def _read_sim_section(path) -> configparser.SectionProxy:
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.MissingSectionHeaderError as exc:
-        raise ValueError(f"{path}: [sim]: line {exc.lineno} {exc.line.strip()!r} comes "
-                         "before any section header") from None
-    except configparser.DuplicateSectionError as exc:
-        raise ValueError(f"{path}: [{exc.section}]: section repeated at line "
-                         f"{exc.lineno}") from None
-    except configparser.DuplicateOptionError as exc:
-        raise ValueError(f"{path}: [{exc.section}] {exc.option}: set again at line "
-                         f"{exc.lineno}") from None
-    except configparser.ParsingError as exc:
-        raise ValueError(f"{path}: line {exc.errors[0][0]}: expected 'key = value' or "
-                         "a [section] header") from None
-    if not parser.has_section("sim"):
-        raise ValueError(f"{path}: config needs a [sim] section")
-    return parser["sim"]
-
-
-# Every [sim] key: its SectionProxy getter, its default (hop's is n_fft // 4) and,
-# for a key that is not a SimConfig field, the check SimConfig cannot make.
-_SIM_KEYS = {
-    "seed": ("getint", 0, None),
-    "sample_rate": ("getint", 44100, None),
-    "n_fft": ("getint", 2048, None),
-    "hop": ("getint", None, None),
-    "num_recordings": ("getint", 4, None),
-    "duration": ("getfloat", 3.0, None),
-    "response_db": ("getfloat", 20.0, (np.isfinite, "finite")),
-    "environments": ("getint", 0, (lambda v: v >= 0, ">= 0")),
-    "environment_db": ("getfloat", 6.0, (np.isfinite, "finite")),
-    "aligned": ("getboolean", True, None),
-    "devices": ("get", "a b", None),
-    "source": ("get", "white", None),
-}
-
-
-def _parse_sim_config(path) -> simulate.SimConfig:
-    """Read a simulate config; every error names the file, and the key if it has one."""
-    sec = _read_sim_section(path)
-
-    def keyed(key, make):
-        try:
-            return make()
-        except ValueError as exc:
-            raise ValueError(f"{path}: [sim] {key + ': ' if key else ''}{exc}") from None
-
-    for key in sec:
-        if key not in _SIM_KEYS:
-            raise ValueError(f"{path}: [sim] {key}: unknown key; the keys are "
-                             f"{', '.join(_SIM_KEYS)}")
-    v = {}
-    for key, (getter, default, check) in _SIM_KEYS.items():
-        default = v["n_fft"] // 4 if key == "hop" else default
-        v[key] = keyed(key, lambda: getattr(sec, getter)(key, default))
-        if check is not None and not check[0](v[key]):
-            raise ValueError(f"{path}: [sim] {key}: must be {check[1]}, got {v[key]!r}")
-    seed, sample_rate, n_fft, hop = (v[k] for k in ("seed", "sample_rate", "n_fft", "hop"))
-    names = [t for t in re.split(r"[,\s]+", v["devices"].strip()) if t]
-    # The responses are drawn from the grid, so it is checked first.
-    keyed("", lambda: simulate.check_grid(seed, sample_rate, n_fft, hop))
-
-    def device(i, name):
-        if v["response_db"] <= 0:
-            return simulate.flat_response(name, n_fft, sample_rate)
-        return simulate.make_smooth_response(seed * 1000003 + 7 + i, v["response_db"],
-                                             n_fft, sample_rate, device_id=name)
-
-    devices = keyed("response_db", lambda: tuple(
-        device(i, name) for i, name in enumerate(names)))
-    environments = keyed("environment_db", lambda: tuple(
-        simulate.make_smooth_environment(seed * 7919 + 13 + j, v["environment_db"],
-                                         n_fft, sample_rate, scene_id=f"e{j}")
-        for j in range(v["environments"])))
-    return keyed("", lambda: simulate.SimConfig(
-        seed=seed, num_recordings=v["num_recordings"], duration=v["duration"],
-        source=v["source"], aligned=v["aligned"], devices=devices,
-        environments=environments, sample_rate=sample_rate, n_fft=n_fft, hop=hop))
-
-
 def cmd_simulate(args) -> int:
-    cfg = _parse_sim_config(args.config)
+    cfg = simulate.read_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -473,31 +388,13 @@ def cmd_verify(args) -> int:
     coeff_paths = sorted(Path(args.coeffs_dir).glob("*.coeffs"))
     if not coeff_paths:
         raise ValueError(f"no *.coeffs files found in {args.coeffs_dir}")
-    band = dsp.band_bins(n_fft, sample_rate)
-
     all_ok = True
     for path in coeff_paths:
         coeffs = files.read_coefficients(path)
-        if coeffs.n_fft != n_fft or coeffs.sample_rate != sample_rate:
-            raise ValueError(f"{path}: coefficients are for n_fft={coeffs.n_fft}@"
-                             f"{coeffs.sample_rate} Hz, ground truth is "
-                             f"n_fft={n_fft}@{sample_rate} Hz")
-        if coeffs.source_device not in device_truth:
-            raise ValueError(f"{path}: device {coeffs.source_device!r} has no "
-                             "ground-truth response")
-        est = coeffs.gains[band]
-        if coeffs.reference_device == "none":
-            # Reference-free gains are defined up to scale; compare shapes.
-            true = 1.0 / device_truth[coeffs.source_device][band]
-            est = est / dsp.geometric_mean(est)
-            true = true / dsp.geometric_mean(true)
-        else:
-            if coeffs.reference_device not in device_truth:
-                raise ValueError(f"{path}: reference {coeffs.reference_device!r} has "
-                                 "no ground-truth response")
-            true = (device_truth[coeffs.reference_device][band]
-                    / device_truth[coeffs.source_device][band])
-        err = float(np.max(np.abs(dsp.to_db(est / true))))
+        try:
+            err = simulate.truth_error_db(coeffs, sample_rate, n_fft, device_truth)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         ok = err <= args.tolerance_db
         all_ok &= ok
         print(f"device {coeffs.source_device}: max mid-band error {err:.3f} dB "

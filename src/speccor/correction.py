@@ -8,8 +8,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dsp import (AMPLITUDE_FLOOR, AmplitudeSpectrogram, ComplexSpectrogram, Waveform,
-                  _fold_rows, _magnitude_blocks)
+from .dsp import (AMPLITUDE_FLOOR, AmplitudeSpectrogram, Spectrogram, Waveform, _fold_rows,
+                  _magnitude_blocks)
 
 ESTIMATORS = ("aligned", "unaligned", "simplified")
 
@@ -143,11 +143,7 @@ class RecordingSet:
                     raise ValueError(f"recordings in group {group!r} differ in frame count")
 
     def devices(self) -> list:
-        out = []
-        for _, device, _ in self.items:
-            if device not in out:
-                out.append(device)
-        return out
+        return list(dict.fromkeys(device for _, device, _ in self.items))
 
     def by_device(self) -> dict:
         grouped: dict = {}
@@ -234,10 +230,6 @@ def estimate_aligned(pairs, reference_device: str = "ref",
     reference/source amplitude ratio; AMPLITUDE_FLOOR is applied to both sides.
     """
     pairs = list(pairs)
-    for ref, src in pairs:
-        if src.mags.shape != ref.mags.shape:
-            raise ValueError(f"unaligned pair: reference shape {ref.mags.shape} vs "
-                             f"source shape {src.mags.shape}")
     return aligned_from_sums([log_amplitude_sum(ref, reference_device) for ref, _ in pairs],
                              [log_amplitude_sum(src, source_device) for _, src in pairs])
 
@@ -263,20 +255,14 @@ def simplified_coefficients(stats: DeviceSpectrumStats) -> CorrectionCoefficient
                                   stats.num_recordings, "simplified")
 
 
-def apply_to_amplitudes(c: CorrectionCoefficients,
-                        a: AmplitudeSpectrogram) -> AmplitudeSpectrogram:
-    """Scale each bin of an amplitude spectrogram by its correction gain."""
-    c.check_applies_to(a.freq_bins, a.sample_rate)
-    return AmplitudeSpectrogram(a.mags * c.gains, a.n_fft, a.hop,
-                                a.sample_rate, a.window_name)
-
-
-def apply_to_complex(c: CorrectionCoefficients,
-                     spec: ComplexSpectrogram) -> ComplexSpectrogram:
-    """Scale complex bins by the real gains; phase passes through unchanged."""
+def apply_to_amplitudes(c: CorrectionCoefficients, spec: Spectrogram) -> Spectrogram:
+    """Scale each bin of an amplitude or complex spectrogram by its real gain;
+    a complex bin's phase passes through unchanged."""
     c.check_applies_to(spec.freq_bins, spec.sample_rate)
-    return ComplexSpectrogram(spec.bins * c.gains, spec.n_fft, spec.hop,
-                              spec.sample_rate, spec.window_name)
+    return replace(spec, matrix=spec.matrix * c.gains)
+
+
+apply_to_complex = apply_to_amplitudes
 
 
 def log_mean_subtract_per_device(recordings: RecordingSet) -> list:

@@ -144,69 +144,57 @@ class ForwardReader:
 
 
 @dataclass(frozen=True)
-class ComplexSpectrogram:
-    """One-sided complex STFT, laid out frames x bins with F = n_fft//2 + 1."""
+class Spectrogram:
+    """One-sided STFT matrix, laid out frames x bins with F = n_fft//2 + 1, plus
+    its grid. A subclass fixes the matrix's ``dtype`` and the name it is read by."""
 
-    bins: np.ndarray
+    matrix: np.ndarray
     n_fft: int
     hop: int
     sample_rate: int
     window_name: str
+    dtype = None  # a class constant, not a field: None keeps the matrix's own
 
     def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 2 or bins.shape[0] < 1:
-            raise ValueError(f"spectrogram must be a non-empty 2-D matrix, got shape {bins.shape}")
-        if bins.shape[1] != self.n_fft // 2 + 1:
+        matrix = np.asarray(self.matrix, dtype=self.dtype)
+        if matrix.ndim != 2 or matrix.shape[0] < 1:
+            raise ValueError(f"spectrogram must be a non-empty 2-D matrix, got shape "
+                             f"{matrix.shape}")
+        if matrix.shape[1] != self.n_fft // 2 + 1:
             raise ValueError(
-                f"bin count {bins.shape[1]} inconsistent with n_fft={self.n_fft} "
+                f"bin count {matrix.shape[1]} inconsistent with n_fft={self.n_fft} "
                 f"(expected {self.n_fft // 2 + 1})")
-        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def frames(self) -> int:
-        return self.bins.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def freq_bins(self) -> int:
-        return self.bins.shape[1]
+        return self.matrix.shape[1]
 
     def bin_frequencies(self) -> np.ndarray:
         return bin_frequencies(self.n_fft, self.sample_rate)
 
 
-@dataclass(frozen=True)
-class AmplitudeSpectrogram:
-    """Non-negative magnitude matrix (frames x bins) plus the STFT metadata."""
+class ComplexSpectrogram(Spectrogram):
+    """Complex STFT bins."""
 
-    mags: np.ndarray
-    n_fft: int
-    hop: int
-    sample_rate: int
-    window_name: str
+    dtype = np.complex128
+    bins = property(lambda self: self.matrix)
+
+
+class AmplitudeSpectrogram(Spectrogram):
+    """Non-negative STFT magnitudes."""
+
+    dtype = np.float64
+    mags = property(lambda self: self.matrix)
 
     def __post_init__(self):
-        mags = np.asarray(self.mags, dtype=np.float64)
-        if mags.ndim != 2 or mags.shape[0] < 1:
-            raise ValueError(f"spectrogram must be a non-empty 2-D matrix, got shape {mags.shape}")
-        if mags.shape[1] != self.n_fft // 2 + 1:
-            raise ValueError(
-                f"bin count {mags.shape[1]} inconsistent with n_fft={self.n_fft} "
-                f"(expected {self.n_fft // 2 + 1})")
-        if not np.all(np.isfinite(mags)) or np.any(mags < 0):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.matrix)) or np.any(self.matrix < 0):
             raise ValueError("magnitudes must be finite and non-negative")
-        object.__setattr__(self, "mags", mags)
-
-    @property
-    def frames(self) -> int:
-        return self.mags.shape[0]
-
-    @property
-    def freq_bins(self) -> int:
-        return self.mags.shape[1]
-
-    def bin_frequencies(self) -> np.ndarray:
-        return bin_frequencies(self.n_fft, self.sample_rate)
 
 
 def frame_count(length: int, n_fft: int, hop: int) -> int:

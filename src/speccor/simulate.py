@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import configparser
+from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -129,6 +131,79 @@ class SimConfig:
             # read_manifest rejects a group of one device, so no corpus could be read.
             raise ValueError(f"devices: an aligned dataset needs at least two devices, "
                              f"got {len(self.devices)}")
+
+
+# Every [sim] key of a config file and its default; a key is read as its
+# default's type, and hop's default is n_fft // 4.
+CONFIG_DEFAULTS = {"seed": 0, "sample_rate": 44100, "n_fft": 2048, "hop": 512,
+                   "num_recordings": 4, "duration": 3.0, "response_db": 20.0,
+                   "environments": 0, "environment_db": 6.0, "aligned": True,
+                   "devices": "a b", "source": "white"}
+
+
+def _read_sim_section(path) -> configparser.SectionProxy:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(Path(path).read_text(), source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValueError(f"{path}: [sim]: line {exc.lineno} {exc.line.strip()!r} comes "
+                         "before any section header") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ValueError(f"{path}: [{exc.section}]: section repeated at line "
+                         f"{exc.lineno}") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(f"{path}: [{exc.section}] {exc.option}: set again at line "
+                         f"{exc.lineno}") from None
+    except configparser.ParsingError as exc:
+        raise ValueError(f"{path}: line {exc.errors[0][0]}: expected 'key = value' or "
+                         "a [section] header") from None
+    if not parser.has_section("sim"):
+        raise ValueError(f"{path}: config needs a [sim] section")
+    return parser["sim"]
+
+
+def read_config(path) -> SimConfig:
+    """The SimConfig of a config file's [sim] section (keys: CONFIG_DEFAULTS), with
+    ``devices`` (names) and ``environments`` (a count) drawn as responses. Every
+    error names the file, and the key if it has one."""
+    sec = _read_sim_section(path)
+    get = {bool: sec.getboolean, int: sec.getint, float: sec.getfloat, str: sec.get}
+
+    def keyed(key, make):
+        try:
+            return make()
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
+    try:
+        for key in sec:
+            if key not in CONFIG_DEFAULTS:
+                raise ValueError(f"{key}: unknown key; the keys are {', '.join(CONFIG_DEFAULTS)}")
+        v = {}
+        for key, default in CONFIG_DEFAULTS.items():
+            default = v["n_fft"] // 4 if key == "hop" else default
+            v[key] = keyed(key, lambda: get[type(default)](key, default))
+        # SimConfig checks its fields; these keys are not fields as they are read.
+        for key in ("response_db", "environment_db"):
+            _require(np.isfinite(v[key]), key, v[key], "finite")
+        _require(v["environments"] >= 0, "environments", v["environments"], ">= 0")
+        seed, sample_rate, n_fft = v["seed"], v["sample_rate"], v["n_fft"]
+        # The responses are drawn from the grid, so it is checked first.
+        check_grid(seed, sample_rate, n_fft, v["hop"])
+        v["devices"] = keyed("response_db", lambda: tuple(
+            make_smooth_response(seed * 1000003 + 7 + i, v["response_db"], n_fft, sample_rate,
+                                 device_id=name) if v["response_db"] > 0
+            else flat_response(name, n_fft, sample_rate)
+            for i, name in enumerate(v["devices"].replace(",", " ").split())))
+        v["environments"] = keyed("environment_db", lambda: tuple(
+            make_smooth_environment(seed * 7919 + 13 + j, v["environment_db"], n_fft,
+                                    sample_rate, scene_id=f"e{j}")
+            for j in range(v["environments"])))
+        return SimConfig(**{field.name: v[field.name] for field in fields(SimConfig)})
+    except ValueError as exc:
+        raise ValueError(f"{path}: [sim] {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -377,3 +452,23 @@ def generate_dataset(cfg: SimConfig) -> SimDataset:
     """
     return SimDataset(tuple(rec for unit in dataset_units(cfg)
                             for rec in generate_unit(cfg, unit)), cfg)
+
+
+def truth_error_db(coeffs, sample_rate: int, n_fft: int, device_truth: dict) -> float:
+    """Largest mid-band error in dB of ``coeffs`` against the true gains of a
+    dataset at ``sample_rate`` and ``n_fft`` (``device_truth``: device -> gains).
+    Reference-free gains are defined up to scale; their shape is compared."""
+    if coeffs.n_fft != n_fft or coeffs.sample_rate != sample_rate:
+        raise ValueError(f"coefficients are for n_fft={coeffs.n_fft}@{coeffs.sample_rate} Hz, "
+                         f"ground truth is n_fft={n_fft}@{sample_rate} Hz")
+    if coeffs.source_device not in device_truth:
+        raise ValueError(f"device {coeffs.source_device!r} has no ground-truth response")
+    band = dsp.band_bins(n_fft, sample_rate)
+    est, src = coeffs.gains[band], device_truth[coeffs.source_device][band]
+    if coeffs.reference_device == "none":
+        est, true = est / dsp.geometric_mean(est), 1.0 / src / dsp.geometric_mean(1.0 / src)
+    elif coeffs.reference_device in device_truth:
+        true = device_truth[coeffs.reference_device][band] / src
+    else:
+        raise ValueError(f"reference {coeffs.reference_device!r} has no ground-truth response")
+    return float(np.max(np.abs(dsp.to_db(est / true))))

@@ -327,7 +327,12 @@ def test_an_out_that_cannot_be_created_is_named_and_leaves_no_part_file(command,
     ("features", ["--n-fft", "1001"], "--n-fft must be an even integer >= 16, got 1001"),
     ("estimate", ["--hop", "0"], "--hop must be >= 1, got 0"),
     ("features", ["--n-mels", "0"], "--n-mels must be >= 1, got 0"),
-], ids=["features-hop", "features-n-fft", "estimate-hop", "features-n-mels"])
+    ("features", ["--n-mels", "1026"],
+     "--n-mels must be <= n_fft/2 + 1 = 1025 for --n-fft 2048, got 1026"),
+    ("features", ["--n-mels", str(10**12)],
+     f"--n-mels must be <= n_fft/2 + 1 = 1025 for --n-fft 2048, got {10**12}"),
+], ids=["features-hop", "features-n-fft", "estimate-hop", "features-n-mels",
+        "features-n-mels-1026", "features-n-mels-1e12"])
 def test_bad_stft_flags_are_named_not_blamed_on_a_file(command, flags, message, sim_dir,
                                                          tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
@@ -551,7 +556,7 @@ def test_simulate_is_byte_identical_across_thread_counts(name, tmp_path, monkeyp
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         trees[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert trees["2"] == trees["1"] and trees["4"] == trees["1"]
-    dataset = sc.generate_dataset(cli._parse_sim_config(config))
+    dataset = sc.generate_dataset(sc.simulate.read_config(config))
     rows = files.read_manifest(tmp_path / "1" / "manifest.tsv")
     assert [row.path for row in rows] == [f"{r.recording_id}.wav" for r in dataset.waveforms]
     for rec in dataset.waveforms:

@@ -301,6 +301,19 @@ def test_apply_to_complex_identity_and_magnitude_consistency():
     assert np.abs(lhs - rhs).max() <= 1e-12 * rhs.max()
 
 
+def test_one_apply_scales_either_spectrogram_and_keeps_its_kind():
+    assert sc.apply_to_complex is sc.apply_to_amplitudes
+    spec = sc.stft(white_waveform(21, seconds=0.2), N_FFT, HOP)
+    gains = np.exp(np.random.default_rng(22).uniform(-1, 1, N_FFT // 2 + 1))
+    coeffs = sc.CorrectionCoefficients(gains, N_FFT, SR, "b", "a", 1, "aligned")
+    for before, read in ((spec, "bins"), (sc.amplitude(spec), "mags")):
+        after = sc.apply_to_complex(coeffs, before)
+        assert type(after) is type(before)
+        assert np.array_equal(getattr(after, read), getattr(before, read) * gains)
+        assert (after.n_fft, after.hop, after.sample_rate, after.window_name) == (
+            before.n_fft, before.hop, before.sample_rate, before.window_name)
+
+
 def test_apply_to_complex_resynthesis_matches_reference(device_pair, aligned_dataset):
     # Correct a device-b recording in the complex STFT domain, resynthesize,
     # re-analyze, and compare per-bin frame-averaged magnitudes to the

@@ -188,6 +188,39 @@ def test_amplitude_modulus_and_phase_invariance():
     assert mags.hop == spec.hop and mags.sample_rate == spec.sample_rate
 
 
+@pytest.mark.parametrize("kind", [sc.ComplexSpectrogram, sc.AmplitudeSpectrogram])
+@pytest.mark.parametrize("matrix,message", [
+    (np.ones(N_FFT // 2 + 1), "non-empty 2-D matrix"),
+    (np.ones((0, N_FFT // 2 + 1)), "non-empty 2-D matrix"),
+    (np.ones((3, N_FFT // 2)), "bin count 1024 inconsistent with n_fft=2048"),
+], ids=["1-d", "empty", "bin-count"])
+def test_spectrograms_reject_a_matrix_that_is_not_frames_by_bins(kind, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        kind(matrix, N_FFT, HOP, SR, "hann")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_amplitude_spectrogram_rejects_non_finite_or_negative_magnitudes(bad):
+    mags = np.ones((3, N_FFT // 2 + 1))
+    mags[1, 7] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        sc.AmplitudeSpectrogram(mags, N_FFT, HOP, SR, "hann")
+
+
+def test_both_spectrograms_read_one_matrix_of_their_own_dtype():
+    ones = np.ones((3, N_FFT // 2 + 1), dtype=np.float32)
+    spec = sc.ComplexSpectrogram(ones, N_FFT, HOP, SR, "hann")
+    assert spec.bins.dtype == np.complex128 and spec.bins is spec.matrix
+    mags = sc.amplitude(spec)
+    assert type(mags) is sc.AmplitudeSpectrogram and isinstance(mags, sc.dsp.Spectrogram)
+    assert mags.mags.dtype == np.float64 and mags.mags is mags.matrix
+    assert np.array_equal(mags.mags, ones)
+    assert (mags.frames, mags.freq_bins) == (3, N_FFT // 2 + 1)
+    assert np.array_equal(mags.bin_frequencies(), sc.bin_frequencies(N_FFT, SR))
+    assert (mags.n_fft, mags.hop, mags.sample_rate, mags.window_name) == (N_FFT, HOP, SR,
+                                                                          "hann")
+
+
 def test_geometric_mean_basics():
     assert sc.geometric_mean([2.0, 8.0]) == pytest.approx(4.0, rel=1e-15)
     assert sc.geometric_mean(np.full(37, 0.123)) == pytest.approx(0.123, rel=1e-14)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speccor as sc
 from speccor.simulate import MAX_LOG_STEP, SOURCES, SUM_LEAF, check_grid, sum_of_squares
@@ -330,3 +331,42 @@ def test_unit_source_equals_the_whole_array_formula(kind, unit, seed):
         stop = min(start + 63 * HOP + N_FFT, want.size)
         got[start:stop] = clean.read(start, stop)
     assert np.array_equal(got, want)
+
+
+def _truth(n_fft=N_FFT):
+    return {name: sc.make_smooth_response(seed, 20.0, n_fft, SR).gains
+            for name, seed in (("a", 31), ("b", 32))}
+
+
+@pytest.mark.parametrize("reference", ["a", "none"])
+def test_truth_error_of_the_exact_truth_is_zero(reference):
+    truth = _truth()
+    gains = (truth["a"] if reference == "a" else 1.0) / truth["b"]
+    coeffs = sc.CorrectionCoefficients(gains, N_FFT, SR, "b", reference, 1, "aligned")
+    assert sc.simulate.truth_error_db(coeffs, SR, N_FFT, truth) == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_reference_free_truth_error_ignores_the_gains_scale(scale, seed):
+    truth = _truth(256)
+    gains = np.exp(np.random.default_rng(seed).uniform(-2.0, 2.0, 129))
+
+    def score(g):
+        coeffs = sc.CorrectionCoefficients(g, 256, SR, "b", "none", 1, "simplified")
+        return sc.simulate.truth_error_db(coeffs, SR, 256, truth)
+    assert score(gains * scale) == pytest.approx(score(gains), rel=1e-9, abs=1e-9)
+
+
+def test_an_empty_sim_section_gives_the_documented_defaults(tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text("[sim]\n")
+    cfg = sc.simulate.read_config(config)
+    assert (cfg.seed, cfg.sample_rate, cfg.n_fft, cfg.hop) == (0, 44100, 2048, 512)
+    assert (cfg.num_recordings, cfg.duration, cfg.source, cfg.aligned) == (4, 3.0, "white",
+                                                                           True)
+    assert [d.name for d in cfg.devices] == ["a", "b"] and cfg.environments == ()
+    for device in cfg.devices:
+        assert np.abs(sc.to_db(device.gains)).max() == pytest.approx(20.0, rel=1e-9)
+    config.write_text("[sim]\nn_fft = 1024\n")
+    assert sc.simulate.read_config(config).hop == 256
