@@ -13,14 +13,14 @@ import argparse
 import contextlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import correction, dsp, files, fir, simulate, wavio
-from .dsp import BLOCK_FRAMES
-from .features import group_keys, group_stats, log_mel_blocks, mel_filterbank, scale_rows
+# Only what every subcommand runs is imported here; features, fir and simulate
+# are imported by the subcommands that use them, which keeps the start-up of a
+# short call such as design-fir or apply to what it needs.
+from . import correction, dsp, files, wavio
 from .wavio import AudioFileError
 
 
@@ -45,6 +45,8 @@ def _map_ordered(fn, items):
     workers = min(worker_count(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -213,7 +215,8 @@ def cmd_apply(args) -> int:
     with wavio.open_wav(args.input) as audio:
         if audio.sample_rate != coeffs.sample_rate:
             raise ValueError(f"sample_rate mismatch: audio is {audio.sample_rate} Hz, "
-                             f"coefficients are for {coeffs.sample_rate} Hz")
+                             f"coefficients are for {coeffs.sample_rate} Hz "
+                             f"(--in {args.input}, --coeffs {args.coeffs})")
         try:
             dsp.frame_count(len(audio), coeffs.n_fft, hop)
         except ValueError as exc:
@@ -225,7 +228,16 @@ def cmd_apply(args) -> int:
 
 
 def cmd_design_fir(args) -> int:
+    from . import fir
+
+    # design_ls makes the same checks; these name the flag and the file.
+    if args.taps < 3 or args.taps % 2 == 0:
+        raise ValueError(f"--taps must be odd and >= 3, got {args.taps}")
     coeffs = files.read_coefficients(args.coeffs)
+    if args.taps > coeffs.n_fft + 1:
+        raise ValueError(f"--taps {args.taps} exceeds n_fft + 1 = {coeffs.n_fft + 1} of "
+                         f"--coeffs {args.coeffs}: its {coeffs.freq_bins} bins do not "
+                         "determine more taps")
     filt = fir.design_ls(coeffs, args.taps)
     files.write_filter(args.out, filt)
     print(f"wrote {args.out} ({filt.num_taps} taps, group delay {filt.group_delay})")
@@ -233,7 +245,13 @@ def cmd_design_fir(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    from . import fir
+
     filt = files.read_filter(args.filter)
+    rate = wavio.read_wav_info(args.input).sample_rate
+    if rate != filt.sample_rate:
+        raise ValueError(f"sample_rate mismatch: audio is {rate} Hz, filter is for "
+                         f"{filt.sample_rate} Hz (--in {args.input}, --filter {args.filter})")
     wave = wavio.read_wav(args.input)
     out = fir.apply_filter(filt, wave, compensate_delay=not args.no_delay_compensation)
     wavio.write_wav(args.out, out)
@@ -244,6 +262,8 @@ def cmd_filter(args) -> int:
 # -- simulate --------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     cfg = simulate.read_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,6 +297,8 @@ def _feature_name(row) -> str:
 
 
 def cmd_features(args) -> int:
+    from . import features
+
     _check_stft_flags(args.n_fft, args.hop, args.n_mels)
     rows = files.read_manifest(args.manifest)
     # Workers write their own files, so two rows must never share an output
@@ -316,12 +338,12 @@ def cmd_features(args) -> int:
             path = Path(args.coeffs_dir) / f"{row.device}.coeffs"
             raise ValueError(f"{path}: coefficients are for {coeffs.sample_rate} Hz, "
                              f"{_resolve(args.manifest, row.path)} is at {rate} Hz")
-    fbs = {rate: mel_filterbank(rate, args.n_fft, args.n_mels)
+    fbs = {rate: features.mel_filterbank(rate, args.n_fft, args.n_mels)
            for rate in {rate for _, rate in headers.values()}}
 
     def log_mel(row, audio):
-        return log_mel_blocks(audio, fbs[audio.sample_rate], coeffs_by_device.get(row.device),
-                              args.hop)
+        return features.log_mel_blocks(audio, fbs[audio.sample_rate],
+                                       coeffs_by_device.get(row.device), args.hop)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,23 +363,23 @@ def cmd_features(args) -> int:
         # .part) and replaces the raw file with it. On any error every output
         # name is removed, so --out holds none of them.
         grouping = "per_device" if args.standardize == "per-device" else "global"
-        keys = group_keys(grouping, [row.device for row in rows], len(rows))
+        keys = features.group_keys(grouping, [row.device for row in rows], len(rows))
         shapes = [(headers[row][0], args.n_mels) for row in rows]
         paths = [out_dir / _feature_name(row) for row in rows]
         try:
             raw = _map_files(args.manifest, rows, write_raw)
-            stats = group_stats(keys, shapes, lambda i, out, first: files.read_feature_rows(
-                paths[i], raw[i][1], out, first))
+            stats = features.group_stats(keys, shapes, lambda i, out, first:
+                                         files.read_feature_rows(paths[i], raw[i][1], out, first))
 
             def write_scaled(i):
                 tag, offset = raw[i]
-                buffer = np.empty((BLOCK_FRAMES, args.n_mels))
+                buffer = np.empty((dsp.BLOCK_FRAMES, args.n_mels))
 
                 def scaled():
-                    for first in range(0, shapes[i][0], BLOCK_FRAMES):
+                    for first in range(0, shapes[i][0], dsp.BLOCK_FRAMES):
                         values = files.read_feature_rows(
                             paths[i], offset, buffer[:shapes[i][0] - first], first)
-                        yield scale_rows(values, stats[keys[i]], out=values)
+                        yield features.scale_rows(values, stats[keys[i]], out=values)
                 part = paths[i].with_name(paths[i].name + ".part")
                 files.write_feature_blocks(part, shapes[i], scaled(), grouping, keys[i], tag)
                 # Renaming over an existing file makes ext4 start writing the
@@ -379,6 +401,8 @@ def cmd_features(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from . import simulate
+
     if not 0 <= args.tolerance_db < np.inf:
         raise ValueError(f"--tolerance-db must be finite and >= 0, got {args.tolerance_db}")
     sample_rate, n_fft, device_truth, _ = files.read_responses(

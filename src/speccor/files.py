@@ -12,13 +12,15 @@ import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .correction import CorrectionCoefficients
-from .features import FeatureTensor
-from .fir import FirFilter
+
+if TYPE_CHECKING:  # imported where they are built, so a reader of coefficients loads neither
+    from .features import FeatureTensor
+    from .fir import FirFilter
 
 COEFFS_MAGIC = "speccor-coefficients-v1"
 FILTER_MAGIC = "speccor-filter-v1"
@@ -181,6 +183,8 @@ def write_filter(path, fir: FirFilter) -> None:
 
 @_names_file
 def read_filter(path) -> FirFilter:
+    from .fir import FirFilter
+
     reader = _LineReader(path, FILTER_MAGIC)
     sample_rate = int(reader.field("sample_rate"))
     num_taps = int(reader.field("num_taps"))
@@ -260,6 +264,8 @@ def read_feature_rows(path, offset: int, out: np.ndarray, first: int = 0) -> np.
 
 @_names_file
 def read_features(path) -> FeatureTensor:
+    from .features import FeatureTensor
+
     data = Path(path).read_bytes()
     try:
         split = data.index(b"dtype float64-le\n") + len(b"dtype float64-le\n")

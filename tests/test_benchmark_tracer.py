@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import speccor.cli  # noqa: F401  (loads every layer module the tracer patches)
-
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -21,6 +19,9 @@ def tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # The package loads its modules on first use; the tracer patches every layer.
+    for layer in module.LAYERS:
+        importlib.import_module(f"speccor.{layer}")
     return module
 
 

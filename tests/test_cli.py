@@ -1,3 +1,4 @@
+import ast
 import errno
 import os
 import subprocess
@@ -221,14 +222,51 @@ def test_unreadable_file_still_exits_2(tmp_path, capsys):
     assert "bad.wav" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_modules(code, **env):
+    """The names in sys.modules after a fresh interpreter runs ``code``, whose
+    stdout the list follows on the last line."""
     src = Path(sc.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, speccor.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        [sys.executable, "-c", f"{code}\nimport sys; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src), **env})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert [m for m in _fresh_modules("import speccor.cli") if m.split(".")[0] == "scipy"] == []
+
+
+def test_package_import_loads_no_submodule_and_no_scipy():
+    assert [m for m in _fresh_modules("import speccor")
+            if m.startswith("speccor.") or m.split(".")[0] == "scipy"] == []
+
+
+# Modules a subcommand must not load: each short call pays only for what it runs.
+_NOT_IN_ONE_FILE_CALLS = {"speccor.simulate", "speccor.features", "configparser",
+                          "concurrent.futures"}
+UNUSED_MODULES = {"design-fir": _NOT_IN_ONE_FILE_CALLS, "apply": _NOT_IN_ONE_FILE_CALLS,
+                  "filter": _NOT_IN_ONE_FILE_CALLS,
+                  "estimate": {"speccor.simulate", "speccor.features"}}
+
+
+@pytest.mark.parametrize("command", sorted(UNUSED_MODULES))
+def test_a_subcommand_loads_only_the_modules_it_runs(command, sim_dir, tmp_path):
+    coeffs = _random_coefficients(tmp_path / "c.coeffs")
+    filt = tmp_path / "f.filt"
+    assert main(["design-fir", "--coeffs", str(coeffs), "--taps", "65", "--out", str(filt)]) == 0
+    wav = tmp_path / "in.wav"
+    sc.write_wav(wav, white_waveform(97, seconds=0.2))
+    out = str(tmp_path / "out")
+    argv = {"design-fir": ["--coeffs", str(coeffs), "--out", out],
+            "apply": ["--coeffs", str(coeffs), "--in", str(wav), "--out", out],
+            "filter": ["--filter", str(filt), "--in", str(wav), "--out", out],
+            "estimate": ["--manifest", str(sim_dir / "manifest.tsv"),
+                         "--reference-device", "a", "--out", out]}[command]
+    code = f"import speccor.cli; assert speccor.cli.main({[command, *argv]!r}) == 0"
+    loaded = _fresh_modules(code, SPECCOR_THREADS="2")
+    assert sorted(UNUSED_MODULES[command] & set(loaded)) == []
+    assert Path(out).exists()
 
 
 def test_apply_identity_round_trips_audio(tmp_path):
@@ -287,6 +325,26 @@ def test_apply_checks_everything_before_creating_out(name, tmp_path, capsys):
                  "--out", str(tmp_path / "out.wav"), *flags]) == 1
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs", "in.wav"]
+
+
+@pytest.mark.parametrize("command", ["apply", "filter"])
+def test_a_sample_rate_mismatch_names_both_files_before_reading_audio(command, tmp_path,
+                                                                     capsys, monkeypatch):
+    coeffs = _random_coefficients(tmp_path / "c.coeffs", 48000)
+    assert main(["design-fir", "--coeffs", str(coeffs), "--taps", "65",
+                 "--out", str(tmp_path / "f.filt")]) == 0
+    wav = tmp_path / "in.wav"
+    sc.write_wav(wav, white_waveform(96, seconds=0.2))
+    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    flags, rates = {
+        "apply": (["--coeffs", str(coeffs)], "coefficients are for 48000 Hz"),
+        "filter": (["--filter", str(tmp_path / "f.filt")], "filter is for 48000 Hz"),
+    }[command]
+    capsys.readouterr()
+    assert main([command, *flags, "--in", str(wav), "--out", str(tmp_path / "out.wav")]) == 1
+    assert capsys.readouterr().err == (f"error: sample_rate mismatch: audio is {SR} Hz, "
+                                       f"{rates} (--in {wav}, {flags[0]} {flags[1]})\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs", "f.filt", "in.wav"]
 
 
 def test_apply_in_place_writes_the_bytes_of_another_path(tmp_path):
@@ -364,8 +422,22 @@ def test_design_fir_rejects_more_taps_than_n_fft_plus_one(sim_dir, tmp_path, cap
     code = main(["design-fir", "--coeffs", str(coeffs_dir / "b.coeffs"),
                  "--taps", str(2 * N_FFT + 1), "--out", str(filt_path)])
     assert code == 1
-    assert f"num_taps {2 * N_FFT + 1} exceeds n_fft + 1 = {N_FFT + 1}" in capsys.readouterr().err
+    assert (f"--taps {2 * N_FFT + 1} exceeds n_fft + 1 = {N_FFT + 1} of --coeffs "
+            f"{coeffs_dir / 'b.coeffs'}") in capsys.readouterr().err
     assert not filt_path.exists()
+
+
+@pytest.mark.parametrize("taps,message", [
+    (4, "--taps must be odd and >= 3, got 4"),
+    (5001, f"--taps 5001 exceeds n_fft + 1 = {N_FFT + 1} of --coeffs {{coeffs}}: its "
+           f"{N_FFT // 2 + 1} bins do not determine more taps"),
+], ids=["4", "5001"])
+def test_design_fir_names_the_taps_flag_and_the_coeffs_file(taps, message, tmp_path, capsys):
+    coeffs = _random_coefficients(tmp_path / "c.coeffs")
+    assert main(["design-fir", "--coeffs", str(coeffs), "--taps", str(taps),
+                 "--out", str(tmp_path / "f.filt")]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(coeffs=coeffs)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs"]
 
 
 def test_design_and_filter_pipeline(sim_dir, tmp_path):
@@ -716,13 +788,14 @@ def test_features_builds_one_filterbank_per_sample_rate(tmp_path, monkeypatch):
     files.write_manifest(manifest, rows)
 
     calls = []
+    mel_filterbank = sc.mel_filterbank  # the package name follows the patch below
 
     def counting_filterbank(sample_rate, n_fft, n_mels):
         calls.append(sample_rate)
         time.sleep(0.05)  # widen the window in which a second worker could miss
-        return sc.mel_filterbank(sample_rate, n_fft, n_mels)
+        return mel_filterbank(sample_rate, n_fft, n_mels)
 
-    monkeypatch.setattr("speccor.cli.mel_filterbank", counting_filterbank)
+    monkeypatch.setattr("speccor.features.mel_filterbank", counting_filterbank)
     monkeypatch.setenv("SPECCOR_THREADS", "4")
     out = tmp_path / "feats"
     assert main(["features", "--manifest", str(manifest), "--n-mels", "32",
@@ -731,7 +804,7 @@ def test_features_builds_one_filterbank_per_sample_rate(tmp_path, monkeypatch):
     for row in rows:
         wave = sc.read_wav(tmp_path / row.path)
         want = sc.extract(sc.amplitude(sc.stft(wave, N_FFT, HOP)),
-                          sc.mel_filterbank(wave.sample_rate, N_FFT, 32))
+                          mel_filterbank(wave.sample_rate, N_FFT, 32))
         got = files.read_features(out / (Path(row.path).stem + ".feat"))
         assert np.array_equal(got.values, want.values)
 
