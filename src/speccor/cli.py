@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Only what every subcommand runs is imported here; features, fir and simulate
-# are imported by the subcommands that use them, which keeps the start-up of a
-# short call such as design-fir or apply to what it needs.
-from . import correction, dsp, files, wavio
+# Only what every subcommand runs is imported here; correction, features, fir
+# and simulate are imported by the subcommands that use them, which keeps the
+# start-up of a short call such as design-fir, apply or filter to what it needs.
+from . import dsp, files, wavio
 from .wavio import AudioFileError
 
 
@@ -143,6 +143,8 @@ def _check_one_rate(manifest_path, headers, per_device) -> None:
 
 
 def cmd_estimate(args) -> int:
+    from . import correction
+
     _check_stft_flags(args.n_fft, args.hop)
     rows = files.read_manifest(args.manifest)
     reference = args.reference_device
@@ -248,13 +250,20 @@ def cmd_filter(args) -> int:
     from . import fir
 
     filt = files.read_filter(args.filter)
-    rate = wavio.read_wav_info(args.input).sample_rate
-    if rate != filt.sample_rate:
-        raise ValueError(f"sample_rate mismatch: audio is {rate} Hz, filter is for "
-                         f"{filt.sample_rate} Hz (--in {args.input}, --filter {args.filter})")
-    wave = wavio.read_wav(args.input)
-    out = fir.apply_filter(filt, wave, compensate_delay=not args.no_delay_compensation)
-    wavio.write_wav(args.out, out)
+    compensate = not args.no_delay_compensation
+    # As in apply, every check is made before --out is created; the output is
+    # then written while the input is read, a segment at a time.
+    with wavio.open_wav(args.input) as audio:
+        if audio.sample_rate != filt.sample_rate:
+            raise ValueError(f"sample_rate mismatch: audio is {audio.sample_rate} Hz, "
+                             f"filter is for {filt.sample_rate} Hz "
+                             f"(--in {args.input}, --filter {args.filter})")
+        try:
+            blocks = fir.filter_blocks(filt, audio, compensate)
+        except ValueError as exc:
+            raise ValueError(f"--in {args.input}: {exc}") from None
+        _write_wavs([args.out], audio.sample_rate,
+                    fir.filtered_length(filt, len(audio), compensate), blocks)
     print(f"wrote {args.out}")
     return 0
 

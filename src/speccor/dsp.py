@@ -374,20 +374,83 @@ def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
     return [Waveform(out, w.sample_rate) for out in outs]
 
 
+class OverlapAdd:
+    """Rolling overlap-add of frames of ``width`` samples, added ``hop`` samples
+    apart, for ``channels`` signals at once, handed out as finished samples.
+
+    ``add`` takes the next block of at most ``step`` frames of every channel.
+    Frame t of a block adds to the output rows (hop samples each) t to
+    t + ceil(width / hop) - 1 counted from the block's first frame only, so once
+    a block is added, its first rows get no more terms: ``add`` returns them.
+    The rows that later frames still reach move to the top before the next
+    block, so the sums live in buffers of step + ceil(width / hop) rows however
+    many frames come. With ``window`` (``width`` samples), each frame is taken
+    to be windowed by it twice, before and after a transform, and a finished
+    sample is divided by its sum of the squared window (``_normalize``);
+    ``frames``, the whole count of frames, then fixes that sum's maximum.
+    Every returned block, a (channels x samples) matrix, is a view of one
+    buffer that the next call overwrites, so the caller must not keep it.
+    """
+
+    def __init__(self, channels: int, width: int, hop: int, step: int,
+                 window: Optional[np.ndarray] = None, frames: int = 0):
+        self.hop, self.span = hop, -(-width // hop)
+        self._acc = np.zeros((channels, step + self.span, hop))
+        self._scale = None
+        if window is not None:
+            # Every row of the whole window sum is a row of this one, which
+            # holds a start, a middle that every phase covers, and an end.
+            self._peak = _window_sum(window, min(frames, 2 * self.span), hop).max()
+            self._scale = np.zeros((step + self.span, hop))
+            self._squared = np.broadcast_to(window * window, (step, width))
+        self._done = 0  # rows handed out that still head the buffers
+
+    def add(self, rows: int, frames) -> np.ndarray:
+        """Add the next ``rows`` frames of each channel, given in channel order
+        by the iterable ``frames`` (rows x width each, which the sink does not
+        keep), and return the ``rows * hop`` samples they finish."""
+        self._shift()
+        if self._scale is not None:
+            _overlap_add(self._scale, self._squared[:rows], 0, self.hop)
+        for acc, block in zip(self._acc, frames):
+            _overlap_add(acc, block, 0, self.hop)
+        return self._finished(rows)
+
+    def flush(self, samples: int) -> np.ndarray:
+        """The next ``samples`` samples after the last block's: the sums that
+        only earlier frames reach, then zeros."""
+        self._shift()
+        return self._finished(-(-samples // self.hop))[:, :samples]
+
+    def _finished(self, rows: int) -> np.ndarray:
+        self._done = rows
+        if self._scale is not None:
+            _normalize(self._acc[:, :rows], self._scale[:rows], self._peak)
+        return self._acc[:, :rows].reshape(len(self._acc), rows * self.hop)
+
+    def _shift(self) -> None:
+        rows, span = self._done, self.span
+        for buf in (self._scale, self._acc.swapaxes(0, 1)):
+            if buf is not None and rows:
+                buf[:span - 1] = buf[rows:rows + span - 1]
+                buf[span - 1:] = 0.0
+        self._done = 0
+
+
 def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str = "hann"):
     """``apply_gains`` of a Waveform or a ForwardReader (an open WAV, a
     simulator source), as consecutive blocks of finished output samples.
 
     Checks its arguments at once, then returns an iterator of (curves x
     samples) matrices in order; joined along their columns, they are
-    ``apply_gains``' outputs bit for bit. Frame t adds to the output rows
-    (hop samples each) t to t + ceil(n_fft / hop) - 1 only, so once the
-    frames [first, first + rows) are added, the rows below first + rows get
-    no more terms: they are normalized and handed out. The overlap-add sums
-    and the window sum, added block by block in frame order as the whole
-    sums would be, live in buffers of BLOCK_FRAMES + ceil(n_fft / hop) rows
-    however long the input is. Every block is a view of one buffer that the
-    next block overwrites, so the caller must not keep it.
+    ``apply_gains``' outputs bit for bit. Each block of frames is shaped by
+    every curve, inverted and windowed, and overlap-added by an
+    ``OverlapAdd`` sink, which divides by the window sum and hands out the
+    rows no later frame reaches; the sums, added block by block in frame
+    order as the whole sums would be, live in buffers of BLOCK_FRAMES +
+    ceil(n_fft / hop) rows however long the input is. Every block is a view
+    of one buffer that the next block overwrites, so the caller must not keep
+    it.
     """
     _analysis_window(len(audio), n_fft, hop, window)
     win = _synthesis_window(window, n_fft, hop)
@@ -396,42 +459,29 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
         if gains.shape != (n_fft // 2 + 1,):
             raise ValueError(f"gain curve has shape {gains.shape}, n_fft={n_fft} "
                              f"needs ({n_fft // 2 + 1},)")
-    frames, span = frame_count(len(audio), n_fft, hop), -(-n_fft // hop)
-    # Every row of the whole window sum is a row of this one, which holds a
-    # start, a middle that every phase covers, and an end.
-    peak = _window_sum(win, min(frames, 2 * span), hop).max()
+    frames = frame_count(len(audio), n_fft, hop)
     # At least one frame per phase, so a block costs no more Python steps
     # than the frames it holds.
-    step = max(BLOCK_FRAMES, span)
+    step = max(BLOCK_FRAMES, -(-n_fft // hop))
 
     def blocks():
-        scale = np.zeros((step + span, hop))
-        accs = np.zeros((len(curves), step + span, hop))
-        squared = np.broadcast_to(win * win, (step, n_fft))
+        sink = OverlapAdd(len(curves), n_fft, hop, step, win, frames)
         inverse = np.empty((step, n_fft))
-
-        def finished(rows):
-            _normalize(accs[:, :rows], scale[:rows], peak)
-            return accs[:, :rows].reshape(len(curves), rows * hop)
-
         for _, bins, scratch in _spectrum_blocks(audio, win, hop, step):
             rows = bins.shape[0]
-            _overlap_add(scale, squared[:rows], 0, hop)
             shaped = scratch[:2 * bins.size].view(np.complex128).reshape(bins.shape)
-            for acc, gains in zip(accs, curves):
-                out = np.fft.irfft(np.multiply(bins, gains, out=shaped), n=n_fft, axis=1,
-                                   out=inverse[:rows])
-                _overlap_add(acc, np.multiply(out, win, out=out), 0, hop)
-            yield finished(rows)
-            # The rows the next block's frames add to move to the top.
-            for buf in (scale, accs.swapaxes(0, 1)):
-                buf[:span - 1] = buf[rows:rows + span - 1]
-                buf[span - 1:] = 0.0
+
+            def inverses():
+                for gains in curves:
+                    out = np.fft.irfft(np.multiply(bins, gains, out=shaped), n=n_fft,
+                                       axis=1, out=inverse[:rows])
+                    yield np.multiply(out, win, out=out)
+            yield sink.add(rows, inverses())
         # The last frames' rows, then the zero rows that pad to len(audio):
         # fewer than hop samples lie past the last frame's rows.
         tail = len(audio) - frames * hop
         if tail:
-            yield finished(-(-tail // hop))[:, :tail]
+            yield sink.flush(tail)
     return blocks()
 
 

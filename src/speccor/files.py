@@ -16,9 +16,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .correction import CorrectionCoefficients
-
-if TYPE_CHECKING:  # imported where they are built, so a reader of coefficients loads neither
+if TYPE_CHECKING:  # imported where they are built, so a reader of one format loads no other
+    from .correction import CorrectionCoefficients
     from .features import FeatureTensor
     from .fir import FirFilter
 
@@ -154,6 +153,8 @@ def write_coefficients(path, c: CorrectionCoefficients) -> None:
 
 @_names_file
 def read_coefficients(path) -> CorrectionCoefficients:
+    from .correction import CorrectionCoefficients
+
     reader = _LineReader(path, COEFFS_MAGIC)
     estimator = reader.field("estimator")
     source = reader.field("source_device")

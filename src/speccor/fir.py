@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import dsp
-from .correction import CorrectionCoefficients
 from .dsp import Waveform
+
+if TYPE_CHECKING:  # annotations only: filter imports this module and runs no estimation
+    from .correction import CorrectionCoefficients
 
 # Targets are clamped to +/- this range before the filter is designed;
 # extreme gains (notably from the reference-free variant, which is only
 # defined up to scale) otherwise make the fit ill-behaved.
 DEFAULT_CLAMP_DB = 40.0
+
+# Input samples that filter_blocks convolves at a time: with a 1025-tap filter
+# one FFT of 9216 points, about 72 KiB, however long the input is.
+SEGMENT_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -99,18 +106,65 @@ def frequency_response(fir: FirFilter, grid) -> np.ndarray:
     return np.abs(phases @ fir.taps)
 
 
+def filter_blocks(fir: FirFilter, audio, compensate_delay: bool = True):
+    """``apply_filter`` of a Waveform or a ForwardReader (an open WAV), as
+    consecutive blocks of output samples.
+
+    Checks its arguments at once, then returns an iterator of (1 x samples)
+    matrices in order. The input is read forward SEGMENT_SAMPLES at a time;
+    each segment is convolved with the taps through one real FFT of the fixed
+    length ``fast_fft_len(SEGMENT_SAMPLES + num_taps - 1)``, against the taps'
+    spectrum computed once, and the segments' convolutions are overlap-added
+    SEGMENT_SAMPLES apart (``dsp.OverlapAdd``). The output runs from sample
+    ``group_delay`` of the full convolution with delay compensation, from
+    sample 0 without, and is as long as ``apply_filter``'s. Every block is a
+    view of one buffer that the next block overwrites, so the caller must not
+    keep it.
+    """
+    if audio.sample_rate != fir.sample_rate:
+        raise ValueError(f"sample-rate mismatch: waveform {audio.sample_rate} Hz, "
+                         f"filter {fir.sample_rate} Hz")
+    n = len(audio)
+    if not n:
+        raise ValueError("no samples to filter")
+    width = SEGMENT_SAMPLES + fir.num_taps - 1
+    size = dsp.fast_fft_len(width)
+    start = fir.group_delay if compensate_delay else 0
+    stop = start + filtered_length(fir, n, compensate_delay)
+
+    def blocks():
+        response = np.fft.rfft(fir.taps, size)
+        sink = dsp.OverlapAdd(1, width, SEGMENT_SAMPLES, 1)
+        # Segment k's add finishes samples [k, k + 1) * SEGMENT_SAMPLES of the
+        # full convolution; each block is cut to [start, stop).
+        for first in range(0, n, SEGMENT_SAMPLES):
+            segment = audio.read(first, min(first + SEGMENT_SAMPLES, n))
+            out = np.fft.irfft(np.fft.rfft(segment, size) * response, size)
+            block = sink.add(1, [out[None, :width]])[:, max(start - first, 0):stop - first]
+            if block.size:
+                yield block
+        done = -(-n // SEGMENT_SAMPLES) * SEGMENT_SAMPLES
+        if stop > done:
+            yield sink.flush(stop - done)[:, max(start - done, 0):]
+    return blocks()
+
+
+def filtered_length(fir: FirFilter, samples: int, compensate_delay: bool = True) -> int:
+    """Samples ``apply_filter`` returns for an input of ``samples`` samples."""
+    return samples if compensate_delay else samples + fir.num_taps - 1
+
+
 def apply_filter(fir: FirFilter, w: Waveform, compensate_delay: bool = True) -> Waveform:
     """Convolve a waveform with the filter.
 
     With delay compensation the output is advanced by the group delay and
     truncated to the input length, so it lines up sample-for-sample with the
-    frequency-domain path. Without it, the full convolution is returned.
+    frequency-domain path. Without it, the full convolution is returned. The
+    samples are those of ``filter_blocks``, collected.
     """
-    if w.sample_rate != fir.sample_rate:
-        raise ValueError(f"sample-rate mismatch: waveform {w.sample_rate} Hz, "
-                         f"filter {fir.sample_rate} Hz")
-    out = dsp.convolve(w, fir.taps)
-    if not compensate_delay:
-        return out
-    start = fir.group_delay
-    return Waveform(out.samples[start:start + len(w)], w.sample_rate)
+    out = np.empty(filtered_length(fir, len(w), compensate_delay))
+    done = 0
+    for block in filter_blocks(fir, w, compensate_delay):
+        out[done:done + block.shape[1]] = block[0]
+        done += block.shape[1]
+    return Waveform(out, w.sample_rate)

@@ -253,7 +253,7 @@ class create_wav:
                           width, 8 * width)
         header = b"RIFF" + struct.pack("<I", 36 + payload + (payload & 1)) + b"WAVE" \
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", payload)
-        self.path, self.samples = path, samples
+        self.path, self.samples, self.encoding = path, samples, encoding
         self._part = f"{os.fspath(path)}.part"
         self._buf = np.empty(min(max(samples, 1), WRITE_CHUNK_SAMPLES), dtype)
         self._written = 0
@@ -277,17 +277,24 @@ class create_wav:
             self.discard()
 
     def write(self, block: np.ndarray) -> None:
-        """Append the samples of the 1-D float64 array ``block``."""
+        """Append the samples of the 1-D float64 array ``block``; a sample that
+        is not finite, or that overflows float32, raises ValueError, since
+        ``read_wav`` would reject the file."""
         if self._written + block.size > self.samples:
             raise ValueError(f"{self.path}: {self._written + block.size} samples written "
                              f"to a file of {self.samples}")
         for start in range(0, block.size, self._buf.size):
             part = block[start:start + self._buf.size]
             out = self._buf[:part.size]
-            if out.dtype.kind == "f":
-                np.copyto(out, part)
-            else:  # pcm16: round to the nearest step, clip at full scale
-                np.clip(np.rint(part * 32768.0), -32768, 32767, out=out, casting="unsafe")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if out.dtype.kind == "f":
+                    np.copyto(out, part)
+                else:  # pcm16: round to the nearest step, clip at full scale
+                    np.clip(np.rint(part * 32768.0), -32768, 32767, out=out,
+                            casting="unsafe")
+            if not np.isfinite(out if out.dtype.kind == "f" else part).all():
+                raise ValueError(f"{self.path}: samples must be finite to be written as "
+                                 f"{self.encoding}")
             self._file.write(out)
         self._written += block.size
 

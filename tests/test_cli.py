@@ -246,7 +246,7 @@ def test_package_import_loads_no_submodule_and_no_scipy():
 _NOT_IN_ONE_FILE_CALLS = {"speccor.simulate", "speccor.features", "configparser",
                           "concurrent.futures"}
 UNUSED_MODULES = {"design-fir": _NOT_IN_ONE_FILE_CALLS, "apply": _NOT_IN_ONE_FILE_CALLS,
-                  "filter": _NOT_IN_ONE_FILE_CALLS,
+                  "filter": _NOT_IN_ONE_FILE_CALLS | {"speccor.correction"},
                   "estimate": {"speccor.simulate", "speccor.features"}}
 
 
@@ -306,6 +306,11 @@ def _random_coefficients(path, sample_rate=SR):
     return path
 
 
+def _filter_flags(tmp_path, coeffs):
+    assert main(["design-fir", "--coeffs", str(coeffs), "--out", str(tmp_path / "f.filt")]) == 0
+    return ["filter", "--filter", str(tmp_path / "f.filt")]
+
+
 APPLY_ERRORS = {
     "hop-negative": (["--hop=-5"], 0.1, SR, "--hop must be >= 1, or 0 for n_fft/4, got -5"),
     "hop-not-invertible": (["--hop", str(N_FFT)], 0.1, SR,
@@ -335,7 +340,8 @@ def test_a_sample_rate_mismatch_names_both_files_before_reading_audio(command, t
                  "--out", str(tmp_path / "f.filt")]) == 0
     wav = tmp_path / "in.wav"
     sc.write_wav(wav, white_waveform(96, seconds=0.2))
-    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    # Every read of audio, read_wav's too, goes through an open_wav stream.
+    monkeypatch.setattr(wavio.open_wav, "_read_raw", lambda self: pytest.fail(f"read {self.path}"))
     flags, rates = {
         "apply": (["--coeffs", str(coeffs)], "coefficients are for 48000 Hz"),
         "filter": (["--filter", str(tmp_path / "f.filt")], "filter is for 48000 Hz"),
@@ -1001,20 +1007,23 @@ def test_peak_memory_is_independent_of_recording_length(command, length_manifest
     assert peaks[30] - peaks[3] < wavio.READ_CHUNK_BYTES, peaks
 
 
-def test_apply_peak_memory_is_independent_of_recording_length(length_manifests, tmp_path):
+@pytest.mark.parametrize("command", ["apply", "filter"])
+def test_output_peak_memory_is_independent_of_recording_length(command, length_manifests,
+                                                               tmp_path):
     coeffs = _random_coefficients(tmp_path / "c.coeffs")
+    flags = (["apply", "--coeffs", str(coeffs)] if command == "apply"
+             else _filter_flags(tmp_path, coeffs))
 
-    def apply(seconds, out):
+    def run(seconds, out):
         wav = length_manifests[seconds].parent / f"b{seconds}.wav"
-        assert main(["apply", "--coeffs", str(coeffs), "--in", str(wav),
-                     "--out", str(tmp_path / out)]) == 0
+        assert main([*flags, "--in", str(wav), "--out", str(tmp_path / out)]) == 0
 
-    apply(3, "warm.wav")
+    run(3, "warm.wav")
     peaks = {}
     for seconds in (3, 30):
         tracemalloc.start()
         try:
-            apply(seconds, f"{seconds}.wav")
+            run(seconds, f"{seconds}.wav")
             peaks[seconds] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1076,6 +1085,38 @@ def test_apply_of_a_non_finite_sample_mid_stream_leaves_no_out(nan_manifest, tmp
     assert capsys.readouterr().err == (f"error: {tmp_path / 'r1.wav'}: waveform samples "
                                        "must be finite\n")
     assert not out.exists() and not (tmp_path / "out.wav.part").exists()
+
+
+@pytest.mark.parametrize("command", ["apply", "filter"])
+def test_an_output_that_overflows_float32_exits_1_and_leaves_no_out(command, tmp_path,
+                                                                    capsys):
+    # A legal float32 file near full float32 range, raised by 6 dB.
+    coeffs = tmp_path / "c.coeffs"
+    files.write_coefficients(coeffs, sc.CorrectionCoefficients(
+        np.full(N_FFT // 2 + 1, 10.0 ** (6.0 / 20.0)), N_FFT, SR, "b", "a", 1, "aligned"))
+    signs = np.random.default_rng(97).choice([-1.0, 1.0], 8192)
+    sc.write_wav(tmp_path / "in.wav", sc.Waveform(signs * 3e38, SR))
+    flags = (["apply", "--coeffs", str(coeffs)] if command == "apply"
+             else _filter_flags(tmp_path, coeffs))
+    out = tmp_path / "out.wav"
+    capsys.readouterr()
+    assert main([*flags, "--in", str(tmp_path / "in.wav"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {out}: samples must be finite to be written "
+                                       "as float32\n")
+    assert not out.exists() and not (tmp_path / "out.wav.part").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-delay-compensation"]],
+                         ids=["compensated", "no-delay-compensation"])
+def test_filter_of_a_file_without_samples_names_in_before_creating_out(extra, tmp_path,
+                                                                       capsys):
+    flags = _filter_flags(tmp_path, _random_coefficients(tmp_path / "c.coeffs"))
+    wav = tmp_path / "in.wav"
+    sc.write_wav(wav, sc.Waveform(np.zeros(0), SR))
+    capsys.readouterr()
+    assert main([*flags, "--in", str(wav), "--out", str(tmp_path / "out.wav"), *extra]) == 1
+    assert capsys.readouterr().err == f"error: --in {wav}: no samples to filter\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs", "f.filt", "in.wav"]
 
 
 @pytest.mark.parametrize("command", [["estimate", "--reference-device", "a"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import speccor as sc
+from speccor import fir, wavio
 
 from conftest import SR, N_FFT, HOP, aligned_pairs, white_waveform
 
@@ -186,3 +187,37 @@ def test_fir_cascade_is_near_identity(device_pair, aligned_dataset):
     band = sc.band_bins(N_FFT, SR)
     deviation = _interior_log_spectrum(out, band) - _interior_log_spectrum(w, band)
     assert np.abs(deviation * sc.to_db(np.e)).max() < 1.0
+
+
+SEGMENT = fir.SEGMENT_SAMPLES
+
+
+def _symmetric_filter(seed, num_taps):
+    half = np.random.default_rng(seed).standard_normal(num_taps // 2 + 1)
+    return sc.FirFilter(np.concatenate([half[:0:-1], half]), SR, N_FFT // 2 + 1)
+
+
+@pytest.mark.parametrize("compensate", [True, False])
+@pytest.mark.parametrize("num_taps", [1025, SEGMENT + 1001], ids=["1025", "longer"])
+@pytest.mark.parametrize("length", [SEGMENT // 3, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 77],
+                         ids=["short", "one", "one-plus-1", "several"])
+def test_streamed_filter_equals_the_full_convolution(length, num_taps, compensate, tmp_path):
+    filt = _symmetric_filter(num_taps, num_taps)
+    # float32 samples, so the file streamed holds the waveform exactly
+    samples = np.random.default_rng(length).standard_normal(length).astype(np.float32)
+    w = sc.Waveform(samples, SR)
+    full = sc.convolve(w, filt.taps).samples
+    want = full[filt.group_delay:filt.group_delay + length] if compensate else full
+    sc.write_wav(tmp_path / "in.wav", w)
+    with wavio.open_wav(tmp_path / "in.wav") as audio:
+        got = np.concatenate([block[0].copy()
+                              for block in fir.filter_blocks(filt, audio, compensate)])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    assert np.array_equal(sc.apply_filter(filt, w, compensate).samples, got)
+
+
+def test_streamed_filter_rejects_an_empty_input():
+    filt = sc.FirFilter([0.25, 0.5, 0.25], SR, N_FFT // 2 + 1)
+    with pytest.raises(ValueError, match="no samples to filter"):
+        sc.apply_filter(filt, sc.Waveform(np.zeros(0), SR))

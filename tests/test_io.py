@@ -350,6 +350,19 @@ def test_wav_stream_fed_too_few_or_too_many_samples_leaves_no_file(fed, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("encoding,bad", [("float32", 6e38), ("float32", np.nan),
+                                          ("pcm16", np.inf), ("pcm16", np.nan)])
+def test_wav_stream_rejects_a_sample_it_cannot_write_finite(encoding, bad, tmp_path):
+    path = tmp_path / "x.wav"
+    samples = np.zeros(wavio.WRITE_CHUNK_SAMPLES + 10)
+    samples[-1] = bad  # in the second chunk, after the first is written
+    with pytest.raises(ValueError, match=re.escape(f"{path}: samples must be finite to be "
+                                                   f"written as {encoding}")):
+        with sc.create_wav(path, SR, samples.size, encoding) as out:
+            out.write(samples)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_wav_stream_leaves_no_file_when_its_blocks_fail(tmp_path):
     (tmp_path / "x.wav").write_bytes(b"kept")
     with pytest.raises(OSError, match="No space left"):
