@@ -211,6 +211,9 @@ def cmd_apply(args) -> int:
     if args.hop < 0:
         raise ValueError(f"--hop must be >= 1, or 0 for n_fft/4, got {args.hop}")
     coeffs = files.read_coefficients(args.coeffs)
+    if coeffs.n_fft < 16 or coeffs.n_fft % 2 != 0:
+        raise ValueError(f"--coeffs {args.coeffs}: n_fft must be an even integer >= 16, "
+                         f"got {coeffs.n_fft}")
     hop = args.hop or coeffs.n_fft // 4
     # Every check is made before --out is created; the output is then written
     # while the input is read, a block of frames at a time.
@@ -223,7 +226,10 @@ def cmd_apply(args) -> int:
             dsp.frame_count(len(audio), coeffs.n_fft, hop)
         except ValueError as exc:
             raise ValueError(f"{args.input}: {exc}") from None
-        blocks = dsp.shaped_blocks(audio, [coeffs.gains], coeffs.n_fft, hop)
+        try:  # with n_fft and the length checked, only the hop can fail to invert
+            blocks = dsp.shaped_blocks(audio, [coeffs.gains], coeffs.n_fft, hop)
+        except ValueError as exc:
+            raise ValueError(f"--hop {hop}: {exc}") from None
         _write_wavs([args.out], audio.sample_rate, len(audio), blocks)
     print(f"wrote {args.out}")
     return 0

@@ -44,6 +44,8 @@ class CorrectionCoefficients:
             raise ValueError("gains must be finite and strictly positive")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "gains", gains)
 
     @property

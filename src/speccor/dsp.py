@@ -242,25 +242,6 @@ def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int, hop: int) -> N
         out[first + j:first + j + part.shape[0], :part.shape[1]] += part
 
 
-def _window_sum(win: np.ndarray, frames: int, hop: int) -> np.ndarray:
-    """Overlap-add of the squared window over ``frames`` frames, in a rows x hop
-    buffer."""
-    n_fft = win.size
-    scale = np.zeros((frames - 1 + -(-n_fft // hop), hop))
-    _overlap_add(scale, np.broadcast_to(win * win, (frames, n_fft)), 0, hop)
-    return scale
-
-
-def _normalize(acc: np.ndarray, scale: np.ndarray, peak: float) -> np.ndarray:
-    """Divide an overlap-add sum by the summed squared window ``scale`` in place
-    and return it; samples whose window weight is at most 1e-11 of the whole
-    sum's maximum ``peak`` become 0. ``scale`` broadcasts against ``acc``."""
-    valid = scale > 1e-11 * peak
-    np.divide(acc, scale, out=acc, where=valid)
-    np.copyto(acc, 0.0, where=~valid)
-    return acc
-
-
 def _spectrum_blocks(audio, win: np.ndarray, hop: int, step: int):
     """(first frame, rfft of the windowed frames, scratch) for each ``step``
     frames of ``audio`` in order; rfft transforms each row alone, so every
@@ -341,18 +322,20 @@ def stft(w: Waveform, n_fft: int = 2048, hop: int = 512,
 
 
 def istft(c: ComplexSpectrogram) -> Waveform:
-    """Windowed overlap-add resynthesis.
+    """Windowed overlap-add resynthesis: one ``OverlapAdd`` sink takes every frame.
 
     Output length is (T-1)*hop + n_fft. Samples more than n_fft away from
     either end reconstruct the analyzed signal exactly; edge samples are
     renormalized by the partial window overlap.
     """
     win = _synthesis_window(c.window_name, c.n_fft, c.hop)
-    scale = _window_sum(win, c.frames, c.hop)
-    acc = np.zeros_like(scale)
-    _overlap_add(acc, np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win, 0, c.hop)
-    out = _normalize(acc.ravel(), scale.ravel(), scale.max())
-    return Waveform(out[:(c.frames - 1) * c.hop + c.n_fft], c.sample_rate)
+    sink = OverlapAdd(1, c.n_fft, c.hop, c.frames, win, c.frames)
+    out = np.empty((c.frames - 1) * c.hop + c.n_fft)
+    # flush overwrites the block that add returns, so each is copied out first.
+    body = c.frames * c.hop
+    out[:body] = sink.add(c.frames, [np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win])[0]
+    out[body:] = sink.flush(c.n_fft - c.hop)[0]
+    return Waveform(out, c.sample_rate)
 
 
 def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
@@ -386,8 +369,9 @@ class OverlapAdd:
     block, so the sums live in buffers of step + ceil(width / hop) rows however
     many frames come. With ``window`` (``width`` samples), each frame is taken
     to be windowed by it twice, before and after a transform, and a finished
-    sample is divided by its sum of the squared window (``_normalize``);
-    ``frames``, the whole count of frames, then fixes that sum's maximum.
+    sample is divided by its sum of the squared window (``_finished``), or
+    set to 0 where that sum is at most 1e-11 of its maximum; ``frames``, the
+    whole count of frames, then fixes that maximum.
     Every returned block, a (channels x samples) matrix, is a view of one
     buffer that the next call overwrites, so the caller must not keep it.
     """
@@ -398,11 +382,14 @@ class OverlapAdd:
         self._acc = np.zeros((channels, step + self.span, hop))
         self._scale = None
         if window is not None:
-            # Every row of the whole window sum is a row of this one, which
-            # holds a start, a middle that every phase covers, and an end.
-            self._peak = _window_sum(window, min(frames, 2 * self.span), hop).max()
             self._scale = np.zeros((step + self.span, hop))
-            self._squared = np.broadcast_to(window * window, (step, width))
+            self._squared = np.broadcast_to(window * window, (max(step, 2 * self.span), width))
+            # Every row of the whole window sum is a row of the sum over min(frames,
+            # 2 * span) frames: a start, a middle that every phase covers, an end.
+            edge = min(frames, 2 * self.span)
+            peak = np.zeros((edge - 1 + self.span, hop))
+            _overlap_add(peak, self._squared[:edge], 0, hop)
+            self._floor = 1e-11 * peak.max()
         self._done = 0  # rows handed out that still head the buffers
 
     def add(self, rows: int, frames) -> np.ndarray:
@@ -424,9 +411,12 @@ class OverlapAdd:
 
     def _finished(self, rows: int) -> np.ndarray:
         self._done = rows
-        if self._scale is not None:
-            _normalize(self._acc[:, :rows], self._scale[:rows], self._peak)
-        return self._acc[:, :rows].reshape(len(self._acc), rows * self.hop)
+        acc, scale = self._acc[:, :rows], self._scale
+        if scale is not None:
+            valid = scale[:rows] > self._floor
+            np.divide(acc, scale[:rows], out=acc, where=valid)
+            np.copyto(acc, 0.0, where=~valid)
+        return acc.reshape(len(self._acc), rows * self.hop)
 
     def _shift(self) -> None:
         rows, span = self._done, self.span

@@ -39,6 +39,8 @@ class FirFilter:
             raise ValueError("taps must be finite")
         if np.max(np.abs(taps - taps[::-1])) > 1e-12 * max(1.0, np.max(np.abs(taps))):
             raise ValueError("taps must be symmetric (Type I linear phase)")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "taps", taps)
 
     @property

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import speccor as sc
+
+# Every property test draws the same examples on every run and writes no
+# example database; each test sets only its own max_examples.
+settings.register_profile("speccor", derandomize=True, database=None, deadline=None)
+settings.load_profile("speccor")
 
 SR = 44100
 N_FFT = 2048

@@ -1,6 +1,9 @@
 import ast
+import contextlib
 import errno
+import io
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speccor as sc
 from speccor import cli, files, wavio
@@ -151,7 +155,7 @@ def test_estimate_rejects_an_unaligned_group_before_reading_audio(sim_dir, tmp_p
         files.ManifestRow(str(sim_dir / "g0000_a.wav"), "a", "g0"),
         files.ManifestRow(str(short), "b", "g0"),
     ])
-    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    monkeypatch.setattr(wavio.open_wav, "_read_raw", lambda self: pytest.fail(f"read {self.path}"))
     assert main(["estimate", "--manifest", str(manifest),
                  "--reference-device", "a", "--aligned",
                  "--out", str(tmp_path / "c")]) == 1
@@ -164,7 +168,7 @@ def test_estimate_rejects_a_reference_only_manifest_before_reading_audio(sim_dir
     manifest = tmp_path / "only_a.tsv"
     files.write_manifest(manifest, [files.ManifestRow(str(sim_dir / f"g000{k}_a.wav"), "a")
                                     for k in range(2)])
-    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    monkeypatch.setattr(wavio.open_wav, "_read_raw", lambda self: pytest.fail(f"read {self.path}"))
     out = tmp_path / "c"
     assert main(["estimate", "--manifest", str(manifest), "--reference-device", "a",
                  "--out", str(out)]) == 1
@@ -299,9 +303,9 @@ def test_apply_rejects_sample_rate_mismatch(tmp_path, capsys):
     assert "sample_rate mismatch" in capsys.readouterr().err
 
 
-def _random_coefficients(path, sample_rate=SR):
-    gains = np.exp(np.random.default_rng(92).uniform(-1.0, 1.0, N_FFT // 2 + 1))
-    files.write_coefficients(path, sc.CorrectionCoefficients(gains, N_FFT, sample_rate, "b",
+def _random_coefficients(path, sample_rate=SR, n_fft=N_FFT):
+    gains = np.exp(np.random.default_rng(92).uniform(-1.0, 1.0, n_fft // 2 + 1))
+    files.write_coefficients(path, sc.CorrectionCoefficients(gains, n_fft, sample_rate, "b",
                                                              "a", 1, "aligned"))
     return path
 
@@ -311,24 +315,31 @@ def _filter_flags(tmp_path, coeffs):
     return ["filter", "--filter", str(tmp_path / "f.filt")]
 
 
+# flags, input seconds, the coefficients' (sample rate, n_fft), the error.
 APPLY_ERRORS = {
-    "hop-negative": (["--hop=-5"], 0.1, SR, "--hop must be >= 1, or 0 for n_fft/4, got -5"),
-    "hop-not-invertible": (["--hop", str(N_FFT)], 0.1, SR,
-                           "reconstruction condition violated"),
-    "sample-rate": ([], 0.1, 48000, "sample_rate mismatch: audio is 44100 Hz, "
-                                    "coefficients are for 48000 Hz"),
-    "too-short": ([], 0.01, SR, "in.wav: input too short: 441 samples < n_fft=2048"),
+    "hop-negative": (["--hop=-5"], 0.1, (SR, N_FFT),
+                     "--hop must be >= 1, or 0 for n_fft/4, got -5"),
+    "hop-not-invertible": (["--hop", str(N_FFT)], 0.1, (SR, N_FFT),
+                           "--hop 2048: reconstruction condition violated"),
+    "hop-beyond-n-fft": (["--hop", "5000"], 0.2, (SR, N_FFT),
+                         "--hop 5000: reconstruction condition violated"),
+    "n-fft-odd": ([], 0.1, (SR, N_FFT + 1),
+                  "c.coeffs: n_fft must be an even integer >= 16, got 2049"),
+    "sample-rate": ([], 0.1, (48000, N_FFT), "sample_rate mismatch: audio is 44100 Hz, "
+                                             "coefficients are for 48000 Hz"),
+    "too-short": ([], 0.01, (SR, N_FFT), "in.wav: input too short: 441 samples < n_fft=2048"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(APPLY_ERRORS))
 def test_apply_checks_everything_before_creating_out(name, tmp_path, capsys):
-    flags, seconds, coeffs_rate, message = APPLY_ERRORS[name]
-    coeffs = _random_coefficients(tmp_path / "c.coeffs", coeffs_rate)
+    flags, seconds, (coeffs_rate, n_fft), message = APPLY_ERRORS[name]
+    coeffs = _random_coefficients(tmp_path / "c.coeffs", coeffs_rate, n_fft)
     sc.write_wav(tmp_path / "in.wav", white_waveform(93, seconds=seconds))
     assert main(["apply", "--coeffs", str(coeffs), "--in", str(tmp_path / "in.wav"),
                  "--out", str(tmp_path / "out.wav"), *flags]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs", "in.wav"]
 
 
@@ -605,7 +616,7 @@ def test_estimate_names_the_file_at_another_sample_rate(sim_dir, tmp_path, mode,
         files.ManifestRow(str(odd), "b", "g1"),
     ])
     # The rates are compared before any audio is read.
-    monkeypatch.setattr(cli.wavio, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    monkeypatch.setattr(wavio.open_wav, "_read_raw", lambda self: pytest.fail(f"read {self.path}"))
     assert main(["estimate", "--manifest", str(manifest), *ESTIMATE_MODES[mode],
                  "--out", str(tmp_path / "c")]) == 1
     err = capsys.readouterr().err
@@ -1306,3 +1317,80 @@ def test_verify_names_an_empty_coefficients_directory(sim_dir, tmp_path, capsys)
     empty.mkdir()
     assert main(["verify", "--sim-dir", str(sim_dir), "--coeffs-dir", str(empty)]) == 1
     assert f"no *.coeffs files found in {empty}" in capsys.readouterr().err
+
+
+# -- the exit-code contract ------------------------------------------------------------
+
+# Legal WAVs at the edges of what speccor reads, as (samples, sample rate); the
+# stereo file is written as 16-bit PCM, the others as float32.
+_NOISE = white_waveform(97, seconds=0.1).samples
+DEGENERATE_WAVS = {
+    "silent": (np.zeros(_NOISE.size), SR),
+    "dc": (np.full(_NOISE.size, 0.5), SR),
+    "8-hz": (_NOISE[:64], 8),
+    "near-float32-max": (np.copysign(3e38, _NOISE), SR),
+    "one-frame": (_NOISE[:N_FFT], SR),
+    "stereo-pcm16": (_NOISE, SR),
+}
+# Integer flag values at the edges of what the flags accept; None leaves the flag out.
+BOUNDARY_INTS = [None, 0, -1, 1, 15, 16, 1025, 2**31]
+
+
+@pytest.fixture(scope="module")
+def degenerate_inputs(tmp_path_factory):
+    """The WAVs of DEGENERATE_WAVS, and a .coeffs and a .filt file at each of
+    their sample rates for n_fft 16 and 2048."""
+    root = tmp_path_factory.mktemp("degenerate")
+    for name, (samples, rate) in DEGENERATE_WAVS.items():
+        if name != "stereo-pcm16":
+            sc.write_wav(root / f"{name}.wav", sc.Waveform(samples, rate))
+            continue
+        payload = np.repeat(np.rint(samples * 32767).astype("<i2"), 2).tobytes()
+        fmt = struct.pack("<HHIIHH", 1, 2, rate, rate * 4, 4, 16)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+            + b"data" + struct.pack("<I", len(payload)) + payload
+        (root / f"{name}.wav").write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    for rate in {rate for _, rate in DEGENERATE_WAVS.values()}:
+        for n_fft in (16, N_FFT):
+            gains = np.exp(np.random.default_rng(n_fft).uniform(-1.0, 1.0, n_fft // 2 + 1))
+            coeffs = sc.CorrectionCoefficients(gains, n_fft, rate, "b", "a", 1, "aligned")
+            files.write_coefficients(root / f"{rate}-{n_fft}.coeffs", coeffs)
+            files.write_filter(root / f"{rate}-{n_fft}.filt", sc.design_ls(coeffs, n_fft // 2 + 1))
+    return root
+
+
+@settings(max_examples=80)
+@given(command=st.sampled_from(["apply", "design-fir", "filter"]),
+       wav=st.sampled_from(sorted(DEGENERATE_WAVS)), n_fft=st.sampled_from([16, N_FFT]),
+       value=st.sampled_from(BOUNDARY_INTS), compensate=st.booleans())
+def test_single_file_subcommands_keep_the_exit_code_contract(degenerate_inputs, command, wav,
+                                                             n_fft, value, compensate):
+    root = degenerate_inputs
+    stem = root / f"{DEGENERATE_WAVS[wav][1]}-{n_fft}"
+    wav = root / f"{wav}.wav"
+    coeffs, filt = stem.with_suffix(".coeffs"), stem.with_suffix(".filt")
+    out = root / ("out.filt" if command == "design-fir" else "out.wav")
+    argv = {
+        "apply": ["apply", "--coeffs", str(coeffs), "--in", str(wav), "--out", str(out)]
+        + ([] if value is None else [f"--hop={value}"]),
+        "design-fir": ["design-fir", "--coeffs", str(coeffs), "--out", str(out)]
+        + ([] if value is None else [f"--taps={value}"]),
+        "filter": ["filter", "--filter", str(filt), "--in", str(wav), "--out", str(out)]
+        + ([] if compensate else ["--no-delay-compensation"]),
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code:
+        assert not out.exists() and not Path(f"{out}.part").exists(), argv
+        if code == 1:
+            named = [arg for arg in argv if arg.startswith("--") or arg.startswith(str(root))]
+            assert any(name.split("=")[0] in err.getvalue() for name in named), \
+                (argv, err.getvalue())
+        return
+    if command == "design-fir":
+        files.read_filter(out)
+    else:
+        sc.read_wav(out)
+    out.unlink()

@@ -75,7 +75,7 @@ def test_stats_order_independence():
     assert np.abs(forward.log_mean - backward.log_mean).max() < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=4), min_size=3, max_size=3),
        st.integers(0, 2**32 - 1))
 def test_stats_merge_adds_sums_and_counts(frame_counts, seed):

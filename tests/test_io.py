@@ -253,7 +253,7 @@ def test_forward_reads_are_slices_of_the_whole_signal(kind, tmp_path):
 
     # Each step moves the start on (past the last stop: a gap) and reads at
     # least to the last stop; a step of 0 and 0 repeats or reads nothing.
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(steps=st.lists(st.tuples(st.integers(0, 3 * N_FFT), st.integers(0, 40000)),
                           max_size=12))
     def forward(steps):
@@ -647,6 +647,19 @@ FORMATS = {
                  wavio.read_wav_info),
 }
 
+
+@pytest.mark.parametrize("kind", ["coeffs", "filt"])
+@pytest.mark.parametrize("rate", [0, -SR])
+def test_coefficients_and_filter_reject_a_non_positive_sample_rate(tmp_path, kind, rate):
+    write, read = FORMATS[kind]
+    path = tmp_path / f"x.{kind}"
+    write(path)
+    _rewrite(path, f"sample_rate {SR}\n".encode(), f"sample_rate {rate}\n".encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sample_rate must be positive, "
+                                                   f"got {rate}")):
+        read(path)
+
+
 # Arbitrary bytes, plus short runs of the characters that numeric fields are made of.
 _JUNK = st.one_of(st.binary(max_size=12),
                   st.text("0123456789-+.eEx \t\n", max_size=6).map(str.encode))
@@ -660,7 +673,7 @@ def test_reader_parses_spliced_file_or_names_it(tmp_path, kind):
     valid = path.read_bytes()
     read(path)
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(offset=st.integers(0, len(valid)), cut=st.integers(0, 8), junk=_JUNK)
     def splice(offset, cut, junk):
         path.write_bytes(valid[:offset] + junk + valid[offset + cut:])

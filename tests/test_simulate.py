@@ -346,7 +346,7 @@ def test_truth_error_of_the_exact_truth_is_zero(reference):
     assert sc.simulate.truth_error_db(coeffs, SR, N_FFT, truth) == 0.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
 def test_reference_free_truth_error_ignores_the_gains_scale(scale, seed):
     truth = _truth(256)
