@@ -211,7 +211,7 @@ def cmd_apply(args) -> int:
     if args.hop < 0:
         raise ValueError(f"--hop must be >= 1, or 0 for n_fft/4, got {args.hop}")
     coeffs = files.read_coefficients(args.coeffs)
-    if coeffs.n_fft < 16 or coeffs.n_fft % 2 != 0:
+    if coeffs.n_fft % 2 != 0:
         raise ValueError(f"--coeffs {args.coeffs}: n_fft must be an even integer >= 16, "
                          f"got {coeffs.n_fft}")
     hop = args.hop or coeffs.n_fft // 4

@@ -36,6 +36,8 @@ class CorrectionCoefficients:
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=np.float64)
+        if self.n_fft < 16:
+            raise ValueError(f"n_fft must be >= 16, the smallest STFT, got {self.n_fft}")
         if gains.ndim != 1 or gains.size != self.n_fft // 2 + 1:
             raise ValueError(
                 f"gains must have length n_fft//2+1 = {self.n_fft // 2 + 1}, "

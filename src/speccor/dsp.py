@@ -40,8 +40,12 @@ def overlap_add_invertible(win: np.ndarray, hop: int) -> bool:
     """Nonzero overlap-add: every output sample gets squared-window weight.
 
     Folds the zero-padded squared window into ``hop`` columns, one per
-    output phase, and requires each column sum to exceed 1e-10.
+    output phase, and requires each column sum to exceed 1e-10. A hop past
+    the window leaves gaps, and one below 1 is none: both are False with
+    nothing allocated.
     """
+    if not 1 <= hop <= win.size:
+        return False
     wsq = np.zeros(-(-win.size // hop) * hop)
     wsq[:win.size] = win * win
     return bool(np.min(wsq.reshape(-1, hop).sum(axis=0)) > 1e-10)
@@ -215,9 +219,8 @@ def _analysis_window(length: int, n_fft: int, hop: int, window: str) -> np.ndarr
 
 
 def _synthesis_window(window: str, n_fft: int, hop: int) -> np.ndarray:
-    # A hop beyond n_fft leaves gaps under any window, named or not.
-    win = window_array(window, n_fft) if hop <= n_fft else None
-    if win is None or not overlap_add_invertible(win, hop):
+    win = window_array(window, n_fft)
+    if not overlap_add_invertible(win, hop):
         raise ValueError(
             f"reconstruction condition violated: window {window!r} with "
             f"hop={hop}, n_fft={n_fft} is not invertible")
@@ -342,9 +345,10 @@ def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
                 window: str = "hann") -> list:
     """Shape a waveform by each per-bin gain curve in the STFT domain.
 
-    For each curve the result equals ``istft`` of ``stft(w, n_fft, hop)`` with
-    its bins multiplied by the curve, zero-padded back to ``len(w)``, bit for
-    bit. The analysis runs once for all curves, and BLOCK_FRAMES frames at a
+    For each curve the result equals ``istft`` of ``stft`` of ``w`` padded
+    with zeros (``shaped_blocks``: L = (ceil(n_fft / hop) - 1) * hop before
+    it, and enough after it that the last sample gets every frame), its bins
+    multiplied by the curve, samples [L, L + len(w)), bit for bit. The analysis runs once for all curves, and BLOCK_FRAMES frames at a
     time (``shaped_blocks``), so no whole spectrogram is ever held. Returns
     one waveform per curve. ``w`` may also be a ForwardReader.
     """
@@ -427,16 +431,43 @@ class OverlapAdd:
         self._done = 0
 
 
+class _ZeroPadded:
+    """``audio`` (a Waveform or a ForwardReader) behind ``lead`` zeros and
+    ahead of ``trail`` zeros, read forward as ``audio`` is."""
+
+    def __init__(self, audio, lead: int, trail: int):
+        self.sample_rate, self._audio, self._lead = audio.sample_rate, audio, lead
+        self._len = lead + len(audio) + trail
+
+    def __len__(self) -> int:
+        return self._len
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop): ``audio``'s own range, or a copy padded with zeros."""
+        size, start, stop = len(self._audio), start - self._lead, stop - self._lead
+        lo, hi = min(max(start, 0), size), min(max(stop, 0), size)
+        inner = self._audio.read(lo, hi)
+        if (lo, hi) == (start, stop):
+            return inner
+        out = np.zeros(stop - start)
+        out[lo - start:hi - start] = inner
+        return out
+
+
 def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str = "hann"):
     """``apply_gains`` of a Waveform or a ForwardReader (an open WAV, a
     simulator source), as consecutive blocks of finished output samples.
 
     Checks its arguments at once, then returns an iterator of (curves x
     samples) matrices in order; joined along their columns, they are
-    ``apply_gains``' outputs bit for bit. Each block of frames is shaped by
-    every curve, inverted and windowed, and overlap-added by an
-    ``OverlapAdd`` sink, which divides by the window sum and hands out the
-    rows no later frame reaches; the sums, added block by block in frame
+    ``apply_gains``' outputs bit for bit. The frames lie on the grid of
+    ``stft``'s, but run from ceil(n_fft / hop) - 1 hops before the first
+    sample to past the last one, over zeros, so every output sample gets the
+    whole window sum: a curve that is not flat then cannot swell the edges,
+    where a lone frame's squared window would be the divisor. Each block of
+    frames is shaped by every curve, inverted and windowed, and overlap-added
+    by an ``OverlapAdd`` sink, which divides by the window sum and hands out
+    the rows no later frame reaches; the sums, added block by block in frame
     order as the whole sums would be, live in buffers of BLOCK_FRAMES +
     ceil(n_fft / hop) rows however long the input is. Every block is a view
     of one buffer that the next block overwrites, so the caller must not keep
@@ -449,15 +480,19 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
         if gains.shape != (n_fft // 2 + 1,):
             raise ValueError(f"gain curve has shape {gains.shape}, n_fft={n_fft} "
                              f"needs ({n_fft // 2 + 1},)")
-    frames = frame_count(len(audio), n_fft, hop)
     # At least one frame per phase, so a block costs no more Python steps
-    # than the frames it holds.
-    step = max(BLOCK_FRAMES, -(-n_fft // hop))
+    # than the frames it holds; the first block then outlasts the lead.
+    span = -(-n_fft // hop)
+    step = max(BLOCK_FRAMES, span)
+    lead = (span - 1) * hop
+    frames = (lead + len(audio) - 1) // hop + 1
+    padded = _ZeroPadded(audio, lead, (frames - 1) * hop + n_fft - lead - len(audio))
 
     def blocks():
         sink = OverlapAdd(len(curves), n_fft, hop, step, win, frames)
         inverse = np.empty((step, n_fft))
-        for _, bins, scratch in _spectrum_blocks(audio, win, hop, step):
+        skip, left = lead, len(audio)
+        for _, bins, scratch in _spectrum_blocks(padded, win, hop, step):
             rows = bins.shape[0]
             shaped = scratch[:2 * bins.size].view(np.complex128).reshape(bins.shape)
 
@@ -466,12 +501,10 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
                     out = np.fft.irfft(np.multiply(bins, gains, out=shaped), n=n_fft,
                                        axis=1, out=inverse[:rows])
                     yield np.multiply(out, win, out=out)
-            yield sink.add(rows, inverses())
-        # The last frames' rows, then the zero rows that pad to len(audio):
-        # fewer than hop samples lie past the last frame's rows.
-        tail = len(audio) - frames * hop
-        if tail:
-            yield sink.flush(tail)
+            # The last frame's rows end within a hop past the input.
+            block = sink.add(rows, inverses())[:, skip:skip + left]
+            skip, left = 0, left - block.shape[1]
+            yield block
     return blocks()
 
 

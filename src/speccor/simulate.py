@@ -71,7 +71,7 @@ def check_grid(seed, sample_rate, n_fft, hop) -> None:
              sample_rate, "an integer >= 1")
     _require(isinstance(n_fft, Integral) and n_fft >= 16 and n_fft % 2 == 0, "n_fft",
              n_fft, "an even integer >= 16")
-    _require(isinstance(hop, Integral) and 1 <= hop <= n_fft
+    _require(isinstance(hop, Integral)
              and dsp.overlap_add_invertible(dsp.window_array("hann", n_fft), hop),
              "hop", hop, f"a hop in 1..{n_fft} whose Hann overlap-add can be inverted")
 
@@ -289,9 +289,10 @@ def record(clean: Waveform, env: Optional[Response],
     """Pass a clean waveform through environment and device gain curves.
 
     The gains multiply STFT magnitudes with phases kept (zero-phase
-    distortion), so the true per-bin ratios are exactly known. The output is
-    zero-padded back to the input length; samples within n_fft of either end
-    are edge-affected.
+    distortion), so the true per-bin ratios are exactly known. The output has
+    the input's length; its frames run over zeros past either end
+    (``dsp.shaped_blocks``), so the edges are shaped as a signal that starts
+    and stops there.
     """
     if dev.sample_rate != clean.sample_rate:
         raise ValueError(f"config mismatch: waveform at {clean.sample_rate} Hz, "
@@ -300,11 +301,8 @@ def record(clean: Waveform, env: Optional[Response],
         raise ValueError("config mismatch between environment and device responses")
     if hop is None:
         hop = dev.n_fft // 4
-    return dsp.apply_gains(clean, [_chain_gains(env, dev)], dev.n_fft, hop)[0]
-
-
-def _chain_gains(env: Optional[Response], dev: Response) -> np.ndarray:
-    return dev.gains if env is None else dev.gains * env.gains
+    gains = dev.gains if env is None else dev.gains * env.gains
+    return dsp.apply_gains(clean, [gains], dev.n_fft, hop)[0]
 
 
 # Most samples a streamed source draws at a time while it folds its sum of
@@ -327,29 +325,30 @@ def sum_of_squares(draw, n: int) -> float:
     return sum_of_squares(draw, half) + sum_of_squares(draw, n - half)
 
 
-def _pink(rng: np.random.Generator, num_samples: int, sample_rate: int) -> Waveform:
-    """Pink noise shaped by one FFT over the whole signal, so it is made whole."""
-    white = np.fft.rfft(rng.standard_normal(num_samples))
-    freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate)
-    freqs[0] = freqs[1]
-    samples = np.fft.irfft(white / np.sqrt(freqs), n=num_samples)
-    samples *= 0.1 / np.sqrt(np.mean(samples ** 2))
-    return Waveform(samples, sample_rate)
+def _pink_curve(n_fft: int) -> np.ndarray:
+    """1/sqrt(k) per bin k (bin 0 takes bin 1's value), scaled to a two-sided
+    mean square of 1, so white noise shaped by it keeps its mean square."""
+    curve = 1.0 / np.sqrt(np.maximum(np.arange(n_fft // 2 + 1), 1))
+    return curve / np.sqrt((2.0 * np.sum(curve ** 2) - curve[0] ** 2 - curve[-1] ** 2) / n_fft)
+
+
+# A source's spectral tilt, a gain per bin of n_fft in each of its recordings.
+_SHAPES = {"pink": _pink_curve}
 
 
 class _NoiseSource(dsp.ForwardReader):
-    """A white or speechlike-modulated source at RMS 0.1, drawn from its seed
-    as it is read forward (``dsp.ForwardReader``); no full-length array exists.
+    """A simulator source at RMS 0.1, drawn from its seed as it is read forward
+    (``dsp.ForwardReader``); no full-length array exists.
 
-    The samples are those of one ``standard_normal(len)`` draw: "white" scaled,
-    "speechlike-modulated" times exp(0.5 * env) and then scaled, where env
-    interpolates knots drawn after the samples at a slow (~4 Hz) rate over
-    ``linspace(0, 1, len)``. A generator drawn in chunks gives the stream of
-    one call, and every step but the RMS is pointwise, so a range is made
-    alone. One pass (two for the speechlike knots, which lie after the
-    samples) folds the sum of squares in numpy's order (``sum_of_squares``),
-    so the scale has the bits of the whole-array RMS; reads re-seed and draw
-    the samples again.
+    The samples are those of one ``standard_normal(len)`` draw, scaled; for
+    "speechlike-modulated" first times exp(0.5 * env), where env interpolates
+    knots drawn after the samples at a slow (~4 Hz) rate over ``linspace(0,
+    1, len)``. (Pink's tilt shapes its recordings: ``_SHAPES``.) A generator
+    drawn in chunks gives the stream of one call, and every step but the RMS
+    is pointwise, so a range is made alone. One pass (two for the speechlike
+    knots, which lie after the samples) folds the sum of squares in numpy's
+    order (``sum_of_squares``), so the scale has the bits of the whole-array
+    RMS; reads re-seed and draw the samples again.
     """
 
     def __init__(self, seed, kind: str, num_samples: int, sample_rate: int):
@@ -410,29 +409,25 @@ def dataset_units(cfg: SimConfig) -> list:
 def unit_plan(cfg: SimConfig, unit) -> tuple:
     """(clean source, recordings, gain curves) of one of ``dataset_units(cfg)``.
 
-    The source reads forward in ranges, as a Waveform does: white and
-    speechlike-modulated sources are drawn from the unit's seed as they are
-    read, and a pink one, shaped by one FFT, is a Waveform.
-
-    Recording k is (recording id, device id, group id) and is the source
-    shaped by curve k: every device for an aligned group, one device for an
-    unaligned unit, which records a fresh source. Per-recording seeds derive
-    from (seed, indices), so units can be generated in any order.
+    The source is a ``_NoiseSource`` drawn from the unit's seed as it is read.
+    Recording k is (recording id, device id, group id), the source shaped by
+    device k's gains times the source's tilt (``_SHAPES``; none for white)
+    and the environment's gains. An aligned group records every device, an
+    unaligned unit one device and a fresh source. Seeds derive from (seed,
+    indices), so units can be generated in any order.
     """
     d_idx, i = unit
-    num_samples = int(round(cfg.duration * cfg.sample_rate))
-    env = cfg.environments[i % len(cfg.environments)] if cfg.environments else None
+    env = cfg.environments[i % len(cfg.environments)].gains if cfg.environments else 1.0
     if d_idx is None:
         seed, devices, group = [cfg.seed, i], cfg.devices, f"g{i:04d}"
     else:
         seed, devices, group = [cfg.seed, d_idx, i], cfg.devices[d_idx:d_idx + 1], None
-    if cfg.source == "pink":
-        clean = _pink(np.random.default_rng(seed), num_samples, cfg.sample_rate)
-    else:
-        clean = _NoiseSource(seed, cfg.source, num_samples, cfg.sample_rate)
+    clean = _NoiseSource(seed, cfg.source, int(round(cfg.duration * cfg.sample_rate)),
+                         cfg.sample_rate)
     recordings = [(f"{group}_{dev.name}" if group else f"{dev.name}_{i:04d}", dev.name, group)
                   for dev in devices]
-    return clean, recordings, [_chain_gains(env, dev) for dev in devices]
+    shape = _SHAPES.get(cfg.source, lambda n_fft: 1.0)(cfg.n_fft) * env
+    return clean, recordings, [dev.gains * shape for dev in devices]
 
 
 def generate_unit(cfg: SimConfig, unit) -> tuple:
@@ -464,6 +459,9 @@ def truth_error_db(coeffs, sample_rate: int, n_fft: int, device_truth: dict) -> 
     if coeffs.source_device not in device_truth:
         raise ValueError(f"device {coeffs.source_device!r} has no ground-truth response")
     band = dsp.band_bins(n_fft, sample_rate)
+    if not band.size:
+        raise ValueError(f"the mid band, MIDBAND_HZ = {dsp.MIDBAND_HZ} Hz, holds no bin of "
+                         f"n_fft={n_fft} at {sample_rate} Hz")
     est, src = coeffs.gains[band], device_truth[coeffs.source_device][band]
     if coeffs.reference_device == "none":
         est, true = est / dsp.geometric_mean(est), 1.0 / src / dsp.geometric_mean(1.0 / src)

@@ -712,7 +712,7 @@ def test_simulate_streams_each_device_to_its_file(tmp_path, monkeypatch):
     assert peaks["a b c d"] - peaks["a b"] < 2 * block_set, peaks
 
 
-@pytest.mark.parametrize("source", ["white", "speechlike-modulated"])
+@pytest.mark.parametrize("source", ["white", "pink", "speechlike-modulated"])
 def test_simulate_peak_memory_is_independent_of_recording_length(source, tmp_path,
                                                                  monkeypatch):
     """A worker draws its source as it is read, so a 30 s group peaks within
@@ -1319,6 +1319,69 @@ def test_verify_names_an_empty_coefficients_directory(sim_dir, tmp_path, capsys)
     assert f"no *.coeffs files found in {empty}" in capsys.readouterr().err
 
 
+def _write_small_coefficients(path, n_fft, gains):
+    """A .coeffs file of device b against a at SR, written by hand: its n_fft
+    may be one that CorrectionCoefficients refuses."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([files.COEFFS_MAGIC, "estimator aligned", "source_device b",
+                               "reference_device a", f"sample_rate {SR}", f"n_fft {n_fft}",
+                               "num_recordings 1", f"gains {len(gains)}",
+                               *map(str, gains)]) + "\n")
+    return path
+
+
+def _write_n_fft_0_pair(root):
+    """A responses.txt and a b.coeffs that both have n_fft 0 and one gain."""
+    (root / "sim").mkdir(parents=True)
+    files.write_responses(root / "sim" / "responses.txt", SR, 0, {"a": [1.0], "b": [1.0]})
+    _write_small_coefficients(root / "coeffs" / "b.coeffs", 0, [1.0])
+    return root / "sim", root / "coeffs"
+
+
+@pytest.mark.parametrize("n_fft,gains,command", [
+    (0, [1.0], "verify"), (2, [1.0, 1.0], "design-fir"), (-1, [], "design-fir")])
+def test_coefficients_with_n_fft_below_16_are_named_and_exit_1(n_fft, gains, command, tmp_path,
+                                                               capsys):
+    if command == "verify":
+        sim, coeffs_dir = _write_n_fft_0_pair(tmp_path)
+        coeffs = coeffs_dir / "b.coeffs"
+        argv = ["verify", "--sim-dir", str(sim), "--coeffs-dir", str(coeffs_dir)]
+    else:
+        coeffs = _write_small_coefficients(tmp_path / "b.coeffs", n_fft, gains)
+        argv = ["design-fir", "--coeffs", str(coeffs), "--out", str(tmp_path / "b.filt"),
+                "--taps", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {coeffs}: n_fft must be >= 16, the smallest "
+                                       f"STFT, got {n_fft}\n")
+    assert not (tmp_path / "b.filt").exists()
+
+
+@pytest.fixture(scope="module")
+def low_rate_dir(tmp_path_factory):
+    """A legal corpus at 150 Hz and n_fft 16, whose bins all lie below the mid
+    band, with its aligned and reference-free coefficients (--hop 4)."""
+    root = tmp_path_factory.mktemp("low-rate")
+    (root / "sim.cfg").write_text("[sim]\nsample_rate = 150\nn_fft = 16\n")
+    out = root / "sim"
+    assert main(["simulate", "--config", str(root / "sim.cfg"), "--out", str(out)]) == 0
+    for reference, extra in (("a", ["--aligned"]), ("none", [])):
+        assert main(["estimate", "--manifest", str(out / "manifest.tsv"), "--reference-device",
+                     reference, "--n-fft", "16", "--hop", "4",
+                     "--out", str(root / f"coeffs-{reference}")] + extra) == 0
+    return root
+
+
+@pytest.mark.parametrize("reference", ["a", "none"])
+def test_verify_says_that_the_mid_band_is_empty(reference, low_rate_dir, capsys):
+    coeffs_dir = low_rate_dir / f"coeffs-{reference}"
+    assert main(["verify", "--sim-dir", str(low_rate_dir / "sim"),
+                 "--coeffs-dir", str(coeffs_dir)]) == 1
+    first = sorted(coeffs_dir.glob("*.coeffs"))[0]
+    assert capsys.readouterr().err == (
+        f"error: {first}: the mid band, MIDBAND_HZ = {sc.dsp.MIDBAND_HZ} Hz, holds no bin "
+        "of n_fft=16 at 150 Hz\n")
+
+
 # -- the exit-code contract ------------------------------------------------------------
 
 # Legal WAVs at the edges of what speccor reads, as (samples, sample rate); the
@@ -1394,3 +1457,57 @@ def test_single_file_subcommands_keep_the_exit_code_contract(degenerate_inputs, 
     else:
         sc.read_wav(out)
     out.unlink()
+
+
+@pytest.fixture(scope="module")
+def verify_pool(sim_dir, low_rate_dir, tmp_path_factory):
+    """Corpora and coefficient directories for verify: sim_dir with its aligned
+    coefficients, the 150 Hz corpus with both of its own, the n_fft 0 pair, an
+    empty directory and a missing one."""
+    root = tmp_path_factory.mktemp("verify-pool")
+    assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"), "--aligned",
+                 "--reference-device", "a", "--out", str(root / "sim-a")]) == 0
+    zero_sim, zero_coeffs = _write_n_fft_0_pair(root / "n-fft-0")
+    (root / "empty").mkdir()
+    sims = {"sim": sim_dir, "low-rate": low_rate_dir / "sim", "n-fft-0": zero_sim,
+            "missing": root / "missing"}
+    coeffs = {"sim-a": root / "sim-a", "low-rate-a": low_rate_dir / "coeffs-a",
+              "low-rate-none": low_rate_dir / "coeffs-none", "n-fft-0": zero_coeffs,
+              "empty": root / "empty", "missing": root / "missing"}
+    return sims, coeffs
+
+
+# (corpus, coefficients) pairs of verify_pool: each corpus with its own, then crossed.
+VERIFY_PAIRS = [("sim", "sim-a"), ("low-rate", "low-rate-a"), ("low-rate", "low-rate-none"),
+                ("n-fft-0", "n-fft-0"), ("sim", "low-rate-a"), ("low-rate", "sim-a"),
+                ("sim", "n-fft-0"), ("sim", "empty"), ("sim", "missing"), ("missing", "sim-a")]
+
+
+@settings(max_examples=80)
+@given(pair=st.sampled_from(VERIFY_PAIRS),
+       tolerance=st.sampled_from(BOUNDARY_INTS + ["nan", "inf", "-0.0", "1e-9", "0.5"]))
+def test_verify_keeps_the_exit_code_contract(verify_pool, pair, tolerance):
+    sim, coeffs = verify_pool[0][pair[0]], verify_pool[1][pair[1]]
+    argv = ["verify", "--sim-dir", str(sim), "--coeffs-dir", str(coeffs)] \
+        + ([] if tolerance is None else [f"--tolerance-db={tolerance}"])
+
+    def listing():
+        return sorted(path for root in (sim, coeffs) if root.exists() for path in root.rglob("*"))
+    before = listing()
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    # verify only reads: whatever its exit, it leaves every file as it was.
+    assert listing() == before, argv
+    lines = out.getvalue().splitlines()
+    if code == 0:
+        assert lines and all(line.endswith("PASS") for line in lines), (argv, lines)
+    elif code == 1 and not err.getvalue():
+        # A score over the tolerance: each failing device is named.
+        assert any(line.startswith("device ") and line.endswith("FAIL") for line in lines), \
+            (argv, lines)
+    else:
+        named = [arg.split("=")[0] for arg in argv if arg.startswith("--")] + [str(sim),
+                                                                               str(coeffs)]
+        assert any(name in err.getvalue() for name in named), (argv, err.getvalue())

@@ -93,10 +93,13 @@ def test_istft_rejects_non_invertible_hop():
                                  N_FFT, N_FFT, SR, "hann")
     with pytest.raises(ValueError, match="reconstruction condition violated"):
         sc.istft(spec)
-    gapped = sc.ComplexSpectrogram(np.ones((4, N_FFT // 2 + 1), dtype=complex),
-                                   N_FFT, N_FFT + 64, SR, "boxcar")
-    with pytest.raises(ValueError, match="reconstruction condition violated"):
-        sc.istft(gapped)
+    # A hop past n_fft leaves gaps; a window without a name fails before that.
+    for window, message in [("hann", "reconstruction condition violated"),
+                            ("boxcar", "unknown window 'boxcar'")]:
+        gapped = sc.ComplexSpectrogram(np.ones((4, N_FFT // 2 + 1), dtype=complex),
+                                       N_FFT, N_FFT + 64, SR, window)
+        with pytest.raises(ValueError, match=message):
+            sc.istft(gapped)
 
 
 def _istft_frame_loop(c):
@@ -128,7 +131,11 @@ def test_istft_equals_frame_by_frame_overlap_add(n_fft, hop):
                          [(2048, 512, 3.0), (2048, 384, 1.0), (64, 1, 0.02), (256, 200, 0.3)])
 def test_apply_gains_equals_whole_matrix_path(n_fft, hop, seconds):
     w = white_waveform(hop, seconds)
-    spec = sc.stft(w, n_fft, hop)
+    # Zeros on the stft grid before the input and past its end: frames over
+    # them alone reach no sample of the input.
+    lead = -(-n_fft // hop) * hop
+    padded = sc.Waveform(np.concatenate([np.zeros(lead), w.samples, np.zeros(n_fft)]), SR)
+    spec = sc.stft(padded, n_fft, hop)
     assert spec.frames > sc.dsp.BLOCK_FRAMES  # more than one block
     coeffs = [sc.CorrectionCoefficients(_random_gains(seed, n_fft), n_fft, SR, "b", "a",
                                         1, "aligned") for seed in range(3)]
@@ -136,8 +143,17 @@ def test_apply_gains_equals_whole_matrix_path(n_fft, hop, seconds):
     assert len(outs) == len(coeffs)
     for c, out in zip(coeffs, outs):
         whole = sc.istft(sc.apply_to_complex(c, spec)).samples
-        assert np.array_equal(out.samples,
-                              np.concatenate([whole, np.zeros(len(w) - whole.size)]))
+        assert np.array_equal(out.samples, whole[lead:lead + len(w)])
+
+
+@pytest.mark.parametrize("n_fft, hop", [(512, 128), (2048, 512), (2048, 384)])
+def test_apply_gains_keeps_the_edges_at_the_level_of_the_interior(n_fft, hop):
+    """A steep curve must not swell the first and last samples, where only
+    part of the frames reach."""
+    w = white_waveform(n_fft, seconds=1.0)
+    out = sc.apply_gains(w, [_random_gains(n_fft, n_fft)], n_fft, hop)[0].samples
+    edges = np.concatenate([out[:n_fft], out[-n_fft:]])
+    assert np.abs(edges).max() <= 1.5 * np.abs(out[n_fft:-n_fft]).max()
 
 
 def test_apply_gains_checks_like_stft_and_istft():
@@ -333,6 +349,19 @@ def test_overlap_add_invertible_equals_check_nola(n_fft):
         # check_NOLA takes the overlap, which cannot be negative.
         expected = hop <= n_fft and signal.check_NOLA(win, n_fft, n_fft - hop)
         assert sc.dsp.overlap_add_invertible(win, hop) == expected, hop
+
+
+def test_overlap_add_invertible_rejects_a_hop_outside_the_window_without_allocating():
+    win = sc.dsp.window_array("hann", 64)
+    tracemalloc.start()
+    try:
+        # Folding the squared window into 10**6 columns would take 8 MB.
+        assert [sc.dsp.overlap_add_invertible(win, hop) for hop in (10**6, 65, 0, -1)] \
+            == [False] * 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 12, peak
 
 
 @pytest.mark.parametrize("n, m", [(132300, 1025), (441000, 1025), (1000, 1)])

@@ -290,16 +290,10 @@ def test_sum_of_squares_over_n_is_the_mean_of_squares_bit_for_bit(length):
 
 def _whole_source(rng, kind, num_samples, sample_rate):
     """A clean source made whole, as the simulator made every source before
-    its white and speechlike-modulated sources were drawn as they are read."""
-    if kind == "white":
-        samples = rng.standard_normal(num_samples)
-    elif kind == "pink":
-        white = np.fft.rfft(rng.standard_normal(num_samples))
-        freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate)
-        freqs[0] = freqs[1]
-        samples = np.fft.irfft(white / np.sqrt(freqs), n=num_samples)
-    else:
-        samples = rng.standard_normal(num_samples)
+    they were drawn as they are read. Pink draws as white does: its tilt is a
+    curve of every recording (``_NoiseSource.curve``)."""
+    samples = rng.standard_normal(num_samples)
+    if kind == "speechlike-modulated":
         knots = max(2, int(round(4.0 * num_samples / sample_rate)) + 1)
         env = np.interp(np.linspace(0.0, 1.0, num_samples),
                         np.linspace(0.0, 1.0, knots),
@@ -322,8 +316,8 @@ def test_unit_source_equals_the_whole_array_formula(kind, unit, seed):
                        sample_rate=SR, n_fft=N_FFT, hop=HOP)
     clean = sc.simulate.unit_plan(cfg, unit)[0]
     want = _whole_source(np.random.default_rng(seed), kind, 441002, SR)
-    # Only pink, shaped by one FFT, is held whole.
-    assert isinstance(clean, sc.Waveform) == (kind == "pink")
+    # No source is held whole.
+    assert isinstance(clean, sc.simulate._NoiseSource)
     assert (len(clean), clean.sample_rate) == (want.size, SR)
     # Read as dsp.shaped_blocks reads it: 64 frames at a time, overlapping.
     got = np.empty(want.size)
@@ -331,6 +325,41 @@ def test_unit_source_equals_the_whole_array_formula(kind, unit, seed):
         stop = min(start + 63 * HOP + N_FFT, want.size)
         got[start:stop] = clean.read(start, stop)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("unit", [(None, 1), (1, 0)], ids=["aligned", "unaligned"])
+def test_pink_curves_are_the_white_curves_times_the_pink_curve(unit):
+    devices = tuple(sc.make_smooth_response(70 + k, 15.0, N_FFT, SR, device_id=name)
+                    for k, name in enumerate("ab"))
+    plans = {source: sc.simulate.unit_plan(sc.SimConfig(
+        seed=6, num_recordings=2, duration=0.3, source=source, aligned=unit[0] is None,
+        devices=devices, environments=(sc.make_smooth_environment(80, 6.0, N_FFT, SR),),
+        sample_rate=SR, n_fft=N_FFT, hop=HOP), unit) for source in ("white", "pink")}
+    pink = sc.simulate._pink_curve(N_FFT)
+    assert plans["pink"][1] == plans["white"][1]
+    assert len(plans["pink"][2]) == len(plans["white"][2]) == (2 if unit[0] is None else 1)
+    for white, got in zip(plans["white"][2], plans["pink"][2]):
+        np.testing.assert_allclose(got, white * pink, rtol=1e-15)
+    # 1/sqrt(k), bin 0 at bin 1's value, with a two-sided mean square of 1.
+    k = np.arange(1, N_FFT // 2 + 1)
+    assert pink[0] == pink[1] and np.allclose(pink[1:] * np.sqrt(k), pink[1], rtol=1e-12)
+    mean_square = (pink[0] ** 2 + pink[-1] ** 2 + 2.0 * np.sum(pink[1:-1] ** 2)) / N_FFT
+    assert mean_square == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_fft", [16, 512, 2048])
+def test_pink_through_flat_devices_keeps_an_rms_of_a_tenth(n_fft):
+    """The pink curve's scale keeps the white draws' RMS of 0.1, with no pass
+    over the signal, and the steep curve leaves the edges at the level of the
+    rest: the whole recording is checked."""
+    devices = tuple(sc.flat_response(name, n_fft, SR) for name in "ab")
+    cfg = sc.SimConfig(seed=2, num_recordings=1, duration=5.0, source="pink", aligned=True,
+                       devices=devices, sample_rate=SR, n_fft=n_fft, hop=n_fft // 4)
+    for rec in sc.generate_dataset(cfg).waveforms:
+        samples = rec.waveform.samples
+        assert np.sqrt(np.mean(samples ** 2)) == pytest.approx(0.1, rel=0.03)
+        # 7 standard deviations: no Gaussian draw of this length gets there.
+        assert np.abs(samples).max() < 0.7
 
 
 def _truth(n_fft=N_FFT):
