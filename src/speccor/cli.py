@@ -151,7 +151,10 @@ def cmd_estimate(args) -> int:
     if args.aligned and reference == "none":
         raise ValueError("conflicting flags: --aligned requires a concrete "
                          "--reference-device, not 'none'")
-    plan = _estimate_plan(rows, reference, args.aligned)
+    try:
+        plan = _estimate_plan(rows, reference, args.aligned)
+    except ValueError as exc:
+        raise ValueError(f"{args.manifest}: {exc}") from None
 
     # Headers are checked before any audio is read. Each worker then reduces
     # one file to its per-bin log sum a block of frames at a time; each
@@ -160,13 +163,15 @@ def cmd_estimate(args) -> int:
     headers = _read_headers(args.manifest, used, args.n_fft, args.hop)
     _check_one_rate(args.manifest, headers, per_device=reference == "none")
     if not plan:  # after the header pass, so an unreadable file still exits 2
-        raise ValueError(f"manifest has no device besides reference-device {reference!r}")
+        raise ValueError(f"{args.manifest}: manifest has no device besides "
+                         f"reference-device {reference!r}")
     if args.aligned:  # item i of a device's two row lists is one group
         for device, (ref_rows, own_rows) in plan.items():
             for ref_row, row in zip(ref_rows, own_rows):
                 frames, ref_frames = headers[row][0], headers[ref_row][0]
                 if frames != ref_frames:
-                    raise ValueError(f"group {row.group!r} is unaligned: device {device!r} "
+                    raise ValueError(f"{_resolve(args.manifest, row.path)}: group "
+                                     f"{row.group!r} is unaligned: device {device!r} "
                                      f"has {frames} frames, reference-device {reference!r} "
                                      f"has {ref_frames}")
 
@@ -319,10 +324,11 @@ def cmd_features(args) -> int:
     # Workers write their own files, so two rows must never share an output
     # name: checked before any audio is read or --out is created.
     names = set()
-    for name in map(_feature_name, rows):
+    for row in rows:
+        name = _feature_name(row)
         if name in names:
-            raise ValueError(f"duplicate output name {name!r}; manifest stems must "
-                             "be unique")
+            raise ValueError(f"{_resolve(args.manifest, row.path)}: duplicate output name "
+                             f"{name!r}; manifest stems must be unique")
         names.add(name)
 
     coeffs_by_device: dict = {}
@@ -356,59 +362,55 @@ def cmd_features(args) -> int:
     fbs = {rate: features.mel_filterbank(rate, args.n_fft, args.n_mels)
            for rate in {rate for _, rate in headers.values()}}
 
-    def log_mel(row, audio):
-        return features.log_mel_blocks(audio, fbs[audio.sample_rate],
-                                       coeffs_by_device.get(row.device), args.hop)
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {row: out_dir / _feature_name(row) for row in rows}
 
     def write_raw(row, audio):
-        tag, blocks = log_mel(row, audio)
-        return tag, files.write_feature_blocks(out_dir / _feature_name(row),
-                                               (headers[row][0], args.n_mels),
+        tag, blocks = features.log_mel_blocks(audio, fbs[audio.sample_rate],
+                                              coeffs_by_device.get(row.device), args.hop)
+        return tag, files.write_feature_blocks(paths[row], (headers[row][0], args.n_mels),
                                                (values for _, values in blocks), correction=tag)
 
-    if not args.standardize:
-        _map_files(args.manifest, rows, write_raw)
-    else:
-        # The raw pass writes every .feat file; the statistics read their rows
-        # back in manifest order; then each worker scales its own file's rows,
-        # a block at a time, into <name>.feat.part (no output name ends in
-        # .part) and replaces the raw file with it. On any error every output
-        # name is removed, so --out holds none of them.
-        grouping = "per_device" if args.standardize == "per-device" else "global"
-        keys = features.group_keys(grouping, [row.device for row in rows], len(rows))
-        shapes = [(headers[row][0], args.n_mels) for row in rows]
-        paths = [out_dir / _feature_name(row) for row in rows]
-        try:
-            raw = _map_files(args.manifest, rows, write_raw)
+    # The raw pass writes every .feat file. With --standardize, the statistics
+    # read their rows back in manifest order; then each worker scales its own
+    # file's rows, a block at a time, into <name>.feat.part (no output name
+    # ends in .part) and replaces the raw file with it. On any error, in either
+    # mode, every output name and its .part are removed, so --out holds none
+    # of them; other files in --out are left alone.
+    try:
+        raw = _map_files(args.manifest, rows, write_raw)
+        if args.standardize:
+            grouping = "per_device" if args.standardize == "per-device" else "global"
+            keys = features.group_keys(grouping, [row.device for row in rows], len(rows))
+            shapes = [(headers[row][0], args.n_mels) for row in rows]
             stats = features.group_stats(keys, shapes, lambda i, out, first:
-                                         files.read_feature_rows(paths[i], raw[i][1], out, first))
+                                         files.read_feature_rows(paths[rows[i]], raw[i][1],
+                                                                 out, first))
 
             def write_scaled(i):
-                tag, offset = raw[i]
+                (tag, offset), path = raw[i], paths[rows[i]]
                 buffer = np.empty((dsp.BLOCK_FRAMES, args.n_mels))
 
                 def scaled():
                     for first in range(0, shapes[i][0], dsp.BLOCK_FRAMES):
                         values = files.read_feature_rows(
-                            paths[i], offset, buffer[:shapes[i][0] - first], first)
+                            path, offset, buffer[:shapes[i][0] - first], first)
                         yield features.scale_rows(values, stats[keys[i]], out=values)
-                part = paths[i].with_name(paths[i].name + ".part")
+                part = path.with_name(path.name + ".part")
                 files.write_feature_blocks(part, shapes[i], scaled(), grouping, keys[i], tag)
                 # Renaming over an existing file makes ext4 start writing the
                 # renamed file back at once (auto_da_alloc), which cost features
                 # about 3.5% of its wall time; a rename to a free name does not.
-                paths[i].unlink()
-                os.replace(part, paths[i])
+                path.unlink()
+                os.replace(part, path)
 
             _map_ordered(write_scaled, range(len(rows)))
-        except BaseException:
-            for path in paths:
-                path.unlink(missing_ok=True)
-                path.with_name(path.name + ".part").unlink(missing_ok=True)
-            raise
+    except BaseException:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+            path.with_name(path.name + ".part").unlink(missing_ok=True)
+        raise
     print(f"wrote {len(rows)} feature files to {out_dir}")
     return 0
 
@@ -508,16 +510,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         worker_count()  # a bad SPECCOR_THREADS fails before anything is written
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AudioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AudioFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -232,27 +232,28 @@ def _frames(samples: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, n_fft)[::hop]
 
 
-def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int, hop: int) -> None:
-    """Add each row of ``frames`` into ``out`` (the rows x hop buffer) at
-    sample (first + t) * hop.
+def _overlap_add(out: np.ndarray, frames: np.ndarray, hop: int) -> None:
+    """Add each row t of ``frames`` into ``out`` (the rows x hop buffer) at
+    sample t * hop.
 
-    Frame t adds its phase j, samples [j*hop, (j+1)*hop), to row first+t+j.
+    Frame t adds its phase j, samples [j*hop, (j+1)*hop), to row t+j.
     The phases run from last to first, so every output sample receives its
     terms in frame order: the sums are those of a frame-by-frame loop.
     """
     for j in range(-(-frames.shape[1] // hop) - 1, -1, -1):
         part = frames[:, j * hop:(j + 1) * hop]
-        out[first + j:first + j + part.shape[0], :part.shape[1]] += part
+        out[j:j + part.shape[0], :part.shape[1]] += part
 
 
 def _spectrum_blocks(audio, win: np.ndarray, hop: int, step: int):
-    """(first frame, rfft of the windowed frames, scratch) for each ``step``
-    frames of ``audio`` in order; rfft transforms each row alone, so every
-    block equals the same rows of the whole spectrogram, bit for bit.
+    """(rfft of the windowed frames, scratch) for each ``step`` frames of
+    ``audio`` in order; rfft transforms each row alone, so every block equals
+    the same rows of the whole spectrogram, bit for bit.
 
     ``audio`` is a Waveform or a ForwardReader, such as an open WAV
     (``wavio.open_wav``): each block's samples come from one forward
-    ``audio.read(start, stop)``, so a file is never held whole, and every sample is read once the blocks run out.
+    ``audio.read(start, stop)``, so a file is never held whole, and every
+    sample is read once the blocks run out.
     The frames are windowed into one float buffer, ``scratch``, and
     transformed into one complex buffer, both reused from block to block, so
     the loop allocates no block-sized array. Once rfft has read ``scratch``,
@@ -273,7 +274,7 @@ def _spectrum_blocks(audio, win: np.ndarray, hop: int, step: int):
         rows = min(step, frames - first)
         block = _frames(audio.read(first * hop, (first + rows - 1) * hop + n_fft), n_fft, hop)
         windowed = np.multiply(block, win, out=scratch[:block.size].reshape(block.shape))
-        yield first, np.fft.rfft(windowed, axis=1, out=spectrum[:rows]), scratch
+        yield np.fft.rfft(windowed, axis=1, out=spectrum[:rows]), scratch
     # An open WAV converts, and so checks, the samples after the last frame too.
     audio.read(len(audio), len(audio))
 
@@ -289,7 +290,7 @@ def _magnitude_blocks(audio, n_fft: int, hop: int):
     win = _analysis_window(len(audio), n_fft, hop, "hann")
 
     def blocks():
-        for _, bins, scratch in _spectrum_blocks(audio, win, hop, BLOCK_FRAMES):
+        for bins, scratch in _spectrum_blocks(audio, win, hop, BLOCK_FRAMES):
             yield np.abs(bins, out=scratch[:bins.size].reshape(bins.shape))
     return blocks()
 
@@ -392,7 +393,7 @@ class OverlapAdd:
             # 2 * span) frames: a start, a middle that every phase covers, an end.
             edge = min(frames, 2 * self.span)
             peak = np.zeros((edge - 1 + self.span, hop))
-            _overlap_add(peak, self._squared[:edge], 0, hop)
+            _overlap_add(peak, self._squared[:edge], hop)
             self._floor = 1e-11 * peak.max()
         self._done = 0  # rows handed out that still head the buffers
 
@@ -402,9 +403,9 @@ class OverlapAdd:
         keep), and return the ``rows * hop`` samples they finish."""
         self._shift()
         if self._scale is not None:
-            _overlap_add(self._scale, self._squared[:rows], 0, self.hop)
+            _overlap_add(self._scale, self._squared[:rows], self.hop)
         for acc, block in zip(self._acc, frames):
-            _overlap_add(acc, block, 0, self.hop)
+            _overlap_add(acc, block, self.hop)
         return self._finished(rows)
 
     def flush(self, samples: int) -> np.ndarray:
@@ -492,7 +493,7 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
         sink = OverlapAdd(len(curves), n_fft, hop, step, win, frames)
         inverse = np.empty((step, n_fft))
         skip, left = lead, len(audio)
-        for _, bins, scratch in _spectrum_blocks(padded, win, hop, step):
+        for bins, scratch in _spectrum_blocks(padded, win, hop, step):
             rows = bins.shape[0]
             shaped = scratch[:2 * bins.size].view(np.complex128).reshape(bins.shape)
 

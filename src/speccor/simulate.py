@@ -63,14 +63,24 @@ def _require(ok: bool, field: str, value, need: str) -> None:
         raise ValueError(f"{field}: must be {need}, got {value!r}")
 
 
-def check_grid(seed, sample_rate, n_fft, hop) -> None:
-    """Check the fields that fix a dataset's random draws and STFT grid, as
-    ``SimConfig`` does; responses can be drawn from them once this passes."""
+def check_grid(seed, sample_rate, n_fft, hop, duration) -> None:
+    """Check the fields that fix a dataset's random draws, length and STFT grid,
+    as ``SimConfig`` does; responses can be drawn from them once this passes.
+    A recording must hold one frame, so n_fft is bounded before the window of
+    the hop check is built."""
     _require(isinstance(seed, Integral) and seed >= 0, "seed", seed, "an integer >= 0")
     _require(isinstance(sample_rate, Integral) and sample_rate >= 1, "sample_rate",
              sample_rate, "an integer >= 1")
     _require(isinstance(n_fft, Integral) and n_fft >= 16 and n_fft % 2 == 0, "n_fft",
              n_fft, "an even integer >= 16")
+    _require(isinstance(duration, Real) and np.isfinite(duration) and duration > 0,
+             "duration", duration, "finite and > 0")
+    if duration * sample_rate < n_fft:
+        raise ValueError(f"duration: {duration} s at {sample_rate} Hz is shorter than one "
+                         f"analysis frame (n_fft={n_fft})")
+    if duration * sample_rate > MAX_FLOAT32_SAMPLES:
+        raise ValueError(f"duration: {duration} s at {sample_rate} Hz is more than the "
+                         f"{MAX_FLOAT32_SAMPLES} samples a float32 WAV file can hold")
     _require(isinstance(hop, Integral)
              and dsp.overlap_add_invertible(dsp.window_array("hann", n_fft), hop),
              "hop", hop, f"a hop in 1..{n_fft} whose Hann overlap-add can be inverted")
@@ -98,20 +108,10 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "environments", tuple(self.environments))
-        check_grid(self.seed, self.sample_rate, self.n_fft, self.hop)
+        check_grid(self.seed, self.sample_rate, self.n_fft, self.hop, self.duration)
         _require(self.source in SOURCES, "source", self.source, f"one of {SOURCES}")
         _require(isinstance(self.num_recordings, Integral) and self.num_recordings >= 1,
                  "num_recordings", self.num_recordings, "an integer >= 1")
-        _require(isinstance(self.duration, Real) and np.isfinite(self.duration)
-                 and self.duration > 0, "duration", self.duration, "finite and > 0")
-        if self.duration * self.sample_rate < self.n_fft:
-            raise ValueError(
-                f"duration: {self.duration} s at {self.sample_rate} Hz is shorter "
-                f"than one analysis frame (n_fft={self.n_fft})")
-        if self.duration * self.sample_rate > MAX_FLOAT32_SAMPLES:
-            raise ValueError(
-                f"duration: {self.duration} s at {self.sample_rate} Hz is more than the "
-                f"{MAX_FLOAT32_SAMPLES} samples a float32 WAV file can hold")
         if not self.devices:
             raise ValueError("devices: at least one device response is required")
         ids = [d.name for d in self.devices]
@@ -191,7 +191,7 @@ def read_config(path) -> SimConfig:
         _require(v["environments"] >= 0, "environments", v["environments"], ">= 0")
         seed, sample_rate, n_fft = v["seed"], v["sample_rate"], v["n_fft"]
         # The responses are drawn from the grid, so it is checked first.
-        check_grid(seed, sample_rate, n_fft, v["hop"])
+        check_grid(seed, sample_rate, n_fft, v["hop"], v["duration"])
         v["devices"] = keyed("response_db", lambda: tuple(
             make_smooth_response(seed * 1000003 + 7 + i, v["response_db"], n_fft, sample_rate,
                                  device_id=name) if v["response_db"] > 0

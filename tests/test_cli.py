@@ -3,6 +3,7 @@ import contextlib
 import errno
 import io
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -746,6 +747,7 @@ BAD_SIM_CONFIGS = {
     "duration-infinite": ("[sim]\nduration = inf\n", "[sim] duration:"),
     "duration-1e308": ("[sim]\nduration = 1e308\n", "[sim] duration:"),
     "duration-1e6": ("[sim]\nduration = 1e6\n", "[sim] duration:"),
+    "n-fft-2**31": ("[sim]\nn_fft = 2147483648\nduration = 0.2\n", "[sim] duration:"),
     "seed-negative": ("[sim]\nseed = -1\n", "[sim] seed:"),
     "environments-negative": ("[sim]\nenvironments = -2\n", "[sim] environments:"),
     "response-db-infinite": ("[sim]\nresponse_db = -inf\n", "[sim] response_db:"),
@@ -963,14 +965,15 @@ def test_features_standardize_leaves_empty_out_when_scaling_fails(step, sim_dir,
     assert list(out.iterdir()) == []
 
 
-def test_features_standardize_failure_keeps_unrelated_files_in_out(nan_manifest, tmp_path,
-                                                                   monkeypatch):
+@pytest.mark.parametrize("flags", [[], ["--standardize", "global"]], ids=["plain", "global"])
+def test_features_failure_keeps_unrelated_files_in_out(flags, nan_manifest, tmp_path,
+                                                      monkeypatch):
     monkeypatch.setenv("SPECCOR_THREADS", "2")
     out = tmp_path / "out"
     out.mkdir()
     for name in ("notes.txt", "other.feat"):
         (out / name).write_text("kept\n")
-    assert main(["features", "--n-mels", "32", "--standardize", "global",
+    assert main(["features", "--n-mels", "32", *flags,
                  "--manifest", str(nan_manifest), "--out", str(out)]) == 2
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "other.feat"]
     assert (out / "other.feat").read_text() == "kept\n"
@@ -1079,8 +1082,6 @@ def test_a_non_finite_sample_mid_stream_exits_2_and_writes_nothing(command, nan_
     assert err == f"error: {tmp_path / 'r1.wav'}: waveform samples must be finite\n", err
     if command == "estimate":
         assert not out.exists()
-    elif command == "features":  # the other files' .feat files may be written
-        assert not (out / "r1.feat").exists()
     else:
         assert list(out.iterdir()) == []
 
@@ -1511,3 +1512,114 @@ def test_verify_keeps_the_exit_code_contract(verify_pool, pair, tolerance):
         named = [arg.split("=")[0] for arg in argv if arg.startswith("--")] + [str(sim),
                                                                                str(coeffs)]
         assert any(name in err.getvalue() for name in named), (argv, err.getvalue())
+
+
+# Manifests over the WAVs of DEGENERATE_WAVS, as (file stem, device, group) rows:
+# groups that align, groups of unequal length, groups without the reference
+# device 'a' or with a device twice, mixed sample rates and one file twice.
+CONTRACT_MANIFESTS = {
+    "aligned": [("silent", "a", "g0"), ("near-float32-max", "b", "g0"),
+                ("dc", "a", "g1"), ("stereo-pcm16", "b", "g1")],
+    "unaligned": [("dc", "a", ""), ("one-frame", "a", ""), ("near-float32-max", "b", ""),
+                  ("silent", "b", "")],
+    "unequal-group": [("silent", "a", "g0"), ("one-frame", "b", "g0")],
+    "no-reference": [("silent", "b", "g0"), ("dc", "c", "g0")],
+    "device-twice": [("silent", "a", "g0"), ("dc", "a", "g0"), ("one-frame", "b", "g0")],
+    "mixed-rates": [("8-hz", "a", ""), ("silent", "b", "")],
+    "one-file-twice": [("8-hz", "a", "g0"), ("./8-hz", "b", "g0")],
+}
+# A small [sim] file that validation accepts: at most 3 recordings of 0.2 s.
+CONTRACT_SIM = {"seed": "1", "num_recordings": "2", "duration": "0.2", "sample_rate": "8000",
+                "n_fft": "256", "devices": "a b", "aligned": "true", "source": "pink"}
+# One [sim] key set to a boundary value, or None for CONTRACT_SIM itself. Values
+# that validation accepts but that would make a large dataset are left out:
+# more recordings, seconds of audio, a 2**31 Hz rate, thousands of environments.
+_LARGE = {"num_recordings": {15, 16, 1025, 2**31}, "duration": {1, 15, 16, 1025},
+          "sample_rate": {2**31}, "environments": {1025, 2**31}}
+SIM_OVERRIDES = [None] + [
+    (key, value) for key in sorted(set(CONTRACT_SIM) | {"hop", "environments", "response_db",
+                                                        "environment_db"})
+    for value in [v for v in BOUNDARY_INTS if v is not None] + ["nan", "inf", "x", ""]
+    if value not in _LARGE.get(key, ())]
+
+
+@pytest.fixture(scope="module")
+def contract_pool(degenerate_inputs):
+    """degenerate_inputs with a manifest per CONTRACT_MANIFESTS entry and
+    coefficient directories holding b.coeffs for n_fft 16 and 2048."""
+    root = degenerate_inputs
+    for name, rows in CONTRACT_MANIFESTS.items():
+        files.write_manifest(root / f"{name}.tsv", [
+            files.ManifestRow(f"{stem}.wav", device, group) for stem, device, group in rows])
+    for n_fft in (16, N_FFT):
+        (root / f"coeffs-{n_fft}").mkdir()
+        (root / f"coeffs-{n_fft}" / "b.coeffs").write_bytes(
+            (root / f"{SR}-{n_fft}.coeffs").read_bytes())
+    return root
+
+
+def _read_back(out, command) -> None:
+    """Read every file of --out through speccor's reader for its kind."""
+    for path in out.iterdir():
+        if path.suffix == ".wav":
+            sc.read_wav(path)
+        elif command == "simulate":
+            read = {"manifest.tsv": files.read_manifest,
+                    "responses.txt": files.read_responses}[path.name]
+            read(path)
+        else:
+            {".coeffs": files.read_coefficients, ".feat": files.read_features}[path.suffix](path)
+
+
+def _legal_or_boundary(legal):
+    """Half of the draws from the values of BOUNDARY_INTS that the flag accepts,
+    so that the runs also reach the audio."""
+    return st.sampled_from(legal) | st.sampled_from(BOUNDARY_INTS)
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(["estimate", "features", "simulate"]),
+       manifest=st.sampled_from(sorted(CONTRACT_MANIFESTS)),
+       form=st.sampled_from(["--reference-device=a", "--aligned", "--reference-device=none"]),
+       standardize=st.sampled_from([None, "global", "per-device"]),
+       coeffs=st.sampled_from([None, 16, N_FFT, "missing"]),
+       n_fft=_legal_or_boundary([None, 16]), hop=_legal_or_boundary([None, 1, 1025]),
+       n_mels=_legal_or_boundary([None, 1, 15]), sim=st.sampled_from(SIM_OVERRIDES))
+def test_manifest_and_config_subcommands_keep_the_exit_code_contract(
+        contract_pool, command, manifest, form, standardize, coeffs, n_fft, hop, n_mels, sim):
+    root = contract_pool
+    out = root / "out"
+    stft = [f"{flag}={value}" for flag, value in
+            [("--n-fft", n_fft), ("--hop", hop)] + [("--n-mels", n_mels)] * (command == "features")
+            if value is not None]
+    named = [str(root / f"{stem}.wav") for stem, _, _ in CONTRACT_MANIFESTS[manifest]]
+    if command == "estimate":
+        argv = ["estimate", f"--manifest={root / manifest}.tsv", "--out", str(out), *stft,
+                *(["--reference-device=a", "--aligned"] if form == "--aligned" else [form])]
+    elif command == "features":
+        argv = ["features", f"--manifest={root / manifest}.tsv", "--out", str(out), *stft]
+        argv += [] if standardize is None else [f"--standardize={standardize}"]
+        argv += [] if coeffs is None else [f"--coeffs-dir={root / f'coeffs-{coeffs}'}"]
+    else:
+        keys = dict(CONTRACT_SIM, **dict([sim] if sim else []))
+        config = root / "sim.cfg"
+        config.write_text("[sim]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        named = [str(config)] + [f"{key}:" for key in keys]
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            _read_back(out, command)
+            return
+        # out is new for each run, so whatever it holds was written by it.
+        assert not out.exists() or list(out.iterdir()) == [], (argv, list(out.iterdir()))
+        if code == 1:
+            named += [part for arg in argv for part in arg.split("=", 1)
+                      if part.startswith(("--", str(root)))]
+            assert any(name in err.getvalue() for name in named), (argv, err.getvalue())
+    finally:
+        if out.exists():
+            shutil.rmtree(out)

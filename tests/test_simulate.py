@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,11 +264,20 @@ def test_sim_config_duration_is_bounded_by_what_a_wav_file_holds():
 
 
 def test_check_grid_is_the_sim_config_grid_check():
-    check_grid(0, SR, N_FFT, HOP)
+    check_grid(0, SR, N_FFT, HOP, 1.0)
     with pytest.raises(ValueError, match=r"^hop: must be a hop in 1\.\.2048"):
-        check_grid(0, SR, N_FFT, N_FFT)
+        check_grid(0, SR, N_FFT, N_FFT, 1.0)
     with pytest.raises(ValueError, match=r"^seed: must be an integer >= 0, got 1\.5"):
-        check_grid(1.5, SR, N_FFT, HOP)
+        check_grid(1.5, SR, N_FFT, HOP, 1.0)
+    # The frame is bounded by the recording before the hop check builds its
+    # window, which would take 16 GiB here.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^duration: 0\.2 s at 44100 Hz is shorter "):
+            check_grid(0, SR, 2**31, 2**29, 0.2)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 9, 127, 128, 129, 65537, 441000, 2646000])
