@@ -312,10 +312,6 @@ def cmd_simulate(args) -> int:
 
 # -- features ---------------------------------------------------------------------
 
-def _feature_name(row) -> str:
-    return Path(row.path).stem + ".feat"
-
-
 def cmd_features(args) -> int:
     from . import features
 
@@ -323,13 +319,13 @@ def cmd_features(args) -> int:
     rows = files.read_manifest(args.manifest)
     # Workers write their own files, so two rows must never share an output
     # name: checked before any audio is read or --out is created.
-    names = set()
-    for row in rows:
-        name = _feature_name(row)
-        if name in names:
+    out_dir = Path(args.out)
+    paths, seen = {row: out_dir / f"{Path(row.path).stem}.feat" for row in rows}, set()
+    for row, path in paths.items():
+        if path in seen:
             raise ValueError(f"{_resolve(args.manifest, row.path)}: duplicate output name "
-                             f"{name!r}; manifest stems must be unique")
-        names.add(name)
+                             f"{path.name!r}; manifest stems must be unique")
+        seen.add(path)
 
     coeffs_by_device: dict = {}
     if args.coeffs_dir:
@@ -362,54 +358,42 @@ def cmd_features(args) -> int:
     fbs = {rate: features.mel_filterbank(rate, args.n_fft, args.n_mels)
            for rate in {rate for _, rate in headers.values()}}
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {row: out_dir / _feature_name(row) for row in rows}
+    # One pass writes every .feat file once, under its final header (with
+    # --standardize, its normalization and statistics group); the statistics
+    # then read the rows back in manifest order, and each worker scales its
+    # own file in place, a block at a time. On any error every output name is
+    # removed, so --out holds none of them; other files there are left alone.
+    grouping = args.standardize and args.standardize.replace("-", "_")
+    keys = dict(zip(rows, features.group_keys(grouping, [row.device for row in rows], len(rows))
+                    if grouping else [""] * len(rows)))
+    shapes = {row: (headers[row][0], args.n_mels) for row in rows}
 
     def write_raw(row, audio):
         tag, blocks = features.log_mel_blocks(audio, fbs[audio.sample_rate],
                                               coeffs_by_device.get(row.device), args.hop)
-        return tag, files.write_feature_blocks(paths[row], (headers[row][0], args.n_mels),
-                                               (values for _, values in blocks), correction=tag)
+        return files.write_feature_blocks(paths[row], shapes[row], blocks, grouping or "raw",
+                                          keys[row], tag)
 
-    # The raw pass writes every .feat file. With --standardize, the statistics
-    # read their rows back in manifest order; then each worker scales its own
-    # file's rows, a block at a time, into <name>.feat.part (no output name
-    # ends in .part) and replaces the raw file with it. On any error, in either
-    # mode, every output name and its .part are removed, so --out holds none
-    # of them; other files in --out are left alone.
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        raw = _map_files(args.manifest, rows, write_raw)
-        if args.standardize:
-            grouping = "per_device" if args.standardize == "per-device" else "global"
-            keys = features.group_keys(grouping, [row.device for row in rows], len(rows))
-            shapes = [(headers[row][0], args.n_mels) for row in rows]
-            stats = features.group_stats(keys, shapes, lambda i, out, first:
-                                         files.read_feature_rows(paths[rows[i]], raw[i][1],
-                                                                 out, first))
+        offsets = dict(zip(rows, _map_files(args.manifest, rows, write_raw)))
+        if grouping:
+            stats = features.group_stats(
+                list(keys.values()), list(shapes.values()), lambda i, out, first:
+                files.read_feature_rows(paths[rows[i]], offsets[rows[i]], out, first))
 
-            def write_scaled(i):
-                (tag, offset), path = raw[i], paths[rows[i]]
+            def scale(row):
                 buffer = np.empty((dsp.BLOCK_FRAMES, args.n_mels))
+                for first in range(0, shapes[row][0], dsp.BLOCK_FRAMES):
+                    values = files.read_feature_rows(paths[row], offsets[row],
+                                                     buffer[:shapes[row][0] - first], first)
+                    features.scale_rows(values, stats[keys[row]], out=values)
+                    files.overwrite_feature_rows(paths[row], offsets[row], values, first)
 
-                def scaled():
-                    for first in range(0, shapes[i][0], dsp.BLOCK_FRAMES):
-                        values = files.read_feature_rows(
-                            path, offset, buffer[:shapes[i][0] - first], first)
-                        yield features.scale_rows(values, stats[keys[i]], out=values)
-                part = path.with_name(path.name + ".part")
-                files.write_feature_blocks(part, shapes[i], scaled(), grouping, keys[i], tag)
-                # Renaming over an existing file makes ext4 start writing the
-                # renamed file back at once (auto_da_alloc), which cost features
-                # about 3.5% of its wall time; a rename to a free name does not.
-                path.unlink()
-                os.replace(part, path)
-
-            _map_ordered(write_scaled, range(len(rows)))
+            _map_ordered(scale, rows)
     except BaseException:
         for path in paths.values():
             path.unlink(missing_ok=True)
-            path.with_name(path.name + ".part").unlink(missing_ok=True)
         raise
     print(f"wrote {len(rows)} feature files to {out_dir}")
     return 0

@@ -220,7 +220,7 @@ def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
 
 def log_mel_blocks(audio, fb: MelFilterbank, c: Optional[CorrectionCoefficients] = None,
                    hop: int = 512):
-    """(provenance tag, iterator of (first frame, log-mel rows)): the rows of
+    """(provenance tag, iterator of log-mel row blocks): the rows of
     ``extract_waveform(audio, fb, c, hop)``, BLOCK_FRAMES at a time.
 
     ``audio`` is a Waveform or an open WAV (``wavio.open_wav``). The arguments
@@ -235,12 +235,10 @@ def log_mel_blocks(audio, fb: MelFilterbank, c: Optional[CorrectionCoefficients]
     out = np.empty((BLOCK_FRAMES, fb.n_mels))
 
     def rows():
-        first = 0
         for mags in blocks:
             if gains is not None:
                 mags *= gains
-            yield first, _log_mel(mags, fb, out[:len(mags)])
-            first += len(mags)
+            yield _log_mel(mags, fb, out[:len(mags)])
     return correction, rows()
 
 
@@ -253,8 +251,10 @@ def extract_waveform(w: Waveform, fb: MelFilterbank,
     rows. ``w`` may also be an open WAV."""
     correction, blocks = log_mel_blocks(w, fb, c, hop)
     values = np.empty((frame_count(len(w), fb.n_fft, hop), fb.n_mels))
-    for first, rows in blocks:
+    first = 0
+    for rows in blocks:
         values[first:first + len(rows)] = rows
+        first += len(rows)
     return FeatureTensor(values, "raw", "", correction)
 
 

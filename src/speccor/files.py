@@ -108,24 +108,20 @@ def read_manifest(path) -> list:
         if tuple(header) != MANIFEST_COLUMNS:
             raise ValueError(f"manifest header must be "
                              f"{' / '.join(MANIFEST_COLUMNS)}, got {header}")
-        rows = []
+        rows, names, group_devices = [], set(), {}
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
             if len(record) != 3:
                 raise ValueError(f"line {lineno}: expected 3 columns, got {len(record)}")
-            rows.append(ManifestRow(record[0], record[1], record[2] or None))
-
-    seen = set()
-    group_devices: dict = {}
-    for row in rows:
-        if row.path in seen:
-            raise ValueError(f"duplicate path {row.path!r}")
-        seen.add(row.path)
-        if not row.device:
-            raise ValueError(f"empty device for {row.path!r}")
-        if row.group:
-            group_devices.setdefault(row.group, set()).add(row.device)
+            name, device, group = record
+            _check_token(device, f"line {lineno}: device of {name!r}")
+            if name in names:
+                raise ValueError(f"line {lineno}: duplicate path {name!r}")
+            names.add(name)
+            if group:
+                group_devices.setdefault(group, set()).add(device)
+            rows.append(ManifestRow(name, device, group or None))
     for group, devices in group_devices.items():
         if len(devices) < 2:
             raise ValueError(f"group {group!r} must span at least two devices")
@@ -245,22 +241,34 @@ def write_feature_blocks(path, shape: tuple, blocks, normalization: str = "raw",
     return len(header)
 
 
-def read_feature_rows(path, offset: int, out: np.ndarray, first: int = 0) -> np.ndarray:
-    """Read rows ``first`` on of the feature file ``path``, whose payload starts
-    at byte ``offset``, into the C-contiguous float64 matrix ``out``; return it."""
-    if out.ndim != 2 or out.dtype != np.dtype("<f8") or not out.flags.c_contiguous:
-        raise ValueError(f"expected a C-contiguous float64 matrix, got {out.dtype} {out.shape}")
-    view, pos = memoryview(out).cast("B"), offset + first * out.shape[1] * 8
-    fd = os.open(path, os.O_RDONLY)
+def _feature_rows_io(path, offset: int, rows: np.ndarray, first: int, flags: int, io) -> None:
+    """Run ``io`` (``os.preadv`` or ``os.pwritev``) on the bytes of ``rows``, at
+    rows ``first`` on of the payload of ``path``, which starts at ``offset``."""
+    if rows.ndim != 2 or rows.dtype != np.dtype("<f8") or not rows.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous float64 matrix, got {rows.dtype} {rows.shape}")
+    view, pos = memoryview(rows).cast("B"), offset + first * rows.shape[1] * 8
+    fd = os.open(path, flags)
     try:
+        if pos + view.nbytes > os.fstat(fd).st_size:
+            raise ValueError(f"{path}: payload ends before row {first + len(rows)}")
         while view:
-            done = os.preadv(fd, [view], pos)
-            if not done:
-                raise ValueError(f"{path}: payload ends before row {first + len(out)}")
+            done = io(fd, [view], pos)
             view, pos = view[done:], pos + done
     finally:
         os.close(fd)
+
+
+def read_feature_rows(path, offset: int, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Read rows ``first`` on of the feature file ``path``, whose payload starts
+    at byte ``offset``, into the C-contiguous float64 matrix ``out``; return it."""
+    _feature_rows_io(path, offset, out, first, os.O_RDONLY, os.preadv)
     return out
+
+
+def overwrite_feature_rows(path, offset: int, rows: np.ndarray, first: int = 0) -> None:
+    """Write ``rows`` over the rows that ``read_feature_rows`` would read into
+    them, in place: the file keeps its header and length."""
+    _feature_rows_io(path, offset, rows, first, os.O_WRONLY, os.pwritev)
 
 
 @_names_file

@@ -21,6 +21,8 @@ SOURCES = ("white", "pink", "speechlike-modulated")
 RESPONSE_BOUND_DB = 40.0
 # Largest natural-log gain step between adjacent bins a response may have.
 MAX_LOG_STEP = 0.1
+# Recording ids number a dataset's recordings with four digits (g0000, a_0000).
+MAX_RECORDINGS = 10000
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,9 @@ class SimConfig:
         object.__setattr__(self, "environments", tuple(self.environments))
         check_grid(self.seed, self.sample_rate, self.n_fft, self.hop, self.duration)
         _require(self.source in SOURCES, "source", self.source, f"one of {SOURCES}")
-        _require(isinstance(self.num_recordings, Integral) and self.num_recordings >= 1,
-                 "num_recordings", self.num_recordings, "an integer >= 1")
+        _require(isinstance(self.num_recordings, Integral)
+                 and 1 <= self.num_recordings <= MAX_RECORDINGS, "num_recordings",
+                 self.num_recordings, f"an integer in 1..{MAX_RECORDINGS}")
         if not self.devices:
             raise ValueError("devices: at least one device response is required")
         ids = [d.name for d in self.devices]
@@ -188,7 +191,11 @@ def read_config(path) -> SimConfig:
         # SimConfig checks its fields; these keys are not fields as they are read.
         for key in ("response_db", "environment_db"):
             _require(np.isfinite(v[key]), key, v[key], "finite")
-        _require(v["environments"] >= 0, "environments", v["environments"], ">= 0")
+        # Recording i is in environment i mod environments, so num_recordings bounds the draw.
+        _require(1 <= v["num_recordings"] <= MAX_RECORDINGS, "num_recordings",
+                 v["num_recordings"], f"an integer in 1..{MAX_RECORDINGS}")
+        _require(0 <= v["environments"] <= v["num_recordings"], "environments",
+                 v["environments"], f"in 0..num_recordings = {v['num_recordings']}")
         seed, sample_rate, n_fft = v["seed"], v["sample_rate"], v["n_fft"]
         # The responses are drawn from the grid, so it is checked first.
         check_grid(seed, sample_rate, n_fft, v["hop"], v["duration"])

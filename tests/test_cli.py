@@ -178,6 +178,26 @@ def test_estimate_rejects_a_reference_only_manifest_before_reading_audio(sim_dir
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "features"])
+def test_a_device_label_with_whitespace_is_named_before_reading_audio(command, sim_dir,
+                                                                     tmp_path, monkeypatch,
+                                                                     capsys):
+    # The label would be written into a .coeffs or .feat header, whose
+    # readers split fields at whitespace.
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, [files.ManifestRow(str(sim_dir / "g0000_a.wav"), "a", "g0"),
+                                    files.ManifestRow(str(sim_dir / "g0000_b.wav"), "x\ny", "g0")])
+    monkeypatch.setattr(wavio.open_wav, "_read_raw", lambda self: pytest.fail(f"read {self.path}"))
+    out = tmp_path / "out"
+    flags = {"estimate": ["--reference-device", "a", "--aligned"],
+             "features": ["--standardize", "per-device"]}[command]
+    assert main([command, "--manifest", str(manifest), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: line 3: device of {str(sim_dir / 'g0000_b.wav')!r} must be a "
+        "non-empty token without whitespace, got 'x\\ny'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reference", ["a", "none"])
 def test_estimate_equals_per_file_shards_merged_in_manifest_order(reference, sim_dir,
                                                                  tmp_path):
@@ -750,6 +770,11 @@ BAD_SIM_CONFIGS = {
     "n-fft-2**31": ("[sim]\nn_fft = 2147483648\nduration = 0.2\n", "[sim] duration:"),
     "seed-negative": ("[sim]\nseed = -1\n", "[sim] seed:"),
     "environments-negative": ("[sim]\nenvironments = -2\n", "[sim] environments:"),
+    "environments-above-num-recordings": ("[sim]\nnum_recordings = 2\nenvironments = 3\n",
+                                          "[sim] environments: must be in 0..num_recordings"),
+    "environments-2**31": ("[sim]\nenvironments = 2147483648\n", "[sim] environments:"),
+    "num-recordings-2**31": ("[sim]\nnum_recordings = 2147483648\nenvironments = 2147483648\n",
+                             "[sim] num_recordings:"),
     "response-db-infinite": ("[sim]\nresponse_db = -inf\n", "[sim] response_db:"),
     "environment-db-nan": ("[sim]\nenvironments = 1\nenvironment_db = nan\n",
                            "[sim] environment_db:"),
@@ -921,48 +946,53 @@ def test_features_standardize_leaves_empty_out_for_a_bad_last_file(tmp_path, mon
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("step", ["write", "replace"])
-def test_features_standardize_leaves_empty_out_when_scaling_fails(step, sim_dir, tmp_path,
+def test_features_standardize_leaves_empty_out_when_scaling_fails(sim_dir, tmp_path,
                                                                   monkeypatch, capsys):
-    """The last file's scaled write, or the rename of its .part file to the
-    output name, fails after every raw file exists: no .feat and no .part
-    file is left."""
+    """The in-place write of the last file's second block of scaled rows fails
+    after every raw file exists and its first block is scaled: no .feat file
+    is left."""
     rows = files.read_manifest(sim_dir / "manifest.tsv")
     names = [Path(row.path).stem + ".feat" for row in rows]
-    last = names[-1] + ".part"
     out = tmp_path / "f"
-    write, replace = files.write_feature_blocks, os.replace
+    overwrite = files.overwrite_feature_rows
 
-    def full_disk(blocks):
-        yield next(blocks)
-        raise OSError(28, "No space left on device")
-
-    raw_written = set()
-
-    def failing_write(path, shape, blocks, normalization="raw", *args, **kwargs):
-        if path.name == last:
-            assert raw_written == set(names)  # the raw pass is done
-            blocks = full_disk(blocks)
-        offset = write(path, shape, blocks, normalization, *args, **kwargs)
-        if normalization == "raw":
-            raw_written.add(path.name)
-        return offset
-
-    def failing_replace(src, dst):
-        if Path(src).name == last:
-            assert (out / last).exists()
+    def full_disk(path, offset, values, first=0):
+        if path.name == names[-1] and first > 0:
+            assert sorted(p.name for p in out.iterdir()) == sorted(names)  # the raw pass is done
             raise OSError(28, "No space left on device")
-        return replace(src, dst)
+        return overwrite(path, offset, values, first)
 
-    if step == "write":
-        monkeypatch.setattr(files, "write_feature_blocks", failing_write)
-    else:
-        monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setattr(files, "overwrite_feature_rows", full_disk)
     monkeypatch.setenv("SPECCOR_THREADS", "2")
     assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"), "--standardize",
                  "per-device", "--n-mels", "32", "--out", str(out)]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("grouping", ["global", "per-device"])
+def test_features_standardize_writes_each_file_once(grouping, sim_dir, tmp_path, monkeypatch):
+    """Every .feat file is written once, under its final header, and scaled in
+    place: no second file is written and none is renamed."""
+    write, written = files.write_feature_blocks, []
+
+    def counted_write(path, *args, **kwargs):
+        written.append(path.name)
+        return write(path, *args, **kwargs)
+
+    def no_replace(src, dst):
+        raise AssertionError(f"os.replace({src}, {dst})")
+
+    monkeypatch.setattr(files, "write_feature_blocks", counted_write)
+    monkeypatch.setattr(os, "replace", no_replace)
+    monkeypatch.setenv("SPECCOR_THREADS", "2")
+    out = tmp_path / "f"
+    assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"), "--standardize",
+                 grouping, "--n-mels", "32", "--out", str(out)]) == 0
+    names = [Path(row.path).stem + ".feat" for row in files.read_manifest(sim_dir / "manifest.tsv")]
+    assert sorted(written) == sorted(names)
+    for name in names:
+        assert files.read_features(out / name).normalization == grouping.replace("-", "_")
 
 
 @pytest.mark.parametrize("flags", [[], ["--standardize", "global"]], ids=["plain", "global"])
@@ -1516,7 +1546,8 @@ def test_verify_keeps_the_exit_code_contract(verify_pool, pair, tolerance):
 
 # Manifests over the WAVs of DEGENERATE_WAVS, as (file stem, device, group) rows:
 # groups that align, groups of unequal length, groups without the reference
-# device 'a' or with a device twice, mixed sample rates and one file twice.
+# device 'a' or with a device twice, mixed sample rates, one file twice and a
+# device label that holds a newline.
 CONTRACT_MANIFESTS = {
     "aligned": [("silent", "a", "g0"), ("near-float32-max", "b", "g0"),
                 ("dc", "a", "g1"), ("stereo-pcm16", "b", "g1")],
@@ -1527,15 +1558,16 @@ CONTRACT_MANIFESTS = {
     "device-twice": [("silent", "a", "g0"), ("dc", "a", "g0"), ("one-frame", "b", "g0")],
     "mixed-rates": [("8-hz", "a", ""), ("silent", "b", "")],
     "one-file-twice": [("8-hz", "a", "g0"), ("./8-hz", "b", "g0")],
+    "device-with-newline": [("silent", "a", "g0"), ("dc", "x\ny", "g0")],
 }
 # A small [sim] file that validation accepts: at most 3 recordings of 0.2 s.
 CONTRACT_SIM = {"seed": "1", "num_recordings": "2", "duration": "0.2", "sample_rate": "8000",
                 "n_fft": "256", "devices": "a b", "aligned": "true", "source": "pink"}
 # One [sim] key set to a boundary value, or None for CONTRACT_SIM itself. Values
 # that validation accepts but that would make a large dataset are left out:
-# more recordings, seconds of audio, a 2**31 Hz rate, thousands of environments.
-_LARGE = {"num_recordings": {15, 16, 1025, 2**31}, "duration": {1, 15, 16, 1025},
-          "sample_rate": {2**31}, "environments": {1025, 2**31}}
+# more recordings, seconds of audio, a 2**31 Hz rate.
+_LARGE = {"num_recordings": {15, 16, 1025}, "duration": {1, 15, 16, 1025},
+          "sample_rate": {2**31}}
 SIM_OVERRIDES = [None] + [
     (key, value) for key in sorted(set(CONTRACT_SIM) | {"hop", "environments", "response_db",
                                                         "environment_db"})

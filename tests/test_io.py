@@ -514,6 +514,26 @@ def test_feature_rows_read_runs_of_rows_at_the_payload_offset(tmp_path):
         files.read_feature_rows(path, offset, np.empty((3, 6))[:, ::2])
 
 
+def test_feature_rows_overwrite_runs_of_rows_in_place(tmp_path):
+    rng = np.random.default_rng(84)
+    values, rows = rng.standard_normal((10, 3)), rng.standard_normal((3, 3))
+    path = tmp_path / "x.feat"
+    offset = files.write_feature_blocks(path, (10, 3), [values], "global", "global")
+    files.overwrite_feature_rows(path, offset, rows, 6)
+    values[6:9] = rows
+    feat = files.read_features(path)
+    assert np.array_equal(feat.values, values)
+    assert (feat.normalization, feat.stats_id) == ("global", "global")
+    # Rows past the payload and a matrix that is not C-contiguous float64 are
+    # refused before a byte is written.
+    data = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload ends before row 11")):
+        files.overwrite_feature_rows(path, offset, np.zeros((4, 3)), 7)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        files.overwrite_feature_rows(path, offset, np.zeros((3, 6))[:, ::2])
+    assert path.read_bytes() == data
+
+
 def test_feature_blocks_leave_no_file_when_the_blocks_fail(tmp_path):
     def blocks():
         yield np.zeros((4, 3))

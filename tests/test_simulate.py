@@ -232,6 +232,7 @@ BAD_SIM_FIELDS = {
     "sample-rate-zero": ({"sample_rate": 0}, "sample_rate"),
     "n-fft-odd": ({"n_fft": 15}, "n_fft"),
     "num-recordings-zero": ({"num_recordings": 0}, "num_recordings"),
+    "num-recordings-10001": ({"num_recordings": 10001}, "num_recordings"),
     "device-name-with-slash": ({"devices": (sc.flat_response("a/b", N_FFT, SR),)},
                                "devices"),
     "environment-off-grid": ({"environments": (sc.flat_response("e", 1024, SR),)},
