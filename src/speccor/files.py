@@ -27,6 +27,20 @@ FEATURES_MAGIC = "speccor-features-v1"
 RESPONSES_MAGIC = "speccor-responses-v1"
 MANIFEST_COLUMNS = ("path", "device", "group")
 
+# Each format's header fields in file order, walked by its writer and its
+# reader; every value is a token (``_check_token``) on write and on read. A
+# ``.coeffs``/``.filt`` field pairs the attribute its value comes from with its
+# parser, and a ``gains``/``taps`` count and that many floats follow the header.
+# A ``.feat`` header is followed by ``_DTYPE_LINE`` and the raw rows.
+COEFFS_FIELDS = (("estimator", str), ("source_device", str), ("reference_device", str),
+                 ("sample_rate", int), ("n_fft", int), ("num_recordings", int))
+FILTER_FIELDS = (("sample_rate", int), ("num_taps", int), ("group_delay", int),
+                 ("target_bins", int))
+FEATURE_FIELDS = ("frames", "mels", "normalization", "stats_id", "correction")
+_DTYPE_LINE = "dtype float64-le"
+# The curve kinds of responses.txt in file order, and what their names are.
+_RESPONSE_KINDS = (("device", "device id"), ("environment", "scene id"))
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -48,6 +62,10 @@ def _names_file(read):
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return wrapper
+
+
+def _field_line(name: str, value) -> str:
+    return f"{name} {_check_token(str(value), name)}"
 
 
 def _count(value: str, key: str) -> int:
@@ -74,11 +92,28 @@ class _LineReader:
         name, _, value = line.partition(" ")
         if name != key or not value:
             raise ValueError(f"expected field {key!r}, got {line!r}")
-        return value
+        return _check_token(value, key)
 
     def floats(self, count: int) -> np.ndarray:
         values = [float(self.next()) for _ in range(count)]
         return np.asarray(values, dtype=np.float64)
+
+
+def _write_text(path, magic: str, fields, source, key: str) -> None:
+    """Write ``magic``, a line per header field with ``source``'s attribute of
+    that name, then a ``key count`` line and one line per float of ``source.key``."""
+    floats = getattr(source, key)
+    lines = [magic, *(_field_line(name, getattr(source, name)) for name, _ in fields),
+             f"{key} {len(floats)}", *map(_fmt, floats)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_text(path, magic: str, fields, key: str) -> tuple:
+    """A ``_write_text`` file's header fields by name, its float count, and a
+    reader at its first float."""
+    reader = _LineReader(path, magic)
+    values = {name: parse(reader.field(name)) for name, parse in fields}
+    return values, _count(reader.field(key), key), reader
 
 
 # -- manifests ---------------------------------------------------------------
@@ -133,68 +168,33 @@ def read_manifest(path) -> list:
 # -- correction coefficients --------------------------------------------------
 
 def write_coefficients(path, c: CorrectionCoefficients) -> None:
-    lines = [
-        COEFFS_MAGIC,
-        f"estimator {_check_token(c.estimator, 'estimator')}",
-        f"source_device {_check_token(c.source_device, 'source_device')}",
-        f"reference_device {_check_token(c.reference_device, 'reference_device')}",
-        f"sample_rate {c.sample_rate}",
-        f"n_fft {c.n_fft}",
-        f"num_recordings {c.num_recordings}",
-        f"gains {c.gains.size}",
-    ]
-    lines.extend(_fmt(g) for g in c.gains)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, COEFFS_MAGIC, COEFFS_FIELDS, c, "gains")
 
 
 @_names_file
 def read_coefficients(path) -> CorrectionCoefficients:
     from .correction import CorrectionCoefficients
 
-    reader = _LineReader(path, COEFFS_MAGIC)
-    estimator = reader.field("estimator")
-    source = reader.field("source_device")
-    reference = reader.field("reference_device")
-    sample_rate = int(reader.field("sample_rate"))
-    n_fft = int(reader.field("n_fft"))
-    num_recordings = int(reader.field("num_recordings"))
-    gains = reader.floats(_count(reader.field("gains"), "gains"))
-    return CorrectionCoefficients(gains, n_fft, sample_rate, source, reference,
-                                  num_recordings, estimator)
+    fields, count, reader = _read_text(path, COEFFS_MAGIC, COEFFS_FIELDS, "gains")
+    return CorrectionCoefficients(reader.floats(count), **fields)
 
 
 # -- FIR filters ---------------------------------------------------------------
 
 def write_filter(path, fir: FirFilter) -> None:
-    lines = [
-        FILTER_MAGIC,
-        f"sample_rate {fir.sample_rate}",
-        f"num_taps {fir.num_taps}",
-        f"group_delay {fir.group_delay}",
-        f"target_bins {fir.target_bins}",
-        f"taps {fir.num_taps}",
-    ]
-    lines.extend(_fmt(t) for t in fir.taps)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, FILTER_MAGIC, FILTER_FIELDS, fir, "taps")
 
 
 @_names_file
 def read_filter(path) -> FirFilter:
     from .fir import FirFilter
 
-    reader = _LineReader(path, FILTER_MAGIC)
-    sample_rate = int(reader.field("sample_rate"))
-    num_taps = int(reader.field("num_taps"))
-    group_delay = int(reader.field("group_delay"))
-    target_bins = int(reader.field("target_bins"))
-    count = _count(reader.field("taps"), "taps")
-    if count != num_taps:
-        raise ValueError(f"tap count {count} disagrees with num_taps {num_taps}")
-    taps = reader.floats(count)
-    fir = FirFilter(taps, sample_rate, target_bins)
-    if fir.group_delay != group_delay:
-        raise ValueError(f"group_delay {group_delay} disagrees with "
-                         f"tap length {num_taps}")
+    fields, count, reader = _read_text(path, FILTER_MAGIC, FILTER_FIELDS, "taps")
+    if count != fields["num_taps"]:
+        raise ValueError(f"tap count {count} disagrees with num_taps {fields['num_taps']}")
+    fir = FirFilter(reader.floats(count), fields["sample_rate"], fields["target_bins"])
+    if fir.group_delay != fields["group_delay"]:
+        raise ValueError(f"group_delay {fields['group_delay']} disagrees with tap length {count}")
     return fir
 
 
@@ -209,19 +209,16 @@ def write_feature_blocks(path, shape: tuple, blocks, normalization: str = "raw",
                          stats_id: str = "", correction: str = "none") -> int:
     """``write_features`` for a (frames x mels) tensor given as its consecutive
     row blocks, so it is never held whole; returns the byte offset of the
-    payload (``read_feature_rows``). Blocks that do not fill ``shape``
-    exactly raise ValueError; on any error the partial file is removed."""
+    payload (``read_feature_rows``). A header value that is not a token, or a
+    ``stats_id`` of "-", raises ValueError before the file is opened. Blocks
+    that do not fill ``shape`` exactly raise ValueError; on any error the
+    partial file is removed."""
     frames, mels = shape
-    header = "\n".join([
-        FEATURES_MAGIC,
-        f"frames {frames}",
-        f"mels {mels}",
-        f"normalization {normalization}",
-        f"stats_id {stats_id or '-'}",
-        f"correction {correction}",
-        "dtype float64-le",
-        "",
-    ]).encode("ascii")
+    if stats_id == "-":
+        raise ValueError("stats_id '-' is reserved: it stands for an empty stats_id")
+    values = (frames, mels, normalization, stats_id or "-", correction)
+    header = "\n".join([FEATURES_MAGIC, *map(_field_line, FEATURE_FIELDS, values),
+                        _DTYPE_LINE, ""]).encode("ascii")
     with open(path, "wb") as handle:
         try:
             handle.write(header)
@@ -275,9 +272,9 @@ def overwrite_feature_rows(path, offset: int, rows: np.ndarray, first: int = 0) 
 def read_features(path) -> FeatureTensor:
     from .features import FeatureTensor
 
-    data = Path(path).read_bytes()
+    data, dtype = Path(path).read_bytes(), f"{_DTYPE_LINE}\n".encode("ascii")
     try:
-        split = data.index(b"dtype float64-le\n") + len(b"dtype float64-le\n")
+        split = data.index(dtype) + len(dtype)
     except ValueError:
         raise ValueError("missing dtype header line") from None
     header = data[:split].decode("ascii").splitlines()
@@ -288,12 +285,12 @@ def read_features(path) -> FeatureTensor:
         name, sep, value = line.partition(" ")
         if not sep:
             raise ValueError(f"header field {name!r} has no value")
-        fields[name] = value
-    for name in ("frames", "mels", "normalization", "stats_id"):
+        fields[name] = _check_token(value, name)
+    fields.setdefault("correction", "none")
+    for name in FEATURE_FIELDS:
         if name not in fields:
             raise ValueError(f"header lacks field {name!r}")
-    frames = _count(fields["frames"], "frames")
-    mels = _count(fields["mels"], "mels")
+    frames, mels = (_count(fields[name], name) for name in FEATURE_FIELDS[:2])
     payload = data[split:]
     if len(payload) != frames * mels * 8:
         raise ValueError(f"payload holds {len(payload)} bytes, "
@@ -301,8 +298,7 @@ def read_features(path) -> FeatureTensor:
     values = np.frombuffer(payload, dtype="<f8").reshape(frames, mels)
     stats_id = fields["stats_id"]
     return FeatureTensor(values, fields["normalization"],
-                         "" if stats_id == "-" else stats_id,
-                         fields.get("correction", "none"))
+                         "" if stats_id == "-" else stats_id, fields["correction"])
 
 
 # -- simulator ground truth ------------------------------------------------------
@@ -310,20 +306,13 @@ def read_features(path) -> FeatureTensor:
 def write_responses(path, sample_rate: int, n_fft: int,
                     devices: dict, environments: Optional[dict] = None) -> None:
     """Persist named per-bin gain curves (device and environment truth)."""
-    environments = environments or {}
-    lines = [
-        RESPONSES_MAGIC,
-        f"sample_rate {sample_rate}",
-        f"n_fft {n_fft}",
-        f"devices {len(devices)}",
-    ]
-    for name, gains in devices.items():
-        lines.append(f"device {_check_token(name, 'device id')} {len(gains)}")
-        lines.extend(_fmt(g) for g in gains)
-    lines.append(f"environments {len(environments)}")
-    for name, gains in environments.items():
-        lines.append(f"environment {_check_token(name, 'scene id')} {len(gains)}")
-        lines.extend(_fmt(g) for g in gains)
+    curves = {"device": devices, "environment": environments or {}}
+    lines = [RESPONSES_MAGIC, _field_line("sample_rate", sample_rate), _field_line("n_fft", n_fft)]
+    for kind, what in _RESPONSE_KINDS:
+        lines.append(f"{kind}s {len(curves[kind])}")
+        for name, gains in curves[kind].items():
+            lines.append(f"{kind} {_check_token(name, what)} {len(gains)}")
+            lines.extend(map(_fmt, gains))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -335,7 +324,7 @@ def read_responses(path):
     n_fft = int(reader.field("n_fft"))
     bins = n_fft // 2 + 1
 
-    def read_block(kind: str) -> dict:
+    def read_block(kind: str, what: str) -> dict:
         out = {}
         for _ in range(_count(reader.field(f"{kind}s"), f"{kind}s")):
             line = reader.next()
@@ -345,7 +334,7 @@ def read_responses(path):
             _, name, length = fields
             if int(length) != bins:
                 raise ValueError(f"{kind} {name!r} has {length} gains, n_fft {n_fft} needs {bins}")
-            out[name] = reader.floats(bins)
+            out[_check_token(name, what)] = reader.floats(bins)
         return out
 
-    return sample_rate, n_fft, read_block("device"), read_block("environment")
+    return (sample_rate, n_fft, *(read_block(kind, what) for kind, what in _RESPONSE_KINDS))

@@ -12,6 +12,8 @@ import pytest
 import speccor as sc
 from speccor import files
 from speccor.cli import main
+from speccor.correction import merge_stats
+from speccor.simulate import truth_error_db
 
 from conftest import (SR, N_FFT, HOP, aligned_pairs, max_db_error,
                       random_amplitude_spectrogram, white_waveform)
@@ -90,6 +92,36 @@ def test_criterion_3_few_shot_stability(devices):
     print(f"    1 recording: {err_1:.4f} dB, 128 recordings: {err_128:.4f} dB")
     report(3, "few-shot stability, error(1 rec) - error(128 recs)",
            err_1 - err_128, 1.0)
+
+
+def _unaligned_error(seed, recordings, source):
+    """Mid-band error in dB of unaligned gains from ``recordings`` 1 s recordings
+    per device, of the two +/-20 dB devices that ``simulate`` draws for ``seed``."""
+    devices = tuple(sc.make_smooth_response(seed * 1000003 + 7 + i, 20.0, N_FFT, SR, name)
+                    for i, name in enumerate("ab"))
+    cfg = sc.SimConfig(seed=seed, num_recordings=recordings, duration=1.0, source=source,
+                       aligned=False, devices=devices, sample_rate=SR, n_fft=N_FFT, hop=HOP)
+    sums = {"a": [], "b": []}
+    for rec in sc.generate_dataset(cfg).waveforms:
+        sums[rec.device_id].append(sc.waveform_log_sum(rec.waveform, N_FFT, HOP, rec.device_id))
+    coeffs = sc.estimate_unaligned(merge_stats(sums["a"]), merge_stats(sums["b"]))
+    return truth_error_db(coeffs, SR, N_FFT, {d.name: d.gains for d in devices})
+
+
+# The paper's claim that few examples suffice, as a curve: with N recordings per
+# device the unaligned error falls about as 1/sqrt(N), so error(16) lies near
+# error(1)/4 (medians over seeds 0-4). Measured: 0.90x that for white and 1.00x
+# for speechlike-modulated, whose recordings differ more from one another.
+@pytest.mark.parametrize("source,factor", [("white", 1.25), ("speechlike-modulated", 1.5)])
+def test_criterion_3_error_falls_as_one_over_root_n(source, factor):
+    start = time.perf_counter()
+    err_1, err_16 = (float(np.median([_unaligned_error(seed, n, source) for seed in range(5)]))
+                     for n in (1, 16))
+    ratio = err_16 / (err_1 / 4)
+    print(f"    {source}: 1 recording {err_1:.2f} dB, 16 recordings {err_16:.2f} dB, "
+          f"{ratio:.2f}x error(1)/4, runtime {time.perf_counter() - start:.1f} s")
+    assert 1 / factor <= ratio <= factor, \
+        f"error(16) is {ratio:.2f}x error(1)/4, outside [{1 / factor:.2f}, {factor:.2f}]"
 
 
 def test_criterion_4_aligned_equals_unaligned():

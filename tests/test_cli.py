@@ -1387,6 +1387,17 @@ def test_coefficients_with_n_fft_below_16_are_named_and_exit_1(n_fft, gains, com
     assert not (tmp_path / "b.filt").exists()
 
 
+def test_design_fir_refuses_coefficients_whose_device_is_not_a_token(tmp_path, capsys):
+    # estimate could not have written this header: write_coefficients refuses it.
+    coeffs = _write_small_coefficients(tmp_path / "b.coeffs", 16, [1.0] * 9)
+    coeffs.write_text(coeffs.read_text().replace("source_device b\n", "source_device b c\n"))
+    argv = ["design-fir", "--coeffs", str(coeffs), "--out", str(tmp_path / "b.filt")]
+    assert main(argv + ["--taps", "9"]) == 1
+    assert capsys.readouterr().err == (f"error: {coeffs}: source_device must be a non-empty "
+                                       "token without whitespace, got 'b c'\n")
+    assert not (tmp_path / "b.filt").exists()
+
+
 @pytest.fixture(scope="module")
 def low_rate_dir(tmp_path_factory):
     """A legal corpus at 150 Hz and n_fft 16, whose bins all lie below the mid

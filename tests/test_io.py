@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 import re
 import struct
@@ -6,11 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import speccor as sc
 from speccor import files, wavio
+from speccor.correction import ESTIMATORS
 from speccor.dsp import BLOCK_FRAMES
+from speccor.features import NORMALIZATIONS
 from speccor.simulate import SOURCES, SUM_LEAF, unit_plan
 from speccor.wavio import AudioFileError
 
@@ -404,22 +408,114 @@ def test_shaped_blocks_over_open_wav_equal_apply_gains(encoding, tmp_path):
     assert np.array_equal(got, [w.samples for w in want])
 
 
-# -- coefficients / filters ---------------------------------------------------------
+# -- text formats: write -> read gives back what was written --------------------------
+
+_TOKENS = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8)
+_FLOATS = st.floats(1e-300, 1e300)
+_RATES = st.integers(1, 2**31)
+
+
+def _curves(bins):
+    return st.lists(_FLOATS, min_size=bins, max_size=bins).map(np.array)
+
+
+@st.composite
+def _coefficients(draw):
+    n_fft = draw(st.integers(16, 64))
+    return sc.CorrectionCoefficients(draw(_curves(n_fft // 2 + 1)), n_fft, draw(_RATES),
+                                     draw(_TOKENS), draw(_TOKENS), draw(st.integers(0, 2**31)),
+                                     draw(st.sampled_from(ESTIMATORS)))
+
+
+@st.composite
+def _filters(draw):
+    half = draw(st.lists(_FLOATS, min_size=2, max_size=9))  # ends with the centre tap
+    return sc.FirFilter(np.array(half + half[-2::-1]), draw(_RATES), draw(st.integers(1, 10**6)))
+
+
+_FEATURES = st.builds(
+    sc.FeatureTensor,
+    arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(1, 5)), elements=_FLOATS),
+    st.sampled_from(NORMALIZATIONS), st.just("") | _TOKENS.filter(lambda s: s != "-"), _TOKENS)
+
+
+@st.composite
+def _responses(draw):
+    """(sample_rate, n_fft, devices, environments), as read_responses gives them."""
+    n_fft = draw(st.integers(0, 64))
+    curves = st.dictionaries(_TOKENS, _curves(n_fft // 2 + 1), max_size=3)
+    return draw(_RATES), n_fft, draw(curves), draw(curves)
+
+
+# Writer and reader of each text format, by the type of what the file holds.
+_TEXT_FORMATS = {
+    sc.CorrectionCoefficients: (files.write_coefficients, files.read_coefficients),
+    sc.FirFilter: (files.write_filter, files.read_filter),
+    sc.FeatureTensor: (files.write_features, files.read_features),
+    tuple: (lambda path, truth: files.write_responses(path, *truth), files.read_responses),
+}
+
+
+def _parts(held) -> list:
+    """A dataclass's fields or a tuple's items, in order."""
+    if dataclasses.is_dataclass(held):
+        return [getattr(held, field.name) for field in dataclasses.fields(held)]
+    return list(held)
+
+
+def _same(want, got) -> bool:
+    if isinstance(want, dict):
+        return list(want) == list(got) and all(_same(want[k], got[k]) for k in want)
+    if isinstance(want, np.ndarray):
+        return got.dtype == np.float64 and np.array_equal(want, got)
+    return type(want) is type(got) and want == got
+
+
+_GAINS_83 = np.exp(np.random.default_rng(83).uniform(-2, 2, N_FFT // 2 + 1))
+_UNIT_GAINS = sc.CorrectionCoefficients(np.ones(N_FFT // 2 + 1), N_FFT, SR, "b", "a", 1, "aligned")
+
+
+def _assert_round_trips(tmp_path, held):
+    # Every field reads back as written, and write -> read -> write is byte-identical.
+    write, read = _TEXT_FORMATS[type(held)]
+    first, second = tmp_path / "first", tmp_path / "second"
+    write(first, held)
+    back = read(first)
+    assert type(back) is type(held)
+    want, got = _parts(held), _parts(back)
+    assert len(want) == len(got)
+    for field, value in zip(want, got):
+        assert _same(field, value), (field, value)
+    write(second, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(held=st.one_of(_coefficients(), _filters(), _FEATURES, _responses()))
+def test_text_file_round_trip(tmp_path, held):
+    _assert_round_trips(tmp_path, held)
+
 
 def test_coefficients_file_round_trip(tmp_path):
-    rng = np.random.default_rng(83)
-    gains = np.exp(rng.uniform(-2, 2, N_FFT // 2 + 1))
-    c = sc.CorrectionCoefficients(gains, N_FFT, SR, "b", "a", 16, "unaligned")
-    path = tmp_path / "b.coeffs"
-    files.write_coefficients(path, c)
-    back = files.read_coefficients(path)
-    assert np.array_equal(back.gains, c.gains)
-    assert (back.source_device, back.reference_device) == ("b", "a")
-    assert (back.n_fft, back.sample_rate, back.num_recordings) == (N_FFT, SR, 16)
-    assert back.estimator == "unaligned"
-    second = tmp_path / "b2.coeffs"
-    files.write_coefficients(second, back)
-    assert path.read_bytes() == second.read_bytes()
+    _assert_round_trips(tmp_path, sc.CorrectionCoefficients(_GAINS_83, N_FFT, SR,
+                                                            "b", "a", 16, "unaligned"))
+
+
+def test_filter_file_round_trip(tmp_path):
+    _assert_round_trips(tmp_path, sc.design_ls(_UNIT_GAINS, 129))
+
+
+def test_features_file_round_trip(tmp_path):
+    feat = sc.FeatureTensor(np.random.default_rng(84).standard_normal((13, 8)),
+                            "per_device", "device:b", "pre_mel:b->a")
+    _assert_round_trips(tmp_path, feat)
+
+
+def test_responses_file_round_trip(tmp_path):
+    _assert_round_trips(tmp_path, (SR, N_FFT,
+                                   {"a": sc.make_smooth_response(1, 20.0, N_FFT, SR).gains,
+                                    "b": sc.make_smooth_response(2, 20.0, N_FFT, SR).gains},
+                                   {"e0": sc.make_smooth_environment(3, 6.0, N_FFT, SR).gains}))
 
 
 def test_coefficients_file_rejects_garbage(tmp_path):
@@ -429,37 +525,7 @@ def test_coefficients_file_rejects_garbage(tmp_path):
         files.read_coefficients(path)
 
 
-def test_filter_file_round_trip(tmp_path):
-    c = sc.CorrectionCoefficients(np.ones(N_FFT // 2 + 1), N_FFT, SR,
-                                  "b", "a", 1, "aligned")
-    filt = sc.design_ls(c, 129)
-    path = tmp_path / "f.filt"
-    files.write_filter(path, filt)
-    back = files.read_filter(path)
-    assert np.array_equal(back.taps, filt.taps)
-    assert back.sample_rate == SR and back.target_bins == N_FFT // 2 + 1
-    second = tmp_path / "f2.filt"
-    files.write_filter(second, back)
-    assert path.read_bytes() == second.read_bytes()
-
-
 # -- features ------------------------------------------------------------------------
-
-def test_features_file_round_trip(tmp_path):
-    rng = np.random.default_rng(84)
-    feat = sc.FeatureTensor(rng.standard_normal((13, 8)), "per_device",
-                            "device:b", "pre_mel:b->a")
-    path = tmp_path / "x.feat"
-    files.write_features(path, feat)
-    back = files.read_features(path)
-    assert np.array_equal(back.values, feat.values)
-    assert back.normalization == "per_device"
-    assert back.stats_id == "device:b"
-    assert back.correction == "pre_mel:b->a"
-    second = tmp_path / "y.feat"
-    files.write_features(second, back)
-    assert path.read_bytes() == second.read_bytes()
-
 
 def _feature_file_without(tmp_path, field):
     path = tmp_path / "x.feat"
@@ -548,21 +614,6 @@ def test_feature_blocks_leave_no_file_when_the_blocks_fail(tmp_path):
 
 # -- responses -------------------------------------------------------------------------
 
-def test_responses_file_round_trip(tmp_path):
-    dev_a = sc.make_smooth_response(1, 20.0, N_FFT, SR, device_id="a")
-    dev_b = sc.make_smooth_response(2, 20.0, N_FFT, SR, device_id="b")
-    env = sc.make_smooth_environment(3, 6.0, N_FFT, SR, scene_id="e0")
-    path = tmp_path / "responses.txt"
-    files.write_responses(path, SR, N_FFT,
-                          {"a": dev_a.gains, "b": dev_b.gains},
-                          {"e0": env.gains})
-    sr, n_fft, devices, environments = files.read_responses(path)
-    assert (sr, n_fft) == (SR, N_FFT)
-    assert np.array_equal(devices["a"], dev_a.gains)
-    assert np.array_equal(devices["b"], dev_b.gains)
-    assert np.array_equal(environments["e0"], env.gains)
-
-
 def test_responses_file_rejects_curve_length_other_than_n_fft_bins(tmp_path):
     path = tmp_path / "responses.txt"
     files.write_responses(path, SR, N_FFT, {"a": np.ones(2)})
@@ -642,6 +693,25 @@ def test_coefficients_and_filter_reject_negative_counts(tmp_path):
         files.read_filter(filt)
 
 
+_TOKEN_RULE = "must be a non-empty token without whitespace, got"
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("normalization", "per device", f"normalization {_TOKEN_RULE} 'per device'"),
+    ("stats_id", "x\ny", f"stats_id {_TOKEN_RULE} 'x\\ny'"),
+    ("stats_id", "a b", f"stats_id {_TOKEN_RULE} 'a b'"),
+    ("correction", "pre_mel:b c", f"correction {_TOKEN_RULE} 'pre_mel:b c'"),
+    # read_features gives '-' back as "", the stats_id it stands for.
+    ("stats_id", "-", "stats_id '-' is reserved: it stands for an empty stats_id"),
+], ids=["normalization-space", "stats_id-newline", "stats_id-space", "correction-space",
+        "stats_id-dash"])
+def test_feature_header_its_reader_would_refuse_is_not_written(tmp_path, name, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.write_feature_blocks(tmp_path / "x.feat", (2, 3), [np.zeros((2, 3))],
+                                   **{name: value})
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_responses(path):
     files.write_responses(path, SR, 4, {"a": [1.0, 2.0, 0.5], "b": [1.0, 1.0, 1.0]},
                           {"e0": [0.5, 1.0, 2.0]})
@@ -677,6 +747,23 @@ def test_coefficients_and_filter_reject_a_non_positive_sample_rate(tmp_path, kin
     _rewrite(path, f"sample_rate {SR}\n".encode(), f"sample_rate {rate}\n".encode())
     with pytest.raises(ValueError, match=re.escape(f"{path}: sample_rate must be positive, "
                                                    f"got {rate}")):
+        read(path)
+
+
+@pytest.mark.parametrize("kind,line,edited,what", [
+    ("coeffs", "source_device b", "source_device b c", "source_device"),
+    ("filt", f"sample_rate {SR}", f"sample_rate  {SR}", "sample_rate"),
+    ("feat", "stats_id device:b", "stats_id device: b", "stats_id"),
+    ("responses", "device a 3", "device \t 3", "device id"),
+])
+def test_readers_refuse_a_header_value_that_is_not_a_token(tmp_path, kind, line, edited, what):
+    # Each writer refuses such a value, so no reader takes one either.
+    write, read = FORMATS[kind]
+    path = tmp_path / f"x.{kind}"
+    write(path)
+    _rewrite(path, f"\n{line}\n".encode(), f"\n{edited}\n".encode())
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: {what} {_TOKEN_RULE}")):
         read(path)
 
 
