@@ -35,9 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 def worker_count() -> int:
     raw = os.environ.get("SPECCOR_THREADS", "0")
-    if not raw.strip().isdecimal():
-        raise ValueError(f"SPECCOR_THREADS must be an integer >= 0, got {raw!r}")
-    return int(raw) or os.cpu_count() or 1
+    try:
+        return files.parse_int(raw.strip(), "SPECCOR_THREADS") or os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"SPECCOR_THREADS must be an integer >= 0, got {raw!r}") from None
 
 
 def _map_ordered(fn, items):
@@ -155,6 +156,7 @@ def cmd_estimate(args) -> int:
         plan = _estimate_plan(rows, reference, args.aligned)
     except ValueError as exc:
         raise ValueError(f"{args.manifest}: {exc}") from None
+    paths = [Path(args.out) / f"{device}.coeffs" for device in plan]
 
     # Headers are checked before any audio is read. Each worker then reduces
     # one file to its per-bin log sum a block of frames at a time; each
@@ -189,28 +191,16 @@ def cmd_estimate(args) -> int:
                 correction.merge_stats([sums[r] for r in ref_rows]),
                 correction.merge_stats(own)))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for coeffs in results:
-        path = out_dir / f"{coeffs.source_device}.coeffs"
-        files.write_coefficients(path, coeffs)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    with files.staged(paths) as part:
+        for path, coeffs in zip(paths, results):
+            files.write_coefficients(part(path), coeffs)
+    for path, coeffs in zip(paths, results):
         print(f"wrote {path} ({coeffs.estimator}, {coeffs.num_recordings} recordings)")
     return 0
 
 
 # -- apply / design-fir / filter -----------------------------------------------
-
-def _write_wavs(paths, sample_rate, length, blocks) -> None:
-    """Write row k of each (files x samples) block of ``blocks`` to the WAV file
-    paths[k] as it arrives (``wavio.create_wav``); on an error no file of
-    ``paths`` is left."""
-    with contextlib.ExitStack() as stack:
-        outs = [stack.enter_context(wavio.create_wav(path, sample_rate, length))
-                for path in paths]
-        for block in blocks:
-            for out, samples in zip(outs, block):
-                out.write(samples)
-
 
 def cmd_apply(args) -> int:
     if args.hop < 0:
@@ -235,7 +225,9 @@ def cmd_apply(args) -> int:
             blocks = dsp.shaped_blocks(audio, [coeffs.gains], coeffs.n_fft, hop)
         except ValueError as exc:
             raise ValueError(f"--hop {hop}: {exc}") from None
-        _write_wavs([args.out], audio.sample_rate, len(audio), blocks)
+        with wavio.create_wav(args.out, audio.sample_rate, len(audio)) as out:
+            for block in blocks:
+                out.write(block[0])
     print(f"wrote {args.out}")
     return 0
 
@@ -273,8 +265,10 @@ def cmd_filter(args) -> int:
             blocks = fir.filter_blocks(filt, audio, compensate)
         except ValueError as exc:
             raise ValueError(f"--in {args.input}: {exc}") from None
-        _write_wavs([args.out], audio.sample_rate,
-                    fir.filtered_length(filt, len(audio), compensate), blocks)
+        length = fir.filtered_length(filt, len(audio), compensate)
+        with wavio.create_wav(args.out, audio.sample_rate, length) as out:
+            for block in blocks:
+                out.write(block[0])
     print(f"wrote {args.out}")
     return 0
 
@@ -286,25 +280,30 @@ def cmd_simulate(args) -> int:
 
     cfg = simulate.read_config(args.config)
     out_dir = Path(args.out)
+    units = simulate.dataset_units(cfg)
+    rows = [files.ManifestRow(f"{recording_id}.wav", device, group) for unit in units
+            for recording_id, device, group in simulate.unit_recordings(cfg, unit)]
+    manifest, responses = out_dir / "manifest.tsv", out_dir / "responses.txt"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each worker draws one unit's source (an aligned group or one recording),
-    # streams its WAVs block by block and keeps only their manifest rows.
-    def write_unit(unit):
-        clean, recordings, curves = simulate.unit_plan(cfg, unit)
-        names = [f"{recording_id}.wav" for recording_id, _, _ in recordings]
-        _write_wavs([out_dir / name for name in names], cfg.sample_rate, len(clean),
-                    dsp.shaped_blocks(clean, curves, cfg.n_fft, cfg.hop))
-        return [files.ManifestRow(name, device, group)
-                for name, (_, device, group) in zip(names, recordings)]
+    # Each worker draws one unit's source (an aligned group or one recording) and
+    # streams its WAVs block by block; the manifest and responses publish last.
+    with files.staged([*(out_dir / row.path for row in rows), manifest, responses]) as part:
+        def write_unit(unit):
+            clean, recordings, curves = simulate.unit_plan(cfg, unit)
+            with contextlib.ExitStack() as stack:
+                wavs = [stack.enter_context(wavio.create_wav(
+                    part(out_dir / f"{rid}.wav"), cfg.sample_rate, len(clean)))
+                    for rid, _, _ in recordings]
+                for block in dsp.shaped_blocks(clean, curves, cfg.n_fft, cfg.hop):
+                    for wav, samples in zip(wavs, block):
+                        wav.write(samples)
 
-    rows = [row for unit_rows in _map_ordered(write_unit, simulate.dataset_units(cfg))
-            for row in unit_rows]
-    files.write_manifest(out_dir / "manifest.tsv", rows)
-    files.write_responses(
-        out_dir / "responses.txt", cfg.sample_rate, cfg.n_fft,
-        {d.name: d.gains for d in cfg.devices},
-        {e.name: e.gains for e in cfg.environments})
+        _map_ordered(write_unit, units)
+        files.write_manifest(part(manifest), rows)
+        files.write_responses(part(responses), cfg.sample_rate, cfg.n_fft,
+                              {d.name: d.gains for d in cfg.devices},
+                              {e.name: e.gains for e in cfg.environments})
     mode = "aligned" if cfg.aligned else "unaligned"
     print(f"wrote {len(rows)} recordings ({mode}) to {out_dir}")
     return 0
@@ -358,43 +357,38 @@ def cmd_features(args) -> int:
     fbs = {rate: features.mel_filterbank(rate, args.n_fft, args.n_mels)
            for rate in {rate for _, rate in headers.values()}}
 
-    # One pass writes every .feat file once, under its final header (with
+    # One pass writes every .feat part once, under its final header (with
     # --standardize, its normalization and statistics group); the statistics
-    # then read the rows back in manifest order, and each worker scales its
-    # own file in place, a block at a time. On any error every output name is
-    # removed, so --out holds none of them; other files there are left alone.
+    # then read the rows back in manifest order, each worker scales its own
+    # part in place, a block at a time, and only then are the parts published.
     grouping = args.standardize and args.standardize.replace("-", "_")
     keys = dict(zip(rows, features.group_keys(grouping, [row.device for row in rows], len(rows))
                     if grouping else [""] * len(rows)))
     shapes = {row: (headers[row][0], args.n_mels) for row in rows}
 
-    def write_raw(row, audio):
-        tag, blocks = features.log_mel_blocks(audio, fbs[audio.sample_rate],
-                                              coeffs_by_device.get(row.device), args.hop)
-        return files.write_feature_blocks(paths[row], shapes[row], blocks, grouping or "raw",
-                                          keys[row], tag)
-
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with files.staged(paths.values()) as part:
+        def write_raw(row, audio):
+            tag, blocks = features.log_mel_blocks(audio, fbs[audio.sample_rate],
+                                                  coeffs_by_device.get(row.device), args.hop)
+            return files.write_feature_blocks(part(paths[row]), shapes[row], blocks,
+                                              grouping or "raw", keys[row], tag)
+
         offsets = dict(zip(rows, _map_files(args.manifest, rows, write_raw)))
         if grouping:
             stats = features.group_stats(
                 list(keys.values()), list(shapes.values()), lambda i, out, first:
-                files.read_feature_rows(paths[rows[i]], offsets[rows[i]], out, first))
+                files.read_feature_rows(part(paths[rows[i]]), offsets[rows[i]], out, first))
 
             def scale(row):
                 buffer = np.empty((dsp.BLOCK_FRAMES, args.n_mels))
                 for first in range(0, shapes[row][0], dsp.BLOCK_FRAMES):
-                    values = files.read_feature_rows(paths[row], offsets[row],
+                    values = files.read_feature_rows(part(paths[row]), offsets[row],
                                                      buffer[:shapes[row][0] - first], first)
                     features.scale_rows(values, stats[keys[row]], out=values)
-                    files.overwrite_feature_rows(paths[row], offsets[row], values, first)
+                    files.overwrite_feature_rows(part(paths[row]), offsets[row], values, first)
 
             _map_ordered(scale, rows)
-    except BaseException:
-        for path in paths.values():
-            path.unlink(missing_ok=True)
-        raise
     print(f"wrote {len(rows)} feature files to {out_dir}")
     return 0
 
@@ -494,12 +488,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         worker_count()  # a bad SPECCOR_THREADS fails before anything is written
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, AudioFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (AudioFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (_UsageError, ValueError)) else 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Line-based file formats: manifests, correction coefficients, FIR filters, feature tensors, and simulator ground-truth responses.
+"""Line-based file formats (manifests, coefficients, filters, feature tensors, simulator ground truth) and the commit of a run's outputs.
 
 Floating-point values are written with 17 significant digits, which
 round-trips 64-bit floats losslessly, so write -> read -> write is
@@ -7,7 +7,9 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import functools
 import os
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ MANIFEST_COLUMNS = ("path", "device", "group")
 # Each format's header fields in file order, walked by its writer and its
 # reader; every value is a token (``_check_token``) on write and on read. A
 # ``.coeffs``/``.filt`` field pairs the attribute its value comes from with its
-# parser, and a ``gains``/``taps`` count and that many floats follow the header.
+# type, and a ``gains``/``taps`` count and that many floats follow the header.
 # A ``.feat`` header is followed by ``_DTYPE_LINE`` and the raw rows.
 COEFFS_FIELDS = (("estimator", str), ("source_device", str), ("reference_device", str),
                  ("sample_rate", int), ("n_fft", int), ("num_recordings", int))
@@ -47,10 +49,21 @@ def _fmt(x: float) -> str:
 
 
 def _check_token(value: str, what: str) -> str:
-    if not value or any(ch.isspace() for ch in value):
-        raise ValueError(f"{what} must be a non-empty token without whitespace, "
+    if not value or not value.isascii() or any(ch.isspace() for ch in value):
+        raise ValueError(f"{what} must be a non-empty ASCII token without whitespace, "
                          f"got {value!r}")
     return value
+
+
+def parse_int(value: str, what: str, signed: bool = False) -> int:
+    """``value`` as an int, written as ``str`` writes it (no '+', '_', space,
+    leading zero or non-ASCII digit) and, unless ``signed``, not negative."""
+    if not (value.isascii() and value.removeprefix("-").isdigit()) or str(int(value)) != value:
+        raise ValueError(f"{what} must be a decimal integer, got {value!r}")
+    number = int(value)
+    if number < 0 and not signed:
+        raise ValueError(f"{what} must not be negative, got {number}")
+    return number
 
 
 def _names_file(read):
@@ -68,13 +81,6 @@ def _field_line(name: str, value) -> str:
     return f"{name} {_check_token(str(value), name)}"
 
 
-def _count(value: str, key: str) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError(f"field {key!r} must not be negative, got {count}")
-    return count
-
-
 class _LineReader:
     def __init__(self, path, magic: str):
         self.lines = iter(Path(path).read_text().splitlines())
@@ -87,12 +93,13 @@ class _LineReader:
             raise ValueError("unexpected end of file")
         return line
 
-    def field(self, key: str) -> str:
+    def field(self, key: str, kind=str):
         line = self.next()
         name, _, value = line.partition(" ")
         if name != key or not value:
             raise ValueError(f"expected field {key!r}, got {line!r}")
-        return _check_token(value, key)
+        _check_token(value, key)
+        return parse_int(value, f"field {key!r}", signed=True) if kind is int else value
 
     def floats(self, count: int) -> np.ndarray:
         values = [float(self.next()) for _ in range(count)]
@@ -105,15 +112,45 @@ def _write_text(path, magic: str, fields, source, key: str) -> None:
     floats = getattr(source, key)
     lines = [magic, *(_field_line(name, getattr(source, name)) for name, _ in fields),
              f"{key} {len(floats)}", *map(_fmt, floats)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with staged([path]) as part, open(part(path), "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _read_text(path, magic: str, fields, key: str) -> tuple:
     """A ``_write_text`` file's header fields by name, its float count, and a
     reader at its first float."""
     reader = _LineReader(path, magic)
-    values = {name: parse(reader.field(name)) for name, parse in fields}
-    return values, _count(reader.field(key), key), reader
+    values = {name: reader.field(name, kind) for name, kind in fields}
+    return values, parse_int(reader.field(key), f"field {key!r}"), reader
+
+
+# -- a run's outputs -----------------------------------------------------------
+
+class _Part(type(Path())):
+    """A name ``staged`` hands out; staging it again writes it in place."""
+
+
+@contextlib.contextmanager
+def staged(paths):
+    """Yield ``part``: ``part(path)``, made once per path, is ``<path>.part``,
+    the name to write each of ``paths`` under (a part staged again is its own
+    part). A clean exit renames the parts to their paths in the order of
+    ``paths``; an exception removes them, so each path keeps what it held, and
+    makes an OSError on a part name its path. A directory path is refused."""
+    paths = list(paths)
+    for path in filter(os.path.isdir, paths):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    own = {str(_Part(f"{path}.part")): str(path) for path in paths if not isinstance(path, _Part)}
+    try:
+        yield functools.cache(lambda p: p if isinstance(p, _Part) else _Part(f"{p}.part"))
+        for part, path in own.items():
+            os.replace(part, path)
+    except BaseException as error:
+        for part in own:
+            Path(part).unlink(missing_ok=True)
+        if isinstance(error, OSError) and error.filename in own:
+            error.filename = own[error.filename]
+        raise
 
 
 # -- manifests ---------------------------------------------------------------
@@ -126,7 +163,7 @@ class ManifestRow:
 
 
 def write_manifest(path, rows: Sequence[ManifestRow]) -> None:
-    with open(path, "w", newline="") as handle:
+    with staged([path]) as part, open(part(path), "w", newline="") as handle:
         writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
         for row in rows:
@@ -211,30 +248,25 @@ def write_feature_blocks(path, shape: tuple, blocks, normalization: str = "raw",
     row blocks, so it is never held whole; returns the byte offset of the
     payload (``read_feature_rows``). A header value that is not a token, or a
     ``stats_id`` of "-", raises ValueError before the file is opened. Blocks
-    that do not fill ``shape`` exactly raise ValueError; on any error the
-    partial file is removed."""
+    that do not fill ``shape`` exactly raise ValueError. The file is written
+    through ``staged``, so on any error ``path`` keeps what it held."""
     frames, mels = shape
     if stats_id == "-":
         raise ValueError("stats_id '-' is reserved: it stands for an empty stats_id")
     values = (frames, mels, normalization, stats_id or "-", correction)
     header = "\n".join([FEATURES_MAGIC, *map(_field_line, FEATURE_FIELDS, values),
                         _DTYPE_LINE, ""]).encode("ascii")
-    with open(path, "wb") as handle:
-        try:
-            handle.write(header)
-            written = 0
-            for block in blocks:
-                if block.shape[1:] != (mels,) or written + len(block) > frames:
-                    raise ValueError(f"{path}: block of shape {block.shape} does not fit "
-                                     f"rows {written}.. of a {frames} x {mels} tensor")
-                handle.write(np.ascontiguousarray(block, "<f8"))
-                written += len(block)
-            if written != frames:
-                raise ValueError(f"{path}: blocks hold {written} of {frames} rows")
-        except BaseException:
-            handle.close()
-            Path(path).unlink(missing_ok=True)
-            raise
+    with staged([path]) as part, open(part(path), "wb") as handle:
+        handle.write(header)
+        written = 0
+        for block in blocks:
+            if block.shape[1:] != (mels,) or written + len(block) > frames:
+                raise ValueError(f"{path}: block of shape {block.shape} does not fit "
+                                 f"rows {written}.. of a {frames} x {mels} tensor")
+            handle.write(np.ascontiguousarray(block, "<f8"))
+            written += len(block)
+        if written != frames:
+            raise ValueError(f"{path}: blocks hold {written} of {frames} rows")
     return len(header)
 
 
@@ -273,11 +305,10 @@ def read_features(path) -> FeatureTensor:
     from .features import FeatureTensor
 
     data, dtype = Path(path).read_bytes(), f"{_DTYPE_LINE}\n".encode("ascii")
-    try:
-        split = data.index(dtype) + len(dtype)
-    except ValueError:
-        raise ValueError("missing dtype header line") from None
-    header = data[:split].decode("ascii").splitlines()
+    if dtype not in data:
+        raise ValueError("missing dtype header line")
+    split = data.index(dtype) + len(dtype)
+    header = data[:split].decode("utf-8", "replace").splitlines()
     if header[0] != FEATURES_MAGIC:
         raise ValueError(f"expected header {FEATURES_MAGIC!r}")
     fields = {}
@@ -290,7 +321,7 @@ def read_features(path) -> FeatureTensor:
     for name in FEATURE_FIELDS:
         if name not in fields:
             raise ValueError(f"header lacks field {name!r}")
-    frames, mels = (_count(fields[name], name) for name in FEATURE_FIELDS[:2])
+    frames, mels = (parse_int(fields[name], f"field {name!r}") for name in FEATURE_FIELDS[:2])
     payload = data[split:]
     if len(payload) != frames * mels * 8:
         raise ValueError(f"payload holds {len(payload)} bytes, "
@@ -313,26 +344,26 @@ def write_responses(path, sample_rate: int, n_fft: int,
         for name, gains in curves[kind].items():
             lines.append(f"{kind} {_check_token(name, what)} {len(gains)}")
             lines.extend(map(_fmt, gains))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with staged([path]) as part, open(part(path), "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 @_names_file
 def read_responses(path):
     """Read ground-truth curves; returns (sample_rate, n_fft, devices, environments)."""
     reader = _LineReader(path, RESPONSES_MAGIC)
-    sample_rate = int(reader.field("sample_rate"))
-    n_fft = int(reader.field("n_fft"))
+    sample_rate, n_fft = reader.field("sample_rate", int), reader.field("n_fft", int)
     bins = n_fft // 2 + 1
 
     def read_block(kind: str, what: str) -> dict:
         out = {}
-        for _ in range(_count(reader.field(f"{kind}s"), f"{kind}s")):
+        for _ in range(parse_int(reader.field(f"{kind}s"), f"field '{kind}s'")):
             line = reader.next()
             fields = line.split(" ")
             if len(fields) != 3 or fields[0] != kind or not fields[2].isdecimal():
                 raise ValueError(f"expected a '{kind} <name> <bins>' entry, got {line!r}")
             _, name, length = fields
-            if int(length) != bins:
+            if parse_int(length, f"{kind} {name!r} gain count") != bins:
                 raise ValueError(f"{kind} {name!r} has {length} gains, n_fft {n_fft} needs {bins}")
             out[_check_token(name, what)] = reader.floats(bins)
         return out

@@ -121,9 +121,9 @@ class SimConfig:
         if len(set(ids)) != len(ids):
             raise ValueError(f"devices: duplicate device names: {ids}")
         for name in ids:
-            # Device names become file names: g0000_<name>.wav, <name>_0000.wav.
-            if "/" in name or "\0" in name:
-                raise ValueError(f"devices: device {name!r} is not a plain file stem")
+            # Device names become file stems (g0000_<name>.wav) and ASCII manifest labels.
+            if "/" in name or "\0" in name or not name.isascii():
+                raise ValueError(f"devices: device {name!r} is not a plain ASCII file stem")
         for field, responses in (("devices", self.devices),
                                  ("environments", self.environments)):
             for resp in responses:
@@ -413,36 +413,32 @@ def dataset_units(cfg: SimConfig) -> list:
             for i in range(cfg.num_recordings)]
 
 
+def unit_recordings(cfg: SimConfig, unit) -> list:
+    """(recording id, device id, group id) of each recording of a unit."""
+    d_idx, i = unit
+    if d_idx is None:
+        return [(f"g{i:04d}_{dev.name}", dev.name, f"g{i:04d}") for dev in cfg.devices]
+    return [(f"{cfg.devices[d_idx].name}_{i:04d}", cfg.devices[d_idx].name, None)]
+
+
 def unit_plan(cfg: SimConfig, unit) -> tuple:
-    """(clean source, recordings, gain curves) of one of ``dataset_units(cfg)``.
+    """(clean source, ``unit_recordings``, gain curves) of one of ``dataset_units(cfg)``.
 
     The source is a ``_NoiseSource`` drawn from the unit's seed as it is read.
-    Recording k is (recording id, device id, group id), the source shaped by
-    device k's gains times the source's tilt (``_SHAPES``; none for white)
-    and the environment's gains. An aligned group records every device, an
-    unaligned unit one device and a fresh source. Seeds derive from (seed,
-    indices), so units can be generated in any order.
+    Recording k is the source shaped by device k's gains times the source's
+    tilt (``_SHAPES``; none for white) and the environment's gains. An
+    aligned group records every device, an unaligned unit one device and a
+    fresh source. Seeds derive from (seed, indices), so units can be
+    generated in any order.
     """
     d_idx, i = unit
     env = cfg.environments[i % len(cfg.environments)].gains if cfg.environments else 1.0
-    if d_idx is None:
-        seed, devices, group = [cfg.seed, i], cfg.devices, f"g{i:04d}"
-    else:
-        seed, devices, group = [cfg.seed, d_idx, i], cfg.devices[d_idx:d_idx + 1], None
+    seed = [cfg.seed, i] if d_idx is None else [cfg.seed, d_idx, i]
     clean = _NoiseSource(seed, cfg.source, int(round(cfg.duration * cfg.sample_rate)),
                          cfg.sample_rate)
-    recordings = [(f"{group}_{dev.name}" if group else f"{dev.name}_{i:04d}", dev.name, group)
-                  for dev in devices]
     shape = _SHAPES.get(cfg.source, lambda n_fft: 1.0)(cfg.n_fft) * env
-    return clean, recordings, [dev.gains * shape for dev in devices]
-
-
-def generate_unit(cfg: SimConfig, unit) -> tuple:
-    """The recordings of one of ``dataset_units(cfg)``: its ``unit_plan``'s
-    source, analysed once and shaped by every curve (``dsp.apply_gains``)."""
-    clean, recordings, curves = unit_plan(cfg, unit)
-    waves = dsp.apply_gains(clean, curves, cfg.n_fft, cfg.hop)
-    return tuple(SimRecording(*ids, wave) for ids, wave in zip(recordings, waves))
+    gains, recordings = {dev.name: dev.gains for dev in cfg.devices}, unit_recordings(cfg, unit)
+    return clean, recordings, [gains[device] * shape for _, device, _ in recordings]
 
 
 def generate_dataset(cfg: SimConfig) -> SimDataset:
@@ -452,8 +448,11 @@ def generate_dataset(cfg: SimConfig) -> SimDataset:
     and environment per alignment group). Unaligned mode draws a fresh,
     independent source for each device/recording from the same generator.
     """
-    return SimDataset(tuple(rec for unit in dataset_units(cfg)
-                            for rec in generate_unit(cfg, unit)), cfg)
+    recordings = []
+    for clean, ids, curves in (unit_plan(cfg, unit) for unit in dataset_units(cfg)):
+        waves = dsp.apply_gains(clean, curves, cfg.n_fft, cfg.hop)
+        recordings += [SimRecording(*rec, wave) for rec, wave in zip(ids, waves)]
+    return SimDataset(tuple(recordings), cfg)
 
 
 def truth_error_db(coeffs, sample_rate: int, n_fft: int, device_truth: dict) -> float:

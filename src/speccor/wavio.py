@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import errno
-import os
+import contextlib
 import struct
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import files
 from .dsp import ForwardReader, Waveform
 
 _PCM = 1
@@ -227,12 +226,10 @@ class create_wav:
 
     The length is known, so the header goes first; ``write(block)`` appends
     the block's float64 samples, converted as ``write_wav`` converts them,
-    WRITE_CHUNK_SAMPLES at a time through one reused buffer. The file is
-    written as ``<path>.part`` and renamed to ``path`` when the context exits
-    cleanly with exactly ``samples`` samples written, so ``path`` may be a
-    file still being read. On any error, and on too few or too many samples,
-    the ``.part`` file is removed. Use it as a context manager,
-    ``with create_wav(path, rate, n) as out: out.write(block)``.
+    WRITE_CHUNK_SAMPLES at a time through one reused buffer. ``path`` (which
+    may be a file still being read) changes only when the context exits
+    cleanly with exactly ``samples`` samples written (``files.staged``).
+    Use: ``with create_wav(path, rate, n) as out: out.write(block)``.
     """
 
     def __init__(self, path, sample_rate: int, samples: int, encoding: str = "float32"):
@@ -254,27 +251,19 @@ class create_wav:
         header = b"RIFF" + struct.pack("<I", 36 + payload + (payload & 1)) + b"WAVE" \
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", payload)
         self.path, self.samples, self.encoding = path, samples, encoding
-        self._part = f"{os.fspath(path)}.part"
         self._buf = np.empty(min(max(samples, 1), WRITE_CHUNK_SAMPLES), dtype)
         self._written = 0
-        # Errors name path, not the .part file, and a directory is refused
-        # before any audio is made for it.
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-        try:
-            self._file = open(self._part, "wb")
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-        self._file.write(header)
+        with contextlib.ExitStack() as stack:  # on an error, the part is removed
+            part = stack.enter_context(files.staged([path]))
+            self._file = stack.enter_context(open(part(path), "wb"))
+            self._file.write(header)
+            self._stack = stack.pop_all()
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, *exc):
-        if exc_type is None:
-            self.close()
-        else:
-            self.discard()
+        return self.close() if exc_type is None else self._stack.__exit__(exc_type, *exc)
 
     def write(self, block: np.ndarray) -> None:
         """Append the samples of the 1-D float64 array ``block``; a sample that
@@ -299,26 +288,15 @@ class create_wav:
         self._written += block.size
 
     def close(self) -> None:
-        """Finish the file and rename it to ``path``; a file short of samples is
-        removed and raises ValueError."""
+        """Finish and publish the file; one short of samples raises ValueError."""
         if self._file.closed:
             return
-        try:
+        with self._stack:
             if self._written != self.samples:
                 raise ValueError(f"{self.path}: {self._written} samples written to a file "
                                  f"of {self.samples}")
             if self._written * self._buf.itemsize & 1:
                 self._file.write(b"\x00")  # chunks are word-aligned
-            self._file.close()
-            os.replace(self._part, self.path)
-        except BaseException:
-            self.discard()
-            raise
-
-    def discard(self) -> None:
-        """Close and remove the ``.part`` file; ``path`` is left as it was."""
-        self._file.close()
-        Path(self._part).unlink(missing_ok=True)
 
 
 def write_wav(path, w: Waveform, encoding: str = "float32") -> None:

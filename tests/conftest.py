@@ -1,3 +1,8 @@
+import builtins
+import errno
+import io
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -55,3 +60,54 @@ def aligned_pairs(dataset, ref_id, src_id):
 
 def max_db_error(estimated, true, band):
     return float(np.max(np.abs(sc.to_db(estimated[band] / true[band]))))
+
+
+class DiskWrites:
+    """Counts the writes to files opened for writing, and the ``os.pwritev``
+    calls, since ``count`` was last set; from write ``fail_at`` on, each
+    raises OSError(ENOSPC) instead, as on a full disk."""
+
+    def __init__(self):
+        self.count, self.fail_at = 0, None
+
+    def tick(self) -> None:
+        self.count += 1
+        if self.fail_at is not None and self.count >= self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _CountedFile:
+    def __init__(self, file, writes):
+        self._file, self._writes = file, writes
+
+    def write(self, data):
+        self._writes.tick()
+        return self._file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+
+@pytest.fixture
+def disk_writes(monkeypatch):
+    """A DiskWrites that every file opened for writing reports to."""
+    writes, real_open, real_pwritev = DiskWrites(), builtins.open, os.pwritev
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return _CountedFile(handle, writes) if set(mode) & set("wax+") else handle
+
+    def counted_pwritev(*args):
+        writes.tick()
+        return real_pwritev(*args)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    monkeypatch.setattr(io, "open", counted_open)
+    monkeypatch.setattr(os, "pwritev", counted_pwritev)
+    return writes

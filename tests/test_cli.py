@@ -178,15 +178,17 @@ def test_estimate_rejects_a_reference_only_manifest_before_reading_audio(sim_dir
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["estimate", "features"])
-def test_a_device_label_with_whitespace_is_named_before_reading_audio(command, sim_dir,
+@pytest.mark.parametrize("command,label", [
+    ("estimate", "x\ny"), ("features", "x\ny"), ("estimate", "\u00fc"), ("features", "\u00fc")],
+    ids=["estimate", "features", "estimate-non-ascii", "features-non-ascii"])
+def test_a_device_label_with_whitespace_is_named_before_reading_audio(command, label, sim_dir,
                                                                      tmp_path, monkeypatch,
                                                                      capsys):
     # The label would be written into a .coeffs or .feat header, whose
-    # readers split fields at whitespace.
+    # readers split fields at whitespace and whose .feat header is ASCII.
     manifest = tmp_path / "m.tsv"
     files.write_manifest(manifest, [files.ManifestRow(str(sim_dir / "g0000_a.wav"), "a", "g0"),
-                                    files.ManifestRow(str(sim_dir / "g0000_b.wav"), "x\ny", "g0")])
+                                    files.ManifestRow(str(sim_dir / "g0000_b.wav"), label, "g0")])
     monkeypatch.setattr(wavio.open_wav, "_read_raw", lambda self: pytest.fail(f"read {self.path}"))
     out = tmp_path / "out"
     flags = {"estimate": ["--reference-device", "a", "--aligned"],
@@ -194,7 +196,7 @@ def test_a_device_label_with_whitespace_is_named_before_reading_audio(command, s
     assert main([command, "--manifest", str(manifest), *flags, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {manifest}: line 3: device of {str(sim_dir / 'g0000_b.wav')!r} must be a "
-        "non-empty token without whitespace, got 'x\\ny'\n")
+        f"non-empty ASCII token without whitespace, got {label!r}\n")
     assert not out.exists()
 
 
@@ -781,6 +783,7 @@ BAD_SIM_CONFIGS = {
     "aligned-not-a-boolean": ("[sim]\naligned = maybe\n", "[sim] aligned:"),
     "hop-not-invertible": ("[sim]\nhop = 2048\n", "[sim] hop:"),
     "device-name-with-slash": ("[sim]\ndevices = a/b c\n", "[sim] devices: device 'a/b'"),
+    "device-name-not-ascii": ("[sim]\ndevices = \u00fc c\n", "[sim] devices: device '\u00fc'"),
     "aligned-one-device": ("[sim]\naligned = true\ndevices = a\n",
                            "[sim] devices: an aligned dataset needs at least two devices"),
     "line-without-equals": ("[sim]\nseed = 1\njunk\n", "line 3:"),
@@ -949,16 +952,16 @@ def test_features_standardize_leaves_empty_out_for_a_bad_last_file(tmp_path, mon
 def test_features_standardize_leaves_empty_out_when_scaling_fails(sim_dir, tmp_path,
                                                                   monkeypatch, capsys):
     """The in-place write of the last file's second block of scaled rows fails
-    after every raw file exists and its first block is scaled: no .feat file
-    is left."""
+    after every raw file exists, under its part name, and its first block is
+    scaled: no .feat file and no part is left."""
     rows = files.read_manifest(sim_dir / "manifest.tsv")
-    names = [Path(row.path).stem + ".feat" for row in rows]
+    parts = [Path(row.path).stem + ".feat.part" for row in rows]
     out = tmp_path / "f"
     overwrite = files.overwrite_feature_rows
 
     def full_disk(path, offset, values, first=0):
-        if path.name == names[-1] and first > 0:
-            assert sorted(p.name for p in out.iterdir()) == sorted(names)  # the raw pass is done
+        if path.name == parts[-1] and first > 0:
+            assert sorted(p.name for p in out.iterdir()) == sorted(parts)  # the raw pass is done
             raise OSError(28, "No space left on device")
         return overwrite(path, offset, values, first)
 
@@ -972,27 +975,86 @@ def test_features_standardize_leaves_empty_out_when_scaling_fails(sim_dir, tmp_p
 
 @pytest.mark.parametrize("grouping", ["global", "per-device"])
 def test_features_standardize_writes_each_file_once(grouping, sim_dir, tmp_path, monkeypatch):
-    """Every .feat file is written once, under its final header, and scaled in
-    place: no second file is written and none is renamed."""
-    write, written = files.write_feature_blocks, []
+    """Every .feat file is written once, under its final header and its part
+    name, and scaled in place: no second file is written, and each part is
+    renamed once to its .feat name, in manifest order, after every part is
+    scaled."""
+    write, overwrite, replace = files.write_feature_blocks, files.overwrite_feature_rows, os.replace
+    written, events = [], []
 
     def counted_write(path, *args, **kwargs):
         written.append(path.name)
         return write(path, *args, **kwargs)
 
-    def no_replace(src, dst):
-        raise AssertionError(f"os.replace({src}, {dst})")
+    def counted_overwrite(path, *args, **kwargs):
+        events.append(("scale", path.name))
+        return overwrite(path, *args, **kwargs)
+
+    def counted_replace(src, dst):
+        events.append(("rename", Path(src).name, Path(dst).name))
+        return replace(src, dst)
 
     monkeypatch.setattr(files, "write_feature_blocks", counted_write)
-    monkeypatch.setattr(os, "replace", no_replace)
+    monkeypatch.setattr(files, "overwrite_feature_rows", counted_overwrite)
+    monkeypatch.setattr(os, "replace", counted_replace)
     monkeypatch.setenv("SPECCOR_THREADS", "2")
     out = tmp_path / "f"
     assert main(["features", "--manifest", str(sim_dir / "manifest.tsv"), "--standardize",
                  grouping, "--n-mels", "32", "--out", str(out)]) == 0
     names = [Path(row.path).stem + ".feat" for row in files.read_manifest(sim_dir / "manifest.tsv")]
-    assert sorted(written) == sorted(names)
+    assert sorted(written) == sorted(name + ".part" for name in names)
+    renames = [event[1:] for event in events if event[0] == "rename"]
+    assert renames == [(name + ".part", name) for name in names]
+    scaled = events[:len(events) - len(renames)]
+    assert set(scaled) == {("scale", name + ".part") for name in names}
     for name in names:
         assert files.read_features(out / name).normalization == grouping.replace("-", "_")
+
+
+# Runs the CLI on argv[3:] in this process, killed with SIGKILL at call argv[2]
+# of argv[1]: a speccor.files function, or os.replace.
+KILL_AT_CALL = """
+import os, signal, sys
+from speccor import cli, files
+
+owner = os if sys.argv[1] == "replace" else files
+real, calls = getattr(owner, sys.argv[1]), [0]
+
+def kill_at(*args, **kwargs):
+    calls[0] += 1
+    if calls[0] == int(sys.argv[2]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args, **kwargs)
+
+setattr(owner, sys.argv[1], kill_at)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("call,at", [("write_feature_blocks", 4), ("overwrite_feature_rows", 1),
+                                     ("overwrite_feature_rows", 5), ("replace", 3)],
+                         ids=["raw-pass", "first-scale", "mid-scale", "publish"])
+def test_features_standardize_killed_leaves_only_finished_feature_files(call, at, sim_dir,
+                                                                        tmp_path):
+    """A run killed by SIGKILL leaves each .feat file with the bytes that an
+    exit-0 run gives it, or no such file; only .part files may hold rows that
+    their header does not describe."""
+    flags = ["features", "--manifest", str(sim_dir / "manifest.tsv"), "--standardize",
+             "per-device", "--n-mels", "32"]
+    env = {**os.environ, "PYTHONPATH": str(Path(sc.__file__).resolve().parents[1]),
+           "SPECCOR_THREADS": "1"}
+    assert main([*flags, "--out", str(tmp_path / "whole")]) == 0
+    want = _tree(tmp_path / "whole")
+    out = tmp_path / "killed"
+    result = subprocess.run([sys.executable, "-c", KILL_AT_CALL, call, str(at), *flags,
+                             "--out", str(out)], env=env, capture_output=True, text=True)
+    assert result.returncode == -9, result.stderr
+    left = _tree(out)
+    finished = {name: data for name, data in left.items() if name.suffix == ".feat"}
+    assert finished == {name: want[name] for name in finished}
+    assert len(finished) == (2 if call == "replace" else 0)
+    assert all(name.suffix == ".part" and Path(name.stem) in want
+               for name in left if name not in finished), sorted(left)
 
 
 @pytest.mark.parametrize("flags", [[], ["--standardize", "global"]], ids=["plain", "global"])
@@ -1129,6 +1191,76 @@ def test_apply_of_a_non_finite_sample_mid_stream_leaves_no_out(nan_manifest, tmp
     assert not out.exists() and not (tmp_path / "out.wav.part").exists()
 
 
+def _tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def full_disk_inputs(tmp_path_factory):
+    """A small [sim] config, and a .coeffs and a .filt file at 44.1 kHz."""
+    root = tmp_path_factory.mktemp("full-disk")
+    (root / "sim.cfg").write_text("[sim]\nseed = 2\nnum_recordings = 2\nduration = 0.5\n"
+                                  "sample_rate = 8000\nn_fft = 256\ndevices = a b\n")
+    coeffs = _random_coefficients(root / "b.coeffs")
+    assert main(["design-fir", "--coeffs", str(coeffs), "--taps", "65",
+                 "--out", str(root / "b.filt")]) == 0
+    return root
+
+
+# Each writing subcommand, as (argv after the subcommand with {out} for --out's
+# directory, the files --out holds before the run); every run writes into {out}.
+FULL_DISK_RUNS = {
+    "estimate": (["--manifest", "{sim}/manifest.tsv", "--reference-device", "none",
+                  "--out", "{out}"], ["a.coeffs"]),
+    "features": (["--manifest", "{sim}/manifest.tsv", "--n-mels", "32", "--out", "{out}"],
+                 ["g0000_a.feat"]),
+    "features-standardize": (["--manifest", "{sim}/manifest.tsv", "--n-mels", "32",
+                              "--standardize", "per-device", "--out", "{out}"],
+                             ["g0001_b.feat"]),
+    "simulate": (["--config", "{inputs}/sim.cfg", "--out", "{out}"],
+                 ["manifest.tsv", "g0000_a.wav"]),
+    "apply": (["--coeffs", "{inputs}/b.coeffs", "--in", "{sim}/g0000_b.wav",
+               "--out", "{out}/x.wav"], ["x.wav"]),
+    "filter": (["--filter", "{inputs}/b.filt", "--in", "{sim}/g0000_b.wav",
+                "--out", "{out}/x.wav"], ["x.wav"]),
+    "design-fir": (["--coeffs", "{inputs}/b.coeffs", "--taps", "65", "--out", "{out}/x.filt"],
+                   ["x.filt"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_DISK_RUNS))
+def test_a_full_disk_exits_2_and_leaves_out_as_it_was(name, sim_dir, full_disk_inputs,
+                                                      tmp_path, disk_writes, monkeypatch,
+                                                      capsys):
+    """A write that fails with ENOSPC, at the first, second, middle or last of
+    a run's writes, exits 2 and leaves --out as it was: no output name that
+    was not there, no part, and the old bytes of each file that was."""
+    monkeypatch.setenv("SPECCOR_THREADS", "1")
+    flags, kept = FULL_DISK_RUNS[name]
+
+    def argv(out):
+        command = name.replace("-standardize", "")
+        return [command] + [flag.format(sim=sim_dir, inputs=full_disk_inputs, out=out)
+                            for flag in flags]
+
+    (tmp_path / "fresh").mkdir()
+    disk_writes.count = 0
+    assert main(argv(tmp_path / "fresh")) == 0
+    total = disk_writes.count
+    out = tmp_path / "out"
+    out.mkdir()
+    for stem in [*kept, "notes.txt"]:
+        (out / stem).write_bytes(f"old {stem}\n".encode())
+    before = _tree(out)
+    for fail_at in sorted({1, 2, (total + 1) // 2, total} & set(range(1, total + 1))):
+        capsys.readouterr()
+        disk_writes.count, disk_writes.fail_at = 0, fail_at
+        assert main(argv(out)) == 2, fail_at
+        disk_writes.fail_at = None
+        assert "No space left on device" in capsys.readouterr().err
+        assert _tree(out) == before, fail_at
+
+
 @pytest.mark.parametrize("command", ["apply", "filter"])
 def test_an_output_that_overflows_float32_exits_1_and_leaves_no_out(command, tmp_path,
                                                                     capsys):
@@ -1247,7 +1379,7 @@ def test_features_rejects_duplicate_stems_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["two", "-3", "1.5", ""])
+@pytest.mark.parametrize("bad", ["two", "-3", "1.5", "", "+2", "1_0", "\u0662", "None"])
 def test_bad_thread_count_exits_1_before_writing(bad, tmp_path, monkeypatch, capsys):
     config = tmp_path / "sim.cfg"
     config.write_text("[sim]\nnum_recordings = 1\nduration = 0.1\n")
@@ -1394,7 +1526,7 @@ def test_design_fir_refuses_coefficients_whose_device_is_not_a_token(tmp_path, c
     argv = ["design-fir", "--coeffs", str(coeffs), "--out", str(tmp_path / "b.filt")]
     assert main(argv + ["--taps", "9"]) == 1
     assert capsys.readouterr().err == (f"error: {coeffs}: source_device must be a non-empty "
-                                       "token without whitespace, got 'b c'\n")
+                                       "ASCII token without whitespace, got 'b c'\n")
     assert not (tmp_path / "b.filt").exists()
 
 

@@ -612,6 +612,27 @@ def test_feature_blocks_leave_no_file_when_the_blocks_fail(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_staged_writers_write_parts_that_the_block_publishes_together(tmp_path):
+    wav, feat = tmp_path / "a.wav", tmp_path / "b.feat"
+    wav.write_bytes(b"old")
+    w = sc.Waveform(np.linspace(-0.5, 0.5, 16), SR)
+    tensor = sc.FeatureTensor(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(RuntimeError):
+        with files.staged([wav, feat]) as part:
+            sc.write_wav(part(wav), w)
+            files.write_features(part(feat), tensor)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "a.wav.part",
+                                                                  "b.feat.part"]
+            raise RuntimeError
+    assert [p.name for p in tmp_path.iterdir()] == ["a.wav"] and wav.read_bytes() == b"old"
+    with files.staged([wav, feat]) as part:
+        sc.write_wav(part(wav), w)
+        files.write_features(part(feat), tensor)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "b.feat"]
+    assert wav.read_bytes() == _reference_wav_bytes(w, "float32")
+    assert np.array_equal(files.read_features(feat).values, tensor.values)
+
+
 # -- responses -------------------------------------------------------------------------
 
 def test_responses_file_rejects_curve_length_other_than_n_fft_bins(tmp_path):
@@ -693,7 +714,7 @@ def test_coefficients_and_filter_reject_negative_counts(tmp_path):
         files.read_filter(filt)
 
 
-_TOKEN_RULE = "must be a non-empty token without whitespace, got"
+_TOKEN_RULE = "must be a non-empty ASCII token without whitespace, got"
 
 
 @pytest.mark.parametrize("name,value,message", [
@@ -765,6 +786,47 @@ def test_readers_refuse_a_header_value_that_is_not_a_token(tmp_path, kind, line,
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: {what} {_TOKEN_RULE}")):
         read(path)
+
+
+# A header integer as int() reads it but str() never writes it; the token
+# rule refuses the non-ASCII digits first.
+_NOT_WRITTEN_INTS = {
+    "underscore": ("16_000", "field {key!r} must be a decimal integer, got '16_000'"),
+    "plus": ("+16000", "field {key!r} must be a decimal integer, got '+16000'"),
+    "arabic-indic": ("\u0661\u0666\u0660\u0660\u0660",
+                     "{key} must be a non-empty ASCII token without whitespace, "
+                     "got '\u0661\u0666\u0660\u0660\u0660'"),
+}
+
+
+@pytest.mark.parametrize("value", sorted(_NOT_WRITTEN_INTS))
+@pytest.mark.parametrize("kind,line", [
+    ("coeffs", f"sample_rate {SR}"), ("coeffs", "gains 9"), ("filt", f"sample_rate {SR}"),
+    ("filt", "taps 5"), ("feat", "frames 3"), ("responses", f"sample_rate {SR}"),
+    ("responses", "n_fft 4"), ("responses", "devices 2"),
+])
+def test_readers_refuse_an_integer_that_str_does_not_write(tmp_path, kind, line, value):
+    write, read = FORMATS[kind]
+    path = tmp_path / f"x.{kind}"
+    write(path)
+    key = line.split()[0]
+    text, message = _NOT_WRITTEN_INTS[value]
+    _rewrite(path, f"\n{line}\n".encode(), f"\n{key} {text}\n".encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message.format(key=key)}")):
+        read(path)
+
+
+@pytest.mark.parametrize("length,message", [
+    ("+3", "expected a 'device <name> <bins>' entry, got 'device a +3'"),
+    ("03", "device 'a' gain count must be a decimal integer, got '03'"),
+    ("\u0663", "device 'a' gain count must be a decimal integer, got '\u0663'"),
+], ids=["plus", "leading-zero", "arabic-indic"])
+def test_responses_entry_length_is_a_decimal_integer(tmp_path, length, message):
+    path = tmp_path / "responses.txt"
+    _write_responses(path)
+    _rewrite(path, b"\ndevice a 3\n", f"\ndevice a {length}\n".encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        files.read_responses(path)
 
 
 # Arbitrary bytes, plus short runs of the characters that numeric fields are made of.

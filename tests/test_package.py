@@ -2,6 +2,7 @@
 loads no submodule, so what an earlier test imported must not hide a name that
 fails to resolve on its own."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -69,3 +70,41 @@ def test_every_public_name_resolves_to_the_object_its_module_defines():
                             text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+# Calls that publish or remove a file: os.replace and its kin, and the Path
+# methods unlink, write_text and rename on any object (str.replace shares
+# Path.replace's name, so only os.replace is caught).
+_PUBLISHING_OS_CALLS = {"replace", "rename", "remove", "unlink"}
+_PUBLISHING_METHODS = {"unlink", "write_text", "rename"}
+
+
+def _publishing_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, name = node.func.value, node.func.attr
+            if isinstance(owner, ast.Name) and owner.id == "os":
+                if name in _PUBLISHING_OS_CALLS:
+                    yield node
+            elif name in _PUBLISHING_METHODS:
+                yield node
+
+
+def test_only_the_files_helper_publishes_or_removes_a_file():
+    """Every output goes through ``files.staged``: no other code renames a
+    file into place, removes one or writes one whole with ``write_text``."""
+    package = SRC / "speccor"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "files.py":
+            helper = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "staged"]
+            assert len(helper) == 1
+            allowed = {id(node) for node in _publishing_calls(helper[0])}
+            assert len(allowed) == 2, "staged renames its parts and removes them"
+        for node in _publishing_calls(tree):
+            if id(node) not in allowed:
+                found.setdefault(path.name, []).append((node.lineno, ast.unparse(node.func)))
+    assert found == {}
