@@ -326,20 +326,23 @@ def stft(w: Waveform, n_fft: int = 2048, hop: int = 512,
 
 
 def istft(c: ComplexSpectrogram) -> Waveform:
-    """Windowed overlap-add resynthesis: one ``OverlapAdd`` sink takes every frame.
+    """Windowed overlap-add resynthesis of the whole matrix, divided by the
+    summed squared window.
 
     Output length is (T-1)*hop + n_fft. Samples more than n_fft away from
     either end reconstruct the analyzed signal exactly; edge samples are
-    renormalized by the partial window overlap.
+    renormalized by the partial window overlap, and set to 0 where that sum
+    is at most 1e-11 of its largest.
     """
     win = _synthesis_window(c.window_name, c.n_fft, c.hop)
-    sink = OverlapAdd(1, c.n_fft, c.hop, c.frames, win, c.frames)
-    out = np.empty((c.frames - 1) * c.hop + c.n_fft)
-    # flush overwrites the block that add returns, so each is copied out first.
-    body = c.frames * c.hop
-    out[:body] = sink.add(c.frames, [np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win])[0]
-    out[body:] = sink.flush(c.n_fft - c.hop)[0]
-    return Waveform(out, c.sample_rate)
+    rows = c.frames - 1 + -(-c.n_fft // c.hop)
+    out, scale = np.zeros((rows, c.hop)), np.zeros((rows, c.hop))
+    _overlap_add(out, np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win, c.hop)
+    _overlap_add(scale, np.broadcast_to(win * win, (c.frames, c.n_fft)), c.hop)
+    valid = scale > 1e-11 * scale.max()
+    np.divide(out, scale, out=out, where=valid)
+    np.copyto(out, 0.0, where=~valid)
+    return Waveform(out.ravel()[:(c.frames - 1) * c.hop + c.n_fft], c.sample_rate)
 
 
 def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
@@ -371,65 +374,29 @@ class OverlapAdd:
     t + ceil(width / hop) - 1 counted from the block's first frame only, so once
     a block is added, its first rows get no more terms: ``add`` returns them.
     The rows that later frames still reach move to the top before the next
-    block, so the sums live in buffers of step + ceil(width / hop) rows however
-    many frames come. With ``window`` (``width`` samples), each frame is taken
-    to be windowed by it twice, before and after a transform, and a finished
-    sample is divided by its sum of the squared window (``_finished``), or
-    set to 0 where that sum is at most 1e-11 of its maximum; ``frames``, the
-    whole count of frames, then fixes that maximum.
-    Every returned block, a (channels x samples) matrix, is a view of one
-    buffer that the next call overwrites, so the caller must not keep it.
+    block, so the sums live in a buffer of step + ceil(width / hop) rows however
+    many frames come. Every returned block, a (channels x samples) matrix, is a
+    view of that buffer, which the next call overwrites, so the caller may
+    change it in place but must not keep it.
     """
 
-    def __init__(self, channels: int, width: int, hop: int, step: int,
-                 window: Optional[np.ndarray] = None, frames: int = 0):
+    def __init__(self, channels: int, width: int, hop: int, step: int):
         self.hop, self.span = hop, -(-width // hop)
         self._acc = np.zeros((channels, step + self.span, hop))
-        self._scale = None
-        if window is not None:
-            self._scale = np.zeros((step + self.span, hop))
-            self._squared = np.broadcast_to(window * window, (max(step, 2 * self.span), width))
-            # Every row of the whole window sum is a row of the sum over min(frames,
-            # 2 * span) frames: a start, a middle that every phase covers, an end.
-            edge = min(frames, 2 * self.span)
-            peak = np.zeros((edge - 1 + self.span, hop))
-            _overlap_add(peak, self._squared[:edge], hop)
-            self._floor = 1e-11 * peak.max()
-        self._done = 0  # rows handed out that still head the buffers
+        self._done = 0  # rows handed out that still head the buffer
 
     def add(self, rows: int, frames) -> np.ndarray:
         """Add the next ``rows`` frames of each channel, given in channel order
         by the iterable ``frames`` (rows x width each, which the sink does not
         keep), and return the ``rows * hop`` samples they finish."""
-        self._shift()
-        if self._scale is not None:
-            _overlap_add(self._scale, self._squared[:rows], self.hop)
-        for acc, block in zip(self._acc, frames):
-            _overlap_add(acc, block, self.hop)
-        return self._finished(rows)
-
-    def flush(self, samples: int) -> np.ndarray:
-        """The next ``samples`` samples after the last block's: the sums that
-        only earlier frames reach, then zeros."""
-        self._shift()
-        return self._finished(-(-samples // self.hop))[:, :samples]
-
-    def _finished(self, rows: int) -> np.ndarray:
+        acc, done, span = self._acc, self._done, self.span
+        if done:
+            acc[:, :span - 1] = acc[:, done:done + span - 1]
+            acc[:, span - 1:] = 0.0
+        for sums, block in zip(acc, frames):
+            _overlap_add(sums, block, self.hop)
         self._done = rows
-        acc, scale = self._acc[:, :rows], self._scale
-        if scale is not None:
-            valid = scale[:rows] > self._floor
-            np.divide(acc, scale[:rows], out=acc, where=valid)
-            np.copyto(acc, 0.0, where=~valid)
-        return acc.reshape(len(self._acc), rows * self.hop)
-
-    def _shift(self) -> None:
-        rows, span = self._done, self.span
-        for buf in (self._scale, self._acc.swapaxes(0, 1)):
-            if buf is not None and rows:
-                buf[:span - 1] = buf[rows:rows + span - 1]
-                buf[span - 1:] = 0.0
-        self._done = 0
+        return acc[:, :rows].reshape(len(acc), rows * self.hop)
 
 
 class _ZeroPadded:
@@ -467,12 +434,12 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
     whole window sum: a curve that is not flat then cannot swell the edges,
     where a lone frame's squared window would be the divisor. Each block of
     frames is shaped by every curve, inverted and windowed, and overlap-added
-    by an ``OverlapAdd`` sink, which divides by the window sum and hands out
-    the rows no later frame reaches; the sums, added block by block in frame
-    order as the whole sums would be, live in buffers of BLOCK_FRAMES +
-    ceil(n_fft / hop) rows however long the input is. Every block is a view
-    of one buffer that the next block overwrites, so the caller must not keep
-    it.
+    by an ``OverlapAdd`` sink, which hands out the rows no later frame
+    reaches; the sums, added block by block in frame order as the whole sums
+    would be, live in a buffer of BLOCK_FRAMES + ceil(n_fft / hop) rows however
+    long the input is, and each finished row is divided by the full window
+    sum, computed once. Every block is a view of one buffer that the next
+    block overwrites, so the caller must not keep it.
     """
     _analysis_window(len(audio), n_fft, hop, window)
     win = _synthesis_window(window, n_fft, hop)
@@ -490,7 +457,15 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
     padded = _ZeroPadded(audio, lead, (frames - 1) * hop + n_fft - lead - len(audio))
 
     def blocks():
-        sink = OverlapAdd(len(curves), n_fft, hop, step, win, frames)
+        # The frames run over zeros past both ends, so every sample handed out
+        # lies under every frame that reaches it: all share the squared window
+        # summed over its phases, last phase first, as frame order adds them. A
+        # Hann grid that overlap_add_invertible passes keeps that sum above
+        # istft's floor (1e-11 of its largest), so no sample here is zeroed.
+        sums = np.zeros((2 * span - 1, hop))
+        _overlap_add(sums, np.broadcast_to(win * win, (span, n_fft)), hop)
+        divisor = sums[span - 1]
+        sink = OverlapAdd(len(curves), n_fft, hop, step)
         inverse = np.empty((step, n_fft))
         skip, left = lead, len(audio)
         for bins, scratch in _spectrum_blocks(padded, win, hop, step):
@@ -503,7 +478,9 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
                                        axis=1, out=inverse[:rows])
                     yield np.multiply(out, win, out=out)
             # The last frame's rows end within a hop past the input.
-            block = sink.add(rows, inverses())[:, skip:skip + left]
+            finished = sink.add(rows, inverses()).reshape(len(curves), rows, hop)
+            np.divide(finished, divisor, out=finished)
+            block = finished.reshape(len(curves), rows * hop)[:, skip:skip + left]
             skip, left = 0, left - block.shape[1]
             yield block
     return blocks()

@@ -12,6 +12,7 @@ import csv
 import errno
 import functools
 import os
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -57,10 +58,14 @@ def _check_token(value: str, what: str) -> str:
 
 def parse_int(value: str, what: str, signed: bool = False) -> int:
     """``value`` as an int, written as ``str`` writes it (no '+', '_', space,
-    leading zero or non-ASCII digit) and, unless ``signed``, not negative."""
-    if not (value.isascii() and value.removeprefix("-").isdigit()) or str(int(value)) != value:
-        raise ValueError(f"{what} must be a decimal integer, got {value!r}")
-    number = int(value)
+    leading zero or non-ASCII digit, nor more digits than ``int`` converts)
+    and, unless ``signed``, not negative."""
+    try:
+        number = int(value) if value.isascii() and value.removeprefix("-").isdigit() else None
+    except ValueError:  # past sys.get_int_max_str_digits()
+        number = None
+    if number is None or str(number) != value:
+        raise ValueError(f"{what} must be a decimal integer, got {reprlib.repr(value)}")
     if number < 0 and not signed:
         raise ValueError(f"{what} must not be negative, got {number}")
     return number
@@ -187,6 +192,8 @@ def read_manifest(path) -> list:
             if len(record) != 3:
                 raise ValueError(f"line {lineno}: expected 3 columns, got {len(record)}")
             name, device, group = record
+            if not name:
+                raise ValueError(f"line {lineno}: empty path")
             _check_token(device, f"line {lineno}: device of {name!r}")
             if name in names:
                 raise ValueError(f"line {lineno}: duplicate path {name!r}")
@@ -365,7 +372,9 @@ def read_responses(path):
             _, name, length = fields
             if parse_int(length, f"{kind} {name!r} gain count") != bins:
                 raise ValueError(f"{kind} {name!r} has {length} gains, n_fft {n_fft} needs {bins}")
-            out[_check_token(name, what)] = reader.floats(bins)
+            gains = out[_check_token(name, what)] = reader.floats(bins)
+            if not np.all((gains > 0) & (gains < np.inf)):
+                raise ValueError(f"{kind} {name!r} gains must be finite and > 0")
         return out
 
     return (sample_rate, n_fft, *(read_block(kind, what) for kind, what in _RESPONSE_KINDS))

@@ -117,11 +117,12 @@ def filter_blocks(fir: FirFilter, audio, compensate_delay: bool = True):
     each segment is convolved with the taps through one real FFT of the fixed
     length ``fast_fft_len(SEGMENT_SAMPLES + num_taps - 1)``, against the taps'
     spectrum computed once, and the segments' convolutions are overlap-added
-    SEGMENT_SAMPLES apart (``dsp.OverlapAdd``). The output runs from sample
-    ``group_delay`` of the full convolution with delay compensation, from
-    sample 0 without, and is as long as ``apply_filter``'s. Every block is a
-    view of one buffer that the next block overwrites, so the caller must not
-    keep it.
+    SEGMENT_SAMPLES apart (``dsp.OverlapAdd``), with empty segments past the
+    input until the last output sample is finished. The output runs from
+    sample ``group_delay`` of the full convolution with delay compensation,
+    from sample 0 without, and is as long as ``apply_filter``'s. Every block
+    is a view of one buffer that the next block overwrites, so the caller
+    must not keep it.
     """
     if audio.sample_rate != fir.sample_rate:
         raise ValueError(f"sample-rate mismatch: waveform {audio.sample_rate} Hz, "
@@ -138,16 +139,14 @@ def filter_blocks(fir: FirFilter, audio, compensate_delay: bool = True):
         response = np.fft.rfft(fir.taps, size)
         sink = dsp.OverlapAdd(1, width, SEGMENT_SAMPLES, 1)
         # Segment k's add finishes samples [k, k + 1) * SEGMENT_SAMPLES of the
-        # full convolution; each block is cut to [start, stop).
-        for first in range(0, n, SEGMENT_SAMPLES):
-            segment = audio.read(first, min(first + SEGMENT_SAMPLES, n))
+        # full convolution; each block is cut to [start, stop). Past the input
+        # a segment is empty, so its transform is zero and adds nothing.
+        for first in range(0, stop, SEGMENT_SAMPLES):
+            segment = audio.read(min(first, n), min(first + SEGMENT_SAMPLES, n))
             out = np.fft.irfft(np.fft.rfft(segment, size) * response, size)
             block = sink.add(1, [out[None, :width]])[:, max(start - first, 0):stop - first]
             if block.size:
                 yield block
-        done = -(-n // SEGMENT_SAMPLES) * SEGMENT_SAMPLES
-        if stop > done:
-            yield sink.flush(stop - done)[:, max(start - done, 0):]
     return blocks()
 
 

@@ -200,6 +200,20 @@ def test_a_device_label_with_whitespace_is_named_before_reading_audio(command, l
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "features"])
+def test_an_empty_manifest_path_is_named_before_reading_audio(command, sim_dir, tmp_path,
+                                                              monkeypatch, capsys):
+    manifest = tmp_path / "m.tsv"
+    files.write_manifest(manifest, [files.ManifestRow(str(sim_dir / "g0000_a.wav"), "a"),
+                                    files.ManifestRow("", "b")])
+    monkeypatch.setattr(wavio.open_wav, "_read_raw", lambda self: pytest.fail(f"read {self.path}"))
+    out = tmp_path / "out"
+    flags = {"estimate": ["--reference-device", "a"], "features": []}[command]
+    assert main([command, "--manifest", str(manifest), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: line 3: empty path\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reference", ["a", "none"])
 def test_estimate_equals_per_file_shards_merged_in_manifest_order(reference, sim_dir,
                                                                  tmp_path):
@@ -1467,6 +1481,23 @@ def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(toleranc
                  f"--tolerance-db={tolerance}"]) == 1
     assert capsys.readouterr().err == ("error: --tolerance-db must be finite and >= 0, "
                                        f"got {float(tolerance)}\n")
+
+
+@pytest.mark.parametrize("gain", ["nan", "inf", "0", "-0.5"])
+def test_verify_refuses_truth_gains_that_are_not_finite_and_positive(gain, sim_dir, tmp_path,
+                                                                    capsys):
+    sim = tmp_path / "sim"
+    shutil.copytree(sim_dir, sim)
+    lines = (sim / "responses.txt").read_text().splitlines()
+    lines[lines.index(f"device a {N_FFT // 2 + 1}") + 5] = gain
+    (sim / "responses.txt").write_text("\n".join(lines) + "\n")
+    coeffs = tmp_path / "c"
+    coeffs.mkdir()
+    files.write_coefficients(coeffs / "b.coeffs", sc.CorrectionCoefficients(
+        np.ones(N_FFT // 2 + 1), N_FFT, SR, "b", "a", 1, "aligned"))
+    assert main(["verify", "--sim-dir", str(sim), "--coeffs-dir", str(coeffs)]) == 1
+    assert capsys.readouterr() == ("", f"error: {sim / 'responses.txt'}: device 'a' gains "
+                                       "must be finite and > 0\n")
 
 
 def test_verify_rejects_a_missing_coefficients_directory(sim_dir, tmp_path, capsys):

@@ -185,10 +185,10 @@ def test_apply_gains_makes_no_full_length_temporaries():
         tracemalloc.stop()
     full = len(w) * 8
     # Windowed frames and their inverse transforms, the spectrum and its
-    # shaped copy: BLOCK_FRAMES rows each; and each curve's overlap-add sum
-    # and the window sum, BLOCK_FRAMES + N_FFT / HOP rows of HOP samples each.
+    # shaped copy: BLOCK_FRAMES rows each; and each curve's overlap-add sum,
+    # BLOCK_FRAMES + N_FFT / HOP rows of HOP samples.
     block_set = BLOCK_FRAMES * 8 * (2 * N_FFT + 2 * 2 * (N_FFT // 2 + 1)) \
-        + (len(curves) + 1) * (BLOCK_FRAMES + N_FFT // HOP) * HOP * 8
+        + len(curves) * (BLOCK_FRAMES + N_FFT // HOP) * HOP * 8
     # The outputs and one block set: no full-length sum or mask.
     assert peak < len(curves) * full + block_set, (peak - len(curves) * full) / block_set
 

@@ -655,6 +655,21 @@ def test_responses_file_names_the_expected_entry_form(tmp_path, entry):
         files.read_responses(path)
 
 
+@pytest.mark.parametrize("gain", ["nan", "inf", "0", "-0.5"])
+@pytest.mark.parametrize("kind,name,line", [("device", "b", 9), ("environment", "e0", 14)])
+def test_responses_file_refuses_gains_that_are_not_finite_and_positive(tmp_path, kind, name,
+                                                                      line, gain):
+    path = tmp_path / "responses.txt"
+    _write_responses(path)
+    lines = path.read_text().splitlines()
+    assert lines[line - 1] == f"{kind} {name} 3"
+    lines[line + 1] = gain
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: {kind} {name!r} gains must be finite and > 0")):
+        files.read_responses(path)
+
+
 # -- manifests ---------------------------------------------------------------------------
 
 def test_manifest_round_trip(tmp_path):
@@ -796,6 +811,9 @@ _NOT_WRITTEN_INTS = {
     "arabic-indic": ("\u0661\u0666\u0660\u0660\u0660",
                      "{key} must be a non-empty ASCII token without whitespace, "
                      "got '\u0661\u0666\u0660\u0660\u0660'"),
+    # More digits than int() converts: the value shown is cut short.
+    "5000-digits": ("1" * 5000, "field {key!r} must be a decimal integer, "
+                                "got '111111111111...1111111111111'"),
 }
 
 
