@@ -85,7 +85,7 @@ def check_grid(seed, sample_rate, n_fft, hop, duration) -> None:
                          f"{MAX_FLOAT32_SAMPLES} samples a float32 WAV file can hold")
     _require(isinstance(hop, Integral)
              and dsp.overlap_add_invertible(dsp.window_array("hann", n_fft), hop),
-             "hop", hop, f"a hop in 1..{n_fft} whose Hann overlap-add can be inverted")
+             "hop", hop, f"a hop in 1..{n_fft} whose Hann overlap-add inverts stably")
 
 
 @dataclass(frozen=True)
@@ -312,26 +312,6 @@ def record(clean: Waveform, env: Optional[Response],
     return dsp.apply_gains(clean, [gains], dev.n_fft, hop)[0]
 
 
-# Most samples a streamed source draws at a time while it folds its sum of
-# squares or skips ahead: 256 KiB as float64.
-SUM_LEAF = 1 << 15
-
-
-def sum_of_squares(draw, n: int) -> float:
-    """The sum of x ** 2 over the n samples x that successive ``draw(size)``
-    calls return, in numpy's pairwise order, so that divided by n it is
-    ``np.mean(x ** 2)`` bit for bit.
-
-    numpy splits a sum of more than 128 terms at n//2 - (n//2) % 8 and adds
-    the halves' sums; a node of at most SUM_LEAF samples is summed by numpy
-    itself, which splits it the same way. The nodes are drawn in order.
-    """
-    if n <= SUM_LEAF:
-        return np.add.reduce(draw(n) ** 2, initial=0.0)
-    half = n // 2 - (n // 2) % 8
-    return sum_of_squares(draw, half) + sum_of_squares(draw, n - half)
-
-
 def _pink_curve(n_fft: int) -> np.ndarray:
     """1/sqrt(k) per bin k (bin 0 takes bin 1's value), scaled to a two-sided
     mean square of 1, so white noise shaped by it keeps its mean square."""
@@ -344,64 +324,43 @@ _SHAPES = {"pink": _pink_curve}
 
 
 class _NoiseSource(dsp.ForwardReader):
-    """A simulator source at RMS 0.1, drawn from its seed as it is read forward
-    (``dsp.ForwardReader``); no full-length array exists.
+    """A simulator source, ``0.1 * standard_normal(len)`` from its seed, drawn
+    as it is read forward (``dsp.ForwardReader``); no full-length array exists.
 
-    The samples are those of one ``standard_normal(len)`` draw, scaled; for
-    "speechlike-modulated" first times exp(0.5 * env), where env interpolates
-    knots drawn after the samples at a slow (~4 Hz) rate over ``linspace(0,
-    1, len)``. (Pink's tilt shapes its recordings: ``_SHAPES``.) A generator
-    drawn in chunks gives the stream of one call, and every step but the RMS
-    is pointwise, so a range is made alone. One pass (two for the speechlike
-    knots, which lie after the samples) folds the sum of squares in numpy's
-    order (``sum_of_squares``), so the scale has the bits of the whole-array
-    RMS; reads re-seed and draw the samples again.
+    For "speechlike-modulated" the generator first draws knots at a slow
+    (~4 Hz) rate, and sample i is then multiplied by exp(0.5 * env), env
+    interpolating the knots at i / (len - 1). (Pink's tilt shapes its
+    recordings: ``_SHAPES``.) A generator drawn in chunks gives the stream of
+    one call, and every step is pointwise, so the samples are drawn once, in
+    one forward pass; a gap between ranges is drawn and dropped at most 32768
+    samples at a time.
     """
 
     def __init__(self, seed, kind: str, num_samples: int, sample_rate: int):
         super().__init__(f"{kind} source")
-        self.sample_rate = sample_rate
-        self._seed, self._len = seed, num_samples
-        self._scratch = np.empty(min(num_samples, SUM_LEAF))
+        self.sample_rate, self._len = sample_rate, num_samples
+        self._rng, self._pos = np.random.default_rng(seed), 0
         self._knots = None
         if kind == "speechlike-modulated":
-            self._restart()
-            self._skip(num_samples)
             knots = max(2, int(round(4.0 * num_samples / sample_rate)) + 1)
             self._knots = (np.linspace(0.0, 1.0, knots), self._rng.standard_normal(knots))
-        self._restart()
-        total = sum_of_squares(lambda size: self._draw(self._scratch[:size]), num_samples)
-        self._scale = 0.1 / np.sqrt(total / num_samples)
-        self._restart()
 
     def __len__(self) -> int:
         return self._len
 
-    def _restart(self) -> None:
-        self._rng, self._pos = np.random.default_rng(self._seed), 0
-
-    def _draw(self, out: np.ndarray) -> np.ndarray:
-        """The next ``out.size`` samples before scaling, drawn into ``out``."""
-        start, stop = self._pos, self._pos + out.size
-        self._rng.standard_normal(out=out)
-        if self._knots is not None:
-            # linspace(0, 1, len)[start:stop], as linspace computes it
-            x = np.arange(start, stop, dtype=np.float64)
-            x *= 1.0 / (self._len - 1)
-            x[self._len - 1 - start:] = 1.0
-            out *= np.exp(0.5 * np.interp(x, *self._knots))
-        self._pos = stop
-        return out
-
     def _fill(self, out: np.ndarray) -> None:
-        self._draw(out)
-        out *= self._scale
+        self._rng.standard_normal(out=out)
+        out *= 0.1
+        if self._knots is not None:
+            x = np.arange(self._pos, self._pos + out.size) / (self._len - 1)
+            out *= np.exp(0.5 * np.interp(x, *self._knots))
+        self._pos += out.size
 
     def _skip(self, samples: int) -> None:
-        for start in range(0, samples, self._scratch.size):
-            n = min(self._scratch.size, samples - start)
-            self._rng.standard_normal(out=self._scratch[:n])
-            self._pos += n
+        scratch = np.empty(min(samples, 1 << 15))
+        for start in range(0, samples, scratch.size):
+            self._rng.standard_normal(out=scratch[:samples - start])
+        self._pos += samples
 
 
 def dataset_units(cfg: SimConfig) -> list:
@@ -424,12 +383,12 @@ def unit_recordings(cfg: SimConfig, unit) -> list:
 def unit_plan(cfg: SimConfig, unit) -> tuple:
     """(clean source, ``unit_recordings``, gain curves) of one of ``dataset_units(cfg)``.
 
-    The source is a ``_NoiseSource`` drawn from the unit's seed as it is read.
-    Recording k is the source shaped by device k's gains times the source's
-    tilt (``_SHAPES``; none for white) and the environment's gains. An
-    aligned group records every device, an unaligned unit one device and a
-    fresh source. Seeds derive from (seed, indices), so units can be
-    generated in any order.
+    The source is a ``_NoiseSource`` drawn from the unit's seed as it is
+    read; a plan draws no sample but speechlike's knots. Recording k is the
+    source shaped by device k's gains times the source's tilt (``_SHAPES``;
+    none for white) and the environment's gains. An aligned group records
+    every device, an unaligned unit one device and a fresh source. Seeds
+    derive from (seed, indices), so units can be generated in any order.
     """
     d_idx, i = unit
     env = cfg.environments[i % len(cfg.environments)].gains if cfg.environments else 1.0

@@ -358,6 +358,8 @@ APPLY_ERRORS = {
                      "--hop must be >= 1, or 0 for n_fft/4, got -5"),
     "hop-not-invertible": (["--hop", str(N_FFT)], 0.1, (SR, N_FFT),
                            "--hop 2048: reconstruction condition violated"),
+    "hop-barely-overlapping": (["--hop", "2044"], 0.1, (SR, N_FFT),
+                               "--hop 2044: reconstruction condition violated"),
     "hop-beyond-n-fft": (["--hop", "5000"], 0.2, (SR, N_FFT),
                          "--hop 5000: reconstruction condition violated"),
     "n-fft-odd": ([], 0.1, (SR, N_FFT + 1),
@@ -378,6 +380,17 @@ def test_apply_checks_everything_before_creating_out(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.coeffs", "in.wav"]
+
+
+def test_apply_takes_a_hop_of_three_quarters_of_n_fft(tmp_path):
+    # Refused hops start above 0.83 n_fft (1697 here); at 2044 a +/-1 neper
+    # curve swelled this input to an RMS of 75.
+    coeffs = _random_coefficients(tmp_path / "c.coeffs")
+    sc.write_wav(tmp_path / "in.wav", white_waveform(93, seconds=1.0))
+    assert main(["apply", "--coeffs", str(coeffs), "--in", str(tmp_path / "in.wav"),
+                 "--out", str(tmp_path / "out.wav"), "--hop", "1536"]) == 0
+    samples = sc.read_wav(tmp_path / "out.wav").samples
+    assert np.sqrt(np.mean(samples ** 2)) < 0.2
 
 
 @pytest.mark.parametrize("command", ["apply", "filter"])
@@ -796,6 +809,7 @@ BAD_SIM_CONFIGS = {
                            "[sim] environment_db:"),
     "aligned-not-a-boolean": ("[sim]\naligned = maybe\n", "[sim] aligned:"),
     "hop-not-invertible": ("[sim]\nhop = 2048\n", "[sim] hop:"),
+    "hop-barely-overlapping": ("[sim]\nhop = 2044\n", "[sim] hop:"),
     "device-name-with-slash": ("[sim]\ndevices = a/b c\n", "[sim] devices: device 'a/b'"),
     "device-name-not-ascii": ("[sim]\ndevices = \u00fc c\n", "[sim] devices: device '\u00fc'"),
     "aligned-one-device": ("[sim]\naligned = true\ndevices = a\n",

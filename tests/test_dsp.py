@@ -341,13 +341,18 @@ def test_fast_fft_len_equals_scipy():
     assert mismatches == []
 
 
-@pytest.mark.parametrize("n_fft", [64, 2048])
+# The largest hop at which Hann's least squared-window phase sum is still
+# 1e-2 of its largest: about 0.83 n_fft.
+HANN_HOP_LIMITS = {16: 13, 64: 53, 512: 424, 2048: 1697}
+
+
+@pytest.mark.parametrize("n_fft", sorted(HANN_HOP_LIMITS))
 def test_overlap_add_invertible_equals_check_nola(n_fft):
     signal = pytest.importorskip("scipy.signal")
     win = sc.dsp.window_array("hann", n_fft)
     for hop in range(1, n_fft + 65):
         # check_NOLA takes the overlap, which cannot be negative.
-        expected = hop <= n_fft and signal.check_NOLA(win, n_fft, n_fft - hop)
+        expected = hop <= HANN_HOP_LIMITS[n_fft] and signal.check_NOLA(win, n_fft, n_fft - hop)
         assert sc.dsp.overlap_add_invertible(win, hop) == expected, hop
 
 

@@ -15,7 +15,7 @@ from speccor import files, wavio
 from speccor.correction import ESTIMATORS
 from speccor.dsp import BLOCK_FRAMES
 from speccor.features import NORMALIZATIONS
-from speccor.simulate import SOURCES, SUM_LEAF, unit_plan
+from speccor.simulate import SOURCES, unit_plan
 from speccor.wavio import AudioFileError
 
 from conftest import SR, N_FFT, white_waveform
@@ -231,7 +231,7 @@ def test_open_wav_reductions_with_gaps_equal_read_wav(tmp_path):
     assert np.array_equal(got.log_sum, want.log_sum)
 
 
-FORWARD_LENGTH = 2 * SUM_LEAF + 4321
+FORWARD_LENGTH = 2 * 32768 + 4321
 
 
 @pytest.mark.parametrize("kind", ["wav", *SOURCES])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speccor as sc
-from speccor.simulate import MAX_LOG_STEP, SOURCES, SUM_LEAF, check_grid, sum_of_squares
+from speccor.simulate import MAX_LOG_STEP, SOURCES, check_grid
 
 from conftest import SR, N_FFT, HOP, white_waveform
 
@@ -281,38 +281,17 @@ def test_check_grid_is_the_sim_config_grid_check():
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("length", [1, 7, 8, 9, 127, 128, 129, 65537, 441000, 2646000])
-def test_sum_of_squares_over_n_is_the_mean_of_squares_bit_for_bit(length):
-    # A tree split elsewhere gives the same bits for about half of such
-    # signals, so each length is tried on several.
-    for seed in range(8):
-        rng = np.random.default_rng([length, seed])
-        x = rng.standard_normal(length) * np.exp(rng.uniform(-3.0, 3.0, length))
-        sizes = []
-
-        def draw(size):
-            start = sum(sizes)
-            sizes.append(size)
-            return x[start:start + size].copy()
-
-        total = sum_of_squares(draw, length)
-        assert sum(sizes) == length and max(sizes) <= SUM_LEAF
-        assert total / length == np.mean(x ** 2), seed
-
-
 def _whole_source(rng, kind, num_samples, sample_rate):
-    """A clean source made whole, as the simulator made every source before
-    they were drawn as they are read. Pink draws as white does: its tilt is a
-    curve of every recording (``_NoiseSource.curve``)."""
-    samples = rng.standard_normal(num_samples)
-    if kind == "speechlike-modulated":
-        knots = max(2, int(round(4.0 * num_samples / sample_rate)) + 1)
-        env = np.interp(np.linspace(0.0, 1.0, num_samples),
-                        np.linspace(0.0, 1.0, knots),
-                        rng.standard_normal(knots))
-        samples = samples * np.exp(0.5 * env)
-    rms = np.sqrt(np.mean(samples ** 2))
-    samples *= 0.1 / rms
+    """A clean source made whole: 0.1 times one standard normal draw, which
+    speechlike's envelope knots, drawn first, modulate. Pink draws as white
+    does: its tilt is a curve of every recording (``simulate._SHAPES``)."""
+    speechlike = kind == "speechlike-modulated"
+    if speechlike:
+        knots = rng.standard_normal(max(2, int(round(4.0 * num_samples / sample_rate)) + 1))
+    samples = 0.1 * rng.standard_normal(num_samples)
+    if speechlike:
+        samples *= np.exp(0.5 * np.interp(np.arange(num_samples) / (num_samples - 1),
+                                          np.linspace(0.0, 1.0, knots.size), knots))
     return samples
 
 
@@ -321,8 +300,6 @@ def _whole_source(rng, kind, num_samples, sample_rate):
 @pytest.mark.parametrize("kind", SOURCES)
 def test_unit_source_equals_the_whole_array_formula(kind, unit, seed):
     devices = tuple(sc.flat_response(name, N_FFT, SR) for name in "abc")
-    # At 441002 samples, (n - 1) * (1 / (n - 1)) is not 1.0, so the envelope's
-    # last point must be linspace's exact 1.0.
     cfg = sc.SimConfig(seed=12, num_recordings=2, duration=441002 / SR, source=kind,
                        aligned=unit[0] is None, devices=devices,
                        sample_rate=SR, n_fft=N_FFT, hop=HOP)
@@ -337,6 +314,37 @@ def test_unit_source_equals_the_whole_array_formula(kind, unit, seed):
         stop = min(start + 63 * HOP + N_FFT, want.size)
         got[start:stop] = clean.read(start, stop)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+def test_a_source_draws_each_sample_once_and_skips_in_bounded_memory(kind, monkeypatch):
+    """Building a source draws nothing but speechlike's knots; reading it draws
+    each sample once, and a gap of 10**7 samples is drawn and dropped in
+    bounded memory."""
+    drawn = []
+
+    class Counted:
+        def __init__(self, seed):
+            self._rng = np.random.Generator(np.random.PCG64(seed))
+
+        def standard_normal(self, size=None, out=None):
+            drawn.append(out.size if out is not None else size)
+            return self._rng.standard_normal(size, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    length, gap = 10**7 + 3 * N_FFT, 10**7
+    clean = sc.simulate._NoiseSource([5, 1], kind, length, SR)
+    knots = int(round(4.0 * length / SR)) + 1
+    assert sum(drawn) == (knots if kind == "speechlike-modulated" else 0)
+    drawn.clear()
+    clean.read(0, N_FFT)
+    tracemalloc.start()
+    try:
+        clean.read(N_FFT + gap, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(drawn) == length and peak < 1 << 20, (sum(drawn), peak)
 
 
 @pytest.mark.parametrize("unit", [(None, 1), (1, 0)], ids=["aligned", "unaligned"])
@@ -359,13 +367,15 @@ def test_pink_curves_are_the_white_curves_times_the_pink_curve(unit):
     assert mean_square == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("n_fft", [16, 512, 2048])
-def test_pink_through_flat_devices_keeps_an_rms_of_a_tenth(n_fft):
-    """The pink curve's scale keeps the white draws' RMS of 0.1, with no pass
-    over the signal, and the steep curve leaves the edges at the level of the
-    rest: the whole recording is checked."""
+@pytest.mark.parametrize("kind,n_fft", [
+    *(pytest.param("pink", n_fft, id=str(n_fft)) for n_fft in (16, 512, 2048)),
+    *(pytest.param("white", n_fft, id=f"white-{n_fft}") for n_fft in (16, 512, 2048))])
+def test_pink_through_flat_devices_keeps_an_rms_of_a_tenth(kind, n_fft):
+    """White draws at an RMS of 0.1, and the pink curve's scale keeps it, with
+    no pass over the signal; the steep curve leaves the edges at the level of
+    the rest: the whole recording is checked."""
     devices = tuple(sc.flat_response(name, n_fft, SR) for name in "ab")
-    cfg = sc.SimConfig(seed=2, num_recordings=1, duration=5.0, source="pink", aligned=True,
+    cfg = sc.SimConfig(seed=2, num_recordings=1, duration=5.0, source=kind, aligned=True,
                        devices=devices, sample_rate=SR, n_fft=n_fft, hop=n_fft // 4)
     for rec in sc.generate_dataset(cfg).waveforms:
         samples = rec.waveform.samples
