@@ -13,10 +13,6 @@ from .dsp import (AMPLITUDE_FLOOR, AmplitudeSpectrogram, Spectrogram, Waveform, 
 
 ESTIMATORS = ("aligned", "unaligned", "simplified")
 
-# Transform convention used by real_cepstrum: inverse rFFT of the one-sided
-# log spectrum (even extension to n_fft points, backward 1/N normalization).
-CEPSTRUM_TRANSFORM = "irfft-even-extension-backward"
-
 
 @dataclass(frozen=True)
 class CorrectionCoefficients:
@@ -48,6 +44,8 @@ class CorrectionCoefficients:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.sample_rate < 1:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.num_recordings < 1:
+            raise ValueError(f"num_recordings must be >= 1, got {self.num_recordings}")
         object.__setattr__(self, "gains", gains)
 
     @property
@@ -302,8 +300,8 @@ def real_cepstrum(log_frame: np.ndarray) -> np.ndarray:
     """Real cepstrum of a one-sided log spectrum (last axis, length F).
 
     Computed as the inverse rFFT of the even extension to n_fft = 2*(F-1)
-    points with backward normalization (see CEPSTRUM_TRANSFORM); the output
-    is real with n_fft quefrency bins.
+    points with backward (1/N) normalization; the output is real with n_fft
+    quefrency bins.
     """
     log_frame = np.asarray(log_frame, dtype=np.float64)
     if log_frame.shape[-1] < 2:

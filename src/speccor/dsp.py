@@ -29,10 +29,8 @@ def to_db(ratio):
     return 20.0 * np.log10(ratio)
 
 
-def window_array(name: str, n_fft: int) -> np.ndarray:
-    """Periodic analysis window of length ``n_fft``; only "hann" is defined."""
-    if name != "hann":
-        raise ValueError(f"unknown window {name!r}")
+def hann(n_fft: int) -> np.ndarray:
+    """Periodic Hann window of length ``n_fft``, the window of every STFT here."""
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)[:-1])
 
 
@@ -71,11 +69,10 @@ def bin_frequencies(n_fft: int, sample_rate: int) -> np.ndarray:
     return np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
 
 
-def band_bins(n_fft: int, sample_rate: int, f_lo: float = MIDBAND_HZ[0],
-              f_hi: float = MIDBAND_HZ[1]) -> np.ndarray:
-    """Indices of the bins whose center frequencies lie in [f_lo, f_hi]."""
+def band_bins(n_fft: int, sample_rate: int) -> np.ndarray:
+    """Indices of the bins whose center frequencies lie in MIDBAND_HZ."""
     freqs = bin_frequencies(n_fft, sample_rate)
-    return np.nonzero((freqs >= f_lo) & (freqs <= f_hi))[0]
+    return np.nonzero((freqs >= MIDBAND_HZ[0]) & (freqs <= MIDBAND_HZ[1]))[0]
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,11 @@ class Waveform:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform samples must be finite")
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = int(self.sample_rate)
+        if rate != self.sample_rate or rate <= 0:
+            raise ValueError(f"sample_rate must be a positive whole number, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -102,10 +100,6 @@ class Waveform:
     def read(self, start: int, stop: int) -> np.ndarray:
         """Samples [start, stop), as an open WAV's ``read`` gives them."""
         return self.samples[start:stop]
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 class ForwardReader:
@@ -150,14 +144,14 @@ class ForwardReader:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """One-sided STFT matrix, laid out frames x bins with F = n_fft//2 + 1, plus
-    its grid. A subclass fixes the matrix's ``dtype`` and the name it is read by."""
+    """One-sided STFT matrix of ``hann`` frames, laid out frames x bins with
+    F = n_fft//2 + 1, plus its grid. A subclass fixes the matrix's ``dtype``
+    and the name it is read by."""
 
     matrix: np.ndarray
     n_fft: int
     hop: int
     sample_rate: int
-    window_name: str
     dtype = None  # a class constant, not a field: None keeps the matrix's own
 
     def __post_init__(self):
@@ -214,17 +208,11 @@ def frame_count(length: int, n_fft: int, hop: int) -> int:
     return (length - n_fft) // hop + 1
 
 
-def _analysis_window(length: int, n_fft: int, hop: int, window: str) -> np.ndarray:
-    frame_count(length, n_fft, hop)
-    return window_array(window, n_fft)
-
-
-def _synthesis_window(window: str, n_fft: int, hop: int) -> np.ndarray:
-    win = window_array(window, n_fft)
+def _synthesis_window(n_fft: int, hop: int) -> np.ndarray:
+    win = hann(n_fft)
     if not overlap_add_invertible(win, hop):
-        raise ValueError(
-            f"reconstruction condition violated: window {window!r} with "
-            f"hop={hop}, n_fft={n_fft} does not invert stably")
+        raise ValueError(f"reconstruction condition violated: Hann window with "
+                         f"hop={hop}, n_fft={n_fft} does not invert stably")
     return win
 
 
@@ -288,7 +276,8 @@ def _magnitude_blocks(audio, n_fft: int, hop: int):
     frame order. Every block is a view of one buffer that the next block
     overwrites, so the caller may change it in place but must not keep it.
     """
-    win = _analysis_window(len(audio), n_fft, hop, "hann")
+    frame_count(len(audio), n_fft, hop)
+    win = hann(n_fft)
 
     def blocks():
         for bins, scratch in _spectrum_blocks(audio, win, hop, BLOCK_FRAMES):
@@ -312,18 +301,16 @@ def _fold_rows(total: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=0)
 
 
-def stft(w: Waveform, n_fft: int = 2048, hop: int = 512,
-         window: str = "hann") -> ComplexSpectrogram:
+def stft(w: Waveform, n_fft: int = 2048, hop: int = 512) -> ComplexSpectrogram:
     """Short-time Fourier transform without center padding.
 
     Frame t covers samples [t*hop, t*hop + n_fft), so every frame lies fully
     inside the signal and edge frames are directly comparable against
     time-domain processing of the same samples.
     """
-    win = _analysis_window(len(w), n_fft, hop, window)
-    frames = _frames(w.samples, n_fft, hop)
-    bins = np.fft.rfft(frames * win, axis=1)
-    return ComplexSpectrogram(bins, n_fft, hop, w.sample_rate, window)
+    frame_count(len(w), n_fft, hop)
+    bins = np.fft.rfft(_frames(w.samples, n_fft, hop) * hann(n_fft), axis=1)
+    return ComplexSpectrogram(bins, n_fft, hop, w.sample_rate)
 
 
 def istft(c: ComplexSpectrogram) -> Waveform:
@@ -335,7 +322,7 @@ def istft(c: ComplexSpectrogram) -> Waveform:
     renormalized by the partial window overlap, and set to 0 where that sum
     is at most 1e-11 of its largest.
     """
-    win = _synthesis_window(c.window_name, c.n_fft, c.hop)
+    win = _synthesis_window(c.n_fft, c.hop)
     rows = c.frames - 1 + -(-c.n_fft // c.hop)
     out, scale = np.zeros((rows, c.hop)), np.zeros((rows, c.hop))
     _overlap_add(out, np.fft.irfft(c.bins, n=c.n_fft, axis=1) * win, c.hop)
@@ -346,8 +333,7 @@ def istft(c: ComplexSpectrogram) -> Waveform:
     return Waveform(out.ravel()[:(c.frames - 1) * c.hop + c.n_fft], c.sample_rate)
 
 
-def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
-                window: str = "hann") -> list:
+def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512) -> list:
     """Shape a waveform by each per-bin gain curve in the STFT domain.
 
     For each curve the result equals ``istft`` of ``stft`` of ``w`` padded
@@ -361,7 +347,7 @@ def apply_gains(w: Waveform, curves, n_fft: int = 2048, hop: int = 512,
     curves = list(curves)
     outs = np.empty((len(curves), len(w)))
     done = 0
-    for block in shaped_blocks(w, curves, n_fft, hop, window):
+    for block in shaped_blocks(w, curves, n_fft, hop):
         outs[:, done:done + block.shape[1]] = block
         done += block.shape[1]
     return [Waveform(out, w.sample_rate) for out in outs]
@@ -424,7 +410,7 @@ class _ZeroPadded:
         return out
 
 
-def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str = "hann"):
+def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512):
     """``apply_gains`` of a Waveform or a ForwardReader (an open WAV, a
     simulator source), as consecutive blocks of finished output samples.
 
@@ -443,8 +429,8 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
     sum, computed once. Every block is a view of one buffer that the next
     block overwrites, so the caller must not keep it.
     """
-    _analysis_window(len(audio), n_fft, hop, window)
-    win = _synthesis_window(window, n_fft, hop)
+    frame_count(len(audio), n_fft, hop)
+    win = _synthesis_window(n_fft, hop)
     curves = [np.asarray(gains, dtype=np.float64) for gains in curves]
     for gains in curves:
         if gains.shape != (n_fft // 2 + 1,):
@@ -490,23 +476,21 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512, window: str 
 
 def amplitude(c: ComplexSpectrogram) -> AmplitudeSpectrogram:
     """Entry-wise modulus; metadata is carried over unchanged."""
-    return AmplitudeSpectrogram(np.abs(c.bins), c.n_fft, c.hop, c.sample_rate, c.window_name)
+    return AmplitudeSpectrogram(np.abs(c.bins), c.n_fft, c.hop, c.sample_rate)
 
 
-def geometric_mean(values, floor: float = AMPLITUDE_FLOOR) -> float:
+def geometric_mean(values) -> float:
     """Geometric mean over all elements, computed in the log domain.
 
-    Values below ``floor`` are clamped before the log. Uses numpy's pairwise
-    summation, so the result is bit-stable for a fixed input ordering.
+    Values below AMPLITUDE_FLOOR are clamped before the log. Uses numpy's
+    pairwise summation, so the result is bit-stable for a fixed input ordering.
     """
-    if floor <= 0:
-        raise ValueError(f"floor must be positive, got {floor}")
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("geometric mean of empty input")
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValueError("values must be finite and non-negative")
-    return float(np.exp(np.mean(np.log(np.maximum(v, floor)))))
+    return float(np.exp(np.mean(np.log(np.maximum(v, AMPLITUDE_FLOOR)))))
 
 
 def convolve(w: Waveform, taps, method: str = "auto") -> Waveform:

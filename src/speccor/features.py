@@ -38,13 +38,9 @@ class MelFilterbank:
 
     weights: np.ndarray
     n_mels: int
-    f_min: float
-    f_max: float
     n_fft: int
     sample_rate: int
     center_frequencies: np.ndarray
-    mel_scale: str = "htk"
-    norm: str = "none"
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -157,26 +153,13 @@ def _triangle_band_average(left: float, center: float, right: float,
     return (up + down) / (hi - lo)
 
 
-def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = 256,
-                   f_min: float = 0.0, f_max: Optional[float] = None,
-                   norm: str = "none") -> MelFilterbank:
-    """Triangular filters with HTK-mel-spaced centers on the STFT bin grid.
-
-    norm "none" leaves unit-height triangles; "area" scales each row to unit
-    total weight. The mode is recorded on the filterbank.
-    """
-    nyquist = sample_rate / 2.0
-    if f_max is None:
-        f_max = nyquist
-    if not (0.0 <= f_min < f_max <= nyquist):
-        raise ValueError(f"invalid band: need 0 <= f_min < f_max <= {nyquist}, "
-                         f"got [{f_min}, {f_max}]")
+def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = 256) -> MelFilterbank:
+    """Unit-height triangular filters with HTK-mel-spaced centers on the STFT
+    bin grid, spanning 0 Hz to Nyquist."""
     if n_mels < 1:
         raise ValueError(f"n_mels must be >= 1, got {n_mels}")
-    if norm not in ("none", "area"):
-        raise ValueError(f"norm must be 'none' or 'area', got {norm!r}")
-
-    points = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+    nyquist = sample_rate / 2.0
+    points = mel_to_hz(np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2))
     freqs = bin_frequencies(n_fft, sample_rate)
     half_width = sample_rate / n_fft / 2.0
     lo = np.clip(freqs - half_width, 0.0, nyquist)
@@ -185,10 +168,7 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = 256,
     weights = np.zeros((n_mels, freqs.size))
     for m in range(n_mels):
         weights[m] = _triangle_band_average(points[m], points[m + 1], points[m + 2], lo, hi)
-    if norm == "area":
-        weights /= weights.sum(axis=1, keepdims=True)
-    return MelFilterbank(weights, n_mels, f_min, f_max, n_fft, sample_rate,
-                         points[1:-1], "htk", norm)
+    return MelFilterbank(weights, n_mels, n_fft, sample_rate, points[1:-1])
 
 
 def _correction(c: Optional[CorrectionCoefficients], fb: MelFilterbank):

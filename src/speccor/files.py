@@ -321,6 +321,8 @@ def read_features(path) -> FeatureTensor:
     fields = {}
     for line in header[1:-1]:
         name, sep, value = line.partition(" ")
+        if name not in FEATURE_FIELDS or name in fields:
+            raise ValueError(f"{'repeated' if name in fields else 'unknown'} header field {name!r}")
         if not sep:
             raise ValueError(f"header field {name!r} has no value")
         fields[name] = _check_token(value, name)

@@ -41,6 +41,8 @@ class FirFilter:
             raise ValueError("taps must be symmetric (Type I linear phase)")
         if self.sample_rate < 1:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.target_bins < 1:
+            raise ValueError(f"target_bins must be >= 1, got {self.target_bins}")
         object.__setattr__(self, "taps", taps)
 
     @property
@@ -52,16 +54,15 @@ class FirFilter:
         return (self.taps.size - 1) // 2
 
 
-def design_ls(c: CorrectionCoefficients, num_taps: int = 1025,
-              clamp_db: float = DEFAULT_CLAMP_DB) -> FirFilter:
+def design_ls(c: CorrectionCoefficients, num_taps: int = 1025) -> FirFilter:
     """Design a Type I filter whose amplitude response matches the gains.
 
     Minimizes the uniformly weighted squared error between the filter's
-    amplitude response and the (clamped) target gains on the grid of STFT
-    bin-center frequencies. With num_taps >= n_fft//2 + 1 and a smooth
-    target, the response lands within a fraction of a dB mid-band. Beyond
-    n_fft + 1 taps the extra cosines repeat ones already on that grid, so
-    the fit would not be unique; such lengths are rejected.
+    amplitude response and the target gains, clamped to +/- DEFAULT_CLAMP_DB,
+    on the grid of STFT bin-center frequencies. With num_taps >= n_fft//2 + 1
+    and a smooth target, the response lands within a fraction of a dB
+    mid-band. Beyond n_fft + 1 taps the extra cosines repeat ones already on
+    that grid, so the fit would not be unique; such lengths are rejected.
     """
     if num_taps < 3 or num_taps % 2 == 0:
         raise ValueError(f"num_taps must be odd and >= 3, got {num_taps}")
@@ -72,7 +73,7 @@ def design_ls(c: CorrectionCoefficients, num_taps: int = 1025,
     gains = np.asarray(c.gains, dtype=np.float64)
     if not np.all(np.isfinite(gains)):
         raise ValueError("gains must be finite")
-    clamp = 10.0 ** (clamp_db / 20.0)
+    clamp = 10.0 ** (DEFAULT_CLAMP_DB / 20.0)
     target = np.clip(gains, 1.0 / clamp, clamp)
 
     # Amplitude response of a Type I filter with half-taps a_0..a_M on the bins

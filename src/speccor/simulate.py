@@ -84,7 +84,7 @@ def check_grid(seed, sample_rate, n_fft, hop, duration) -> None:
         raise ValueError(f"duration: {duration} s at {sample_rate} Hz is more than the "
                          f"{MAX_FLOAT32_SAMPLES} samples a float32 WAV file can hold")
     _require(isinstance(hop, Integral)
-             and dsp.overlap_add_invertible(dsp.window_array("hann", n_fft), hop),
+             and dsp.overlap_add_invertible(dsp.hann(n_fft), hop),
              "hop", hop, f"a hop in 1..{n_fft} whose Hann overlap-add inverts stably")
 
 

@@ -1,4 +1,4 @@
-"""Minimal RIFF/WAVE reader and writer for PCM16 and IEEE float32 audio."""
+"""Minimal RIFF/WAVE reader for PCM16 and IEEE float32 audio, and writer for float32."""
 
 from __future__ import annotations
 
@@ -221,37 +221,28 @@ def read_wav(path) -> Waveform:
 
 
 class create_wav:
-    """Create a mono WAV file of ``samples`` samples and write its audio
-    forward in blocks: the dual of ``open_wav``.
+    """Create a mono float32 WAV file of ``samples`` samples and write its
+    audio forward in blocks: the dual of ``open_wav``.
 
     The length is known, so the header goes first; ``write(block)`` appends
-    the block's float64 samples, converted as ``write_wav`` converts them,
-    WRITE_CHUNK_SAMPLES at a time through one reused buffer. ``path`` (which
-    may be a file still being read) changes only when the context exits
-    cleanly with exactly ``samples`` samples written (``files.staged``).
+    the block's float64 samples as float32, WRITE_CHUNK_SAMPLES at a time
+    through one reused buffer. ``path`` (which may be a file still being
+    read) changes only when the context exits cleanly with exactly
+    ``samples`` samples written (``files.staged``).
     Use: ``with create_wav(path, rate, n) as out: out.write(block)``.
     """
 
-    def __init__(self, path, sample_rate: int, samples: int, encoding: str = "float32"):
-        if encoding == "float32":
-            audio_format, dtype = _IEEE_FLOAT, np.dtype("<f4")
-        elif encoding == "pcm16":
-            audio_format, dtype = _PCM, np.dtype("<i2")
-        else:
-            raise ValueError(f"encoding must be 'float32' or 'pcm16', got {encoding!r}")
-        width = dtype.itemsize
-        # The RIFF size field (32 bits) counts 36 header bytes and the payload.
-        if not 0 <= samples <= (2**32 - 1 - 36) // width:
-            raise ValueError(f"{path}: {samples} samples do not fit a {encoding} WAV file")
-        if not 0 < sample_rate * width < 2**32:
+    def __init__(self, path, sample_rate: int, samples: int):
+        if not 0 <= samples <= MAX_FLOAT32_SAMPLES:
+            raise ValueError(f"{path}: {samples} samples do not fit a float32 WAV file")
+        if not 0 < sample_rate * 4 < 2**32:
             raise ValueError(f"{path}: sample rate {sample_rate} Hz does not fit a WAV header")
-        payload = samples * width
-        fmt = struct.pack("<HHIIHH", audio_format, 1, sample_rate, sample_rate * width,
-                          width, 8 * width)
-        header = b"RIFF" + struct.pack("<I", 36 + payload + (payload & 1)) + b"WAVE" \
+        payload = samples * 4
+        fmt = struct.pack("<HHIIHH", _IEEE_FLOAT, 1, sample_rate, sample_rate * 4, 4, 32)
+        header = b"RIFF" + struct.pack("<I", 36 + payload) + b"WAVE" \
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", payload)
-        self.path, self.samples, self.encoding = path, samples, encoding
-        self._buf = np.empty(min(max(samples, 1), WRITE_CHUNK_SAMPLES), dtype)
+        self.path, self.samples = path, samples
+        self._buf = np.empty(min(max(samples, 1), WRITE_CHUNK_SAMPLES), "<f4")
         self._written = 0
         with contextlib.ExitStack() as stack:  # on an error, the part is removed
             part = stack.enter_context(files.staged([path]))
@@ -275,15 +266,11 @@ class create_wav:
         for start in range(0, block.size, self._buf.size):
             part = block[start:start + self._buf.size]
             out = self._buf[:part.size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if out.dtype.kind == "f":
-                    np.copyto(out, part)
-                else:  # pcm16: round to the nearest step, clip at full scale
-                    np.clip(np.rint(part * 32768.0), -32768, 32767, out=out,
-                            casting="unsafe")
-            if not np.isfinite(out if out.dtype.kind == "f" else part).all():
+            with np.errstate(over="ignore"):
+                np.copyto(out, part)
+            if not np.isfinite(out).all():
                 raise ValueError(f"{self.path}: samples must be finite to be written as "
-                                 f"{self.encoding}")
+                                 "float32")
             self._file.write(out)
         self._written += block.size
 
@@ -295,15 +282,10 @@ class create_wav:
             if self._written != self.samples:
                 raise ValueError(f"{self.path}: {self._written} samples written to a file "
                                  f"of {self.samples}")
-            if self._written * self._buf.itemsize & 1:
-                self._file.write(b"\x00")  # chunks are word-aligned
 
 
-def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
-    """Write a mono WAV file: a ``create_wav`` stream fed once.
-
-    float32 is bit-exact for round trips; pcm16 rounds to the nearest
-    integer step and clips at full scale.
-    """
-    with create_wav(path, w.sample_rate, len(w), encoding) as out:
+def write_wav(path, w: Waveform) -> None:
+    """Write a mono float32 WAV file: a ``create_wav`` stream fed once. A
+    float32 file read back and written again keeps its bytes."""
+    with create_wav(path, w.sample_rate, len(w)) as out:
         out.write(w.samples)

@@ -2,6 +2,7 @@ import builtins
 import errno
 import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -25,10 +26,29 @@ def white_waveform(seed, seconds=1.0, sample_rate=SR, level=0.1):
                        sample_rate)
 
 
+def wav_file(path, samples, channels, encoding, before=b"", after=b"", sample_rate=SR):
+    """A WAV file of ``samples`` (frames x channels, in [-1, 1)) as "pcm16"
+    (rounded to the nearest code, clipped at full scale) or "float32", with the
+    raw chunks ``before`` and ``after`` around its 'data' chunk. speccor writes
+    only float32, so PCM16 files for its reader come from here."""
+    if encoding == "float32":
+        payload, audio_format, bits = np.asarray(samples, "<f4").tobytes(), 3, 32
+    else:
+        codes = np.clip(np.rint(np.asarray(samples) * 32768.0), -32768, 32767)
+        payload, audio_format, bits = codes.astype("<i2").tobytes(), 1, 16
+    align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", audio_format, channels, sample_rate, sample_rate * align,
+                      align, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + before \
+        + b"data" + struct.pack("<I", len(payload)) + payload + after
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
 def random_amplitude_spectrogram(rng, frames, n_fft, sample_rate=SR, hop=None):
     """Random strictly positive magnitudes, log-uniform over a few decades."""
     mags = np.exp(rng.uniform(-3.0, 3.0, size=(frames, n_fft // 2 + 1)))
-    return sc.AmplitudeSpectrogram(mags, n_fft, hop or n_fft // 4, sample_rate, "hann")
+    return sc.AmplitudeSpectrogram(mags, n_fft, hop or n_fft // 4, sample_rate)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ import errno
 import io
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import time
@@ -19,7 +18,7 @@ import speccor as sc
 from speccor import cli, files, wavio
 from speccor.cli import main
 
-from conftest import SR, N_FFT, HOP, white_waveform
+from conftest import SR, N_FFT, HOP, wav_file, white_waveform
 
 SIM_CFG = """\
 [sim]
@@ -1575,6 +1574,18 @@ def test_design_fir_refuses_coefficients_whose_device_is_not_a_token(tmp_path, c
     assert not (tmp_path / "b.filt").exists()
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_design_fir_refuses_coefficients_of_fewer_than_one_recording(count, tmp_path, capsys):
+    coeffs = _write_small_coefficients(tmp_path / "b.coeffs", 16, [1.0] * 9)
+    coeffs.write_text(coeffs.read_text().replace("num_recordings 1\n",
+                                                 f"num_recordings {count}\n"))
+    argv = ["design-fir", "--coeffs", str(coeffs), "--out", str(tmp_path / "b.filt")]
+    assert main(argv + ["--taps", "9"]) == 1
+    assert capsys.readouterr().err == (f"error: {coeffs}: num_recordings must be >= 1, "
+                                       f"got {count}\n")
+    assert not (tmp_path / "b.filt").exists()
+
+
 @pytest.fixture(scope="module")
 def low_rate_dir(tmp_path_factory):
     """A legal corpus at 150 Hz and n_fft 16, whose bins all lie below the mid
@@ -1624,14 +1635,11 @@ def degenerate_inputs(tmp_path_factory):
     their sample rates for n_fft 16 and 2048."""
     root = tmp_path_factory.mktemp("degenerate")
     for name, (samples, rate) in DEGENERATE_WAVS.items():
-        if name != "stereo-pcm16":
+        if name == "stereo-pcm16":
+            wav_file(root / f"{name}.wav", np.repeat(samples[:, None], 2, axis=1), 2, "pcm16",
+                     sample_rate=rate)
+        else:
             sc.write_wav(root / f"{name}.wav", sc.Waveform(samples, rate))
-            continue
-        payload = np.repeat(np.rint(samples * 32767).astype("<i2"), 2).tobytes()
-        fmt = struct.pack("<HHIIHH", 1, 2, rate, rate * 4, 4, 16)
-        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
-            + b"data" + struct.pack("<I", len(payload)) + payload
-        (root / f"{name}.wav").write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     for rate in {rate for _, rate in DEGENERATE_WAVS.values()}:
         for n_fft in (16, N_FFT):
             gains = np.exp(np.random.default_rng(n_fft).uniform(-1.0, 1.0, n_fft // 2 + 1))

@@ -13,7 +13,7 @@ from conftest import (SR, N_FFT, HOP, aligned_pairs, max_db_error,
 
 def constant_spectrogram(value, frames=5, n_fft=64, sample_rate=SR):
     mags = np.full((frames, n_fft // 2 + 1), float(value))
-    return sc.AmplitudeSpectrogram(mags, n_fft, n_fft // 4, sample_rate, "hann")
+    return sc.AmplitudeSpectrogram(mags, n_fft, n_fft // 4, sample_rate)
 
 
 # -- accumulate_stats ----------------------------------------------------------
@@ -127,8 +127,7 @@ def test_aligned_per_bin_scaling_recovered_exactly():
     rng = np.random.default_rng(13)
     ref = random_amplitude_spectrogram(rng, 6, 64)
     g = np.exp(rng.uniform(-1, 1, size=ref.freq_bins))
-    src = sc.AmplitudeSpectrogram(ref.mags * g, ref.n_fft, ref.hop,
-                                  ref.sample_rate, ref.window_name)
+    src = sc.AmplitudeSpectrogram(ref.mags * g, ref.n_fft, ref.hop, ref.sample_rate)
     coeffs = sc.estimate_aligned([(ref, src)])
     assert np.allclose(coeffs.gains, 1.0 / g, rtol=1e-12)
 
@@ -310,8 +309,8 @@ def test_one_apply_scales_either_spectrogram_and_keeps_its_kind():
         after = sc.apply_to_complex(coeffs, before)
         assert type(after) is type(before)
         assert np.array_equal(getattr(after, read), getattr(before, read) * gains)
-        assert (after.n_fft, after.hop, after.sample_rate, after.window_name) == (
-            before.n_fft, before.hop, before.sample_rate, before.window_name)
+        assert (after.n_fft, after.hop, after.sample_rate) == (
+            before.n_fft, before.hop, before.sample_rate)
 
 
 def test_apply_to_complex_resynthesis_matches_reference(device_pair, aligned_dataset):
@@ -535,8 +534,8 @@ def test_scale_equivariance_of_both_estimators():
     k = 3.25
     refs = [random_amplitude_spectrogram(rng, 5, 64) for _ in range(2)]
     srcs = [random_amplitude_spectrogram(rng, 5, 64) for _ in range(2)]
-    scaled = [sc.AmplitudeSpectrogram(s.mags * k, s.n_fft, s.hop, s.sample_rate,
-                                      s.window_name) for s in srcs]
+    scaled = [sc.AmplitudeSpectrogram(s.mags * k, s.n_fft, s.hop, s.sample_rate)
+              for s in srcs]
     a1 = sc.estimate_aligned(list(zip(refs, srcs))).gains
     a2 = sc.estimate_aligned(list(zip(refs, scaled))).gains
     assert np.abs(a2 * k / a1 - 1.0).max() < 1e-12

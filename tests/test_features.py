@@ -14,32 +14,16 @@ def test_filterbank_default_config_rows_are_sound():
     assert np.all(fb.weights >= 0)
     assert np.all(fb.weights.max(axis=1) > 0)
     assert np.all(np.diff(fb.center_frequencies) > 0)
-    assert fb.mel_scale == "htk"
-
-
-def test_filterbank_single_triangle_spans_band():
-    fb = sc.mel_filterbank(SR, N_FFT, 1, f_min=1000.0, f_max=2000.0)
-    freqs = sc.bin_frequencies(N_FFT, SR)
-    support = np.nonzero(fb.weights[0])[0]
-    bin_width = SR / N_FFT
-    assert freqs[support[0]] >= 1000.0 - bin_width
-    assert freqs[support[-1]] <= 2000.0 + bin_width
-    peak_freq = freqs[np.argmax(fb.weights[0])]
-    assert 1000.0 < peak_freq < 2000.0
 
 
 def test_filterbank_rejects_invalid_band():
-    with pytest.raises(ValueError, match="invalid band"):
-        sc.mel_filterbank(SR, N_FFT, 8, f_min=2000.0, f_max=1000.0)
-    with pytest.raises(ValueError, match="invalid band"):
-        sc.mel_filterbank(SR, N_FFT, 8, f_max=SR)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_mels must be >= 1"):
         sc.mel_filterbank(SR, N_FFT, 0)
 
 
 def test_filterbank_applied_to_ones_gives_row_sums():
     fb = sc.mel_filterbank(SR, N_FFT, 40)
-    ones = sc.AmplitudeSpectrogram(np.ones((3, N_FFT // 2 + 1)), N_FFT, HOP, SR, "hann")
+    ones = sc.AmplitudeSpectrogram(np.ones((3, N_FFT // 2 + 1)), N_FFT, HOP, SR)
     projected = ones.mags @ fb.weights.T
     assert np.abs(projected - fb.weights.sum(axis=1)).max() < 1e-12
 
@@ -73,8 +57,7 @@ def test_correction_order_matters_inside_a_filter():
     weights = np.zeros((2, bins))
     weights[0, 4:9] = [0.25, 0.5, 1.0, 0.5, 0.25]
     weights[1, 12:17] = [0.25, 0.5, 1.0, 0.5, 0.25]
-    fb = sc.MelFilterbank(weights, 2, 0.0, SR / 2, n_fft, SR,
-                          np.array([6 * SR / n_fft, 14 * SR / n_fft]))
+    fb = sc.MelFilterbank(weights, 2, n_fft, SR, np.array([6 * SR / n_fft, 14 * SR / n_fft]))
     gains = np.ones(bins)
     gains[4:7] = 10.0
     gains[7:9] = 0.1
@@ -82,7 +65,7 @@ def test_correction_order_matters_inside_a_filter():
     mags = np.zeros((1, bins))
     mags[0, 4:9] = [1.0, 0.1, 0.1, 0.1, 1.0]
     mags[0, 12:17] = 1.0
-    spec = sc.AmplitudeSpectrogram(mags, n_fft, 16, SR, "hann")
+    spec = sc.AmplitudeSpectrogram(mags, n_fft, 16, SR)
 
     pre_mel = sc.extract(spec, fb, coeffs).values
     # Post-mel alternative: project first, then scale by the filter-averaged gains.
@@ -233,13 +216,13 @@ def _overlapping_filterbank():
     weights[1, 5:20] = np.r_[np.linspace(0.2, 2.0, 8), np.linspace(1.5, 0.05, 7)]
     weights[2, 18] = 0.7
     weights[3, 10:33] = np.r_[np.linspace(0.01, 0.5, 12), np.linspace(0.45, 0.0, 11)]
-    return sc.MelFilterbank(weights, 4, 0.0, SR / 2, n_fft, SR, np.array([1.0, 2.0, 3.0, 4.0]))
+    return sc.MelFilterbank(weights, 4, n_fft, SR, np.array([1.0, 2.0, 3.0, 4.0]))
 
 
 @pytest.mark.parametrize("fb", [sc.mel_filterbank(SR, N_FFT, 256),
-                                sc.mel_filterbank(SR, N_FFT, 40, norm="area"),
+                                sc.mel_filterbank(SR, N_FFT, 40),
                                 _overlapping_filterbank()],
-                         ids=["mel-256", "mel-40-area", "hand-built-overlapping"])
+                         ids=["mel-256", "mel-40", "hand-built-overlapping"])
 def test_banded_projection_matches_dense(fb):
     rng = np.random.default_rng(78)
     mags = random_amplitude_spectrogram(rng, 9, fb.n_fft).mags
@@ -255,11 +238,11 @@ def test_banded_projection_matches_dense(fb):
 
 
 @pytest.mark.parametrize("fb", [sc.mel_filterbank(SR, N_FFT, 256),
-                                sc.mel_filterbank(SR, N_FFT, 40, norm="area"),
+                                sc.mel_filterbank(SR, N_FFT, 40),
                                 _overlapping_filterbank(),
                                 sc.mel_filterbank(SR, N_FFT, 1),
                                 sc.mel_filterbank(SR, N_FFT, 2000)],
-                         ids=["mel-256", "mel-40-area", "hand-built-overlapping", "mel-1",
+                         ids=["mel-256", "mel-40", "hand-built-overlapping", "mel-1",
                               "mel-2000"])
 def test_projection_rows_do_not_depend_on_their_tile(fb):
     # 40, 4 and 1 filters leave a partial chunk of filters; 130 rows leave a

@@ -43,9 +43,9 @@ def test_design_rejects_bad_tap_counts():
         sc.design_ls(c, N_FFT + 3)
 
 
-def _lstsq_taps(c, num_taps, clamp_db=sc.fir.DEFAULT_CLAMP_DB):
+def _lstsq_taps(c, num_taps):
     # The least-squares fit written out: the cosine basis on the bin grid.
-    clamp = 10.0 ** (clamp_db / 20.0)
+    clamp = 10.0 ** (sc.fir.DEFAULT_CLAMP_DB / 20.0)
     target = np.clip(c.gains, 1.0 / clamp, clamp)
     half = (num_taps - 1) // 2
     angles = (2.0 * np.pi / c.n_fft) * np.outer(np.arange(c.freq_bins), np.arange(half + 1))
@@ -76,7 +76,7 @@ def test_design_meets_tolerance_on_smooth_target(smooth_target):
 
 def test_design_clamps_extreme_gains():
     gains = np.full(N_FFT // 2 + 1, 10.0 ** (60.0 / 20.0))  # +60 dB everywhere
-    filt = sc.design_ls(coeffs_from_gains(gains), 257, clamp_db=40.0)
+    filt = sc.design_ls(coeffs_from_gains(gains), 257)
     clamp = 10.0 ** (40.0 / 20.0)
     assert abs(filt.taps[filt.group_delay] - clamp) < 1e-3 * clamp
 

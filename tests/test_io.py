@@ -18,7 +18,7 @@ from speccor.features import NORMALIZATIONS
 from speccor.simulate import SOURCES, unit_plan
 from speccor.wavio import AudioFileError
 
-from conftest import SR, N_FFT, white_waveform
+from conftest import SR, N_FFT, wav_file, white_waveform
 
 
 # -- WAV ------------------------------------------------------------------------
@@ -37,25 +37,11 @@ def test_wav_float32_round_trip_is_bit_exact(tmp_path):
 
 
 def test_wav_pcm16_full_scale_normalization(tmp_path):
-    path = tmp_path / "pcm.wav"
-    samples = np.array([32767, -32768, 0, 16384], dtype="<i2")
-    payload = samples.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, SR, SR * 2, 2, 16)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
-        + b"data" + struct.pack("<I", len(payload)) + payload
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-    w = sc.read_wav(path)
+    codes = np.array([32767, -32768, 0, 16384])
+    w = sc.read_wav(wav_file(tmp_path / "pcm.wav", codes / 32768.0, 1, "pcm16"))
     assert w.samples[0] == pytest.approx(32767 / 32768, abs=1e-9)
     assert w.samples[1] == -1.0
     assert w.samples[2] == 0.0
-
-
-def test_wav_pcm16_write_read(tmp_path):
-    w = sc.Waveform(np.linspace(-0.9, 0.9, 1000), SR)
-    path = tmp_path / "pcm.wav"
-    sc.write_wav(path, w, encoding="pcm16")
-    back = sc.read_wav(path)
-    assert np.abs(back.samples - w.samples).max() <= 0.5 / 32768 + 1e-12
 
 
 def test_wav_ten_seconds_at_44100(tmp_path):
@@ -83,8 +69,7 @@ def test_wav_stereo_downmix(tmp_path):
 
 def test_wav_pcm16_scaling_is_exact_for_every_code(tmp_path):
     codes = np.arange(-32768, 32768, dtype="<i2")
-    path = tmp_path / "codes.wav"
-    sc.write_wav(path, sc.Waveform(codes / 32768.0, SR), encoding="pcm16")
+    path = wav_file(tmp_path / "codes.wav", codes / 32768.0, 1, "pcm16")
     assert np.array_equal(sc.read_wav(path).samples, codes.astype(np.float64) * 2.0 ** -15)
 
 
@@ -104,7 +89,11 @@ def test_read_wav_peak_memory_is_the_payload_plus_the_result(tmp_path):
 @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
 def test_read_wav_info_agrees_with_read_wav(tmp_path, encoding):
     path = tmp_path / "x.wav"
-    sc.write_wav(path, white_waveform(83, seconds=0.1, sample_rate=22050), encoding)
+    written = white_waveform(83, seconds=0.1, sample_rate=22050)
+    if encoding == "float32":
+        sc.write_wav(path, written)
+    else:
+        wav_file(path, written.samples, 1, "pcm16", sample_rate=22050)
     info = wavio.read_wav_info(path)
     wave = sc.read_wav(path)
     assert (info.sample_rate, info.channels, info.samples) == (22050, 1, len(wave))
@@ -130,22 +119,6 @@ ODD_CHUNK = b"junk" + struct.pack("<I", 3) + b"abc\0"
 LIST_CHUNK = b"LIST" + struct.pack("<I", 4) + b"INFO"
 
 
-def _wav_file(path, samples, channels, encoding, before=b"", after=b""):
-    """A WAV file of ``samples`` (frames x channels, in [-1, 1)), with the raw
-    chunks ``before`` and ``after`` around its 'data' chunk."""
-    if encoding == "float32":
-        payload, audio_format, bits = np.asarray(samples, "<f4").tobytes(), 3, 32
-    else:
-        codes = np.clip(np.rint(np.asarray(samples) * 32768.0), -32768, 32767)
-        payload, audio_format, bits = codes.astype("<i2").tobytes(), 1, 16
-    align = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", audio_format, channels, SR, SR * align, align, bits)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + before \
-        + b"data" + struct.pack("<I", len(payload)) + payload + after
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-    return path
-
-
 def _noise(seed, frames, channels):
     return np.random.default_rng(seed).uniform(-0.5, 0.5, (frames, channels))
 
@@ -165,8 +138,8 @@ STREAM_LENGTHS = {
 @pytest.mark.parametrize("channels", [1, 2])
 def test_reductions_over_open_wav_equal_read_wav(channels, encoding, length, tmp_path):
     frames = STREAM_LENGTHS[length]
-    path = _wav_file(tmp_path / "x.wav", _noise(frames + channels, frames, channels),
-                     channels, encoding, before=ODD_CHUNK, after=LIST_CHUNK)
+    path = wav_file(tmp_path / "x.wav", _noise(frames + channels, frames, channels),
+                    channels, encoding, before=ODD_CHUNK, after=LIST_CHUNK)
     wave = sc.read_wav(path)
     fb = sc.mel_filterbank(SR, N_FFT, 40)
     want_sum = sc.waveform_log_sum(wave, N_FFT, 512, "b")
@@ -185,8 +158,8 @@ def test_reductions_over_open_wav_equal_read_wav(channels, encoding, length, tmp
 @pytest.mark.parametrize("channels", [1, 2])
 def test_wav_stream_reads_forward_ranges_as_read_wav_does(channels, encoding, tmp_path):
     frames = wavio.READ_CHUNK_BYTES // 2 + 999
-    path = _wav_file(tmp_path / "x.wav", _noise(7 * channels, frames, channels), channels,
-                     encoding, before=ODD_CHUNK, after=LIST_CHUNK)
+    path = wav_file(tmp_path / "x.wav", _noise(7 * channels, frames, channels), channels,
+                    encoding, before=ODD_CHUNK, after=LIST_CHUNK)
     whole = sc.read_wav(path).samples
     # Overlapping, repeated, empty, gapped and chunk-straddling ranges.
     ranges = [(0, 10), (5, 10), (7, 3000), (2000, 70000), (70000, 70000), (90001, 90001),
@@ -210,7 +183,7 @@ def test_open_wav_finds_a_non_finite_sample_outside_every_frame(where, tmp_path)
     samples = _noise(5, frames, 1)
     samples[{"tail": frames - 1, "gap": (BLOCK_FRAMES - 1) * hop + N_FFT + 10,
              "late": wavio.READ_CHUNK_BYTES // 4 + 5}[where]] = np.nan
-    path = _wav_file(tmp_path / "nan.wav", samples, 1, "float32")
+    path = wav_file(tmp_path / "nan.wav", samples, 1, "float32")
     message = re.escape(f"{path}: waveform samples must be finite")
     with pytest.raises(AudioFileError, match=message):
         sc.read_wav(path)
@@ -224,7 +197,7 @@ def test_open_wav_finds_a_non_finite_sample_outside_every_frame(where, tmp_path)
 
 def test_open_wav_reductions_with_gaps_equal_read_wav(tmp_path):
     hop = N_FFT + 300
-    path = _wav_file(tmp_path / "x.wav", _noise(6, N_FFT + 70 * hop + 100, 2), 2, "pcm16")
+    path = wav_file(tmp_path / "x.wav", _noise(6, N_FFT + 70 * hop + 100, 2), 2, "pcm16")
     want = sc.waveform_log_sum(sc.read_wav(path), N_FFT, hop)
     with sc.open_wav(path) as audio:
         got = sc.waveform_log_sum(audio, N_FFT, hop)
@@ -239,7 +212,7 @@ def test_forward_reads_are_slices_of_the_whole_signal(kind, tmp_path):
     """open_wav and every simulator source read forward as slices of the whole
     signal: over overlapping, repeated, gapped and empty ranges."""
     if kind == "wav":
-        path = _wav_file(tmp_path / "x.wav", _noise(8, FORWARD_LENGTH, 2), 2, "pcm16")
+        path = wav_file(tmp_path / "x.wav", _noise(8, FORWARD_LENGTH, 2), 2, "pcm16")
         whole = sc.read_wav(path).samples
 
         def reader():
@@ -308,36 +281,25 @@ def test_wav_rejects_unsupported_encoding(tmp_path):
         sc.read_wav(path)
 
 
-def test_wav_write_rejects_unknown_encoding(tmp_path):
-    with pytest.raises(ValueError, match="encoding"):
-        sc.write_wav(tmp_path / "x.wav", white_waveform(1, seconds=0.01),
-                     encoding="mp3")
-
-
-def _reference_wav_bytes(w, encoding):
-    """A mono WAV file built whole: header fields packed around the converted payload."""
-    if encoding == "float32":
-        audio_format, bits, payload = 3, 32, w.samples.astype("<f4").tobytes()
-    else:
-        audio_format, bits = 1, 16
-        payload = np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
-    fmt = struct.pack("<HHIIHH", audio_format, 1, w.sample_rate, w.sample_rate * bits // 8,
-                      bits // 8, bits)
+def _reference_wav_bytes(w):
+    """A mono float32 WAV file built whole: header fields packed around the payload."""
+    payload = w.samples.astype("<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, w.sample_rate, w.sample_rate * 4, 4, 32)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
-        + b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+        + b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 1001, 1002, 3 * wavio.WRITE_CHUNK_SAMPLES + 7])
-@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
-def test_wav_stream_writes_the_bytes_of_the_whole_file(encoding, length, tmp_path):
+@pytest.mark.parametrize("length", [0, 1, 2, 1001, 1002, 3 * wavio.WRITE_CHUNK_SAMPLES + 7],
+                         ids=lambda length: f"float32-{length}")
+def test_wav_stream_writes_the_bytes_of_the_whole_file(length, tmp_path):
     samples = np.random.default_rng(length).standard_normal(length) * 0.6
-    samples[:2] = [-0.0, 1.5][:length]  # a negative zero, and a clipped sample
+    samples[:2] = [-0.0, 1.5][:length]  # a negative zero, and a sample past full scale
     w = sc.Waveform(samples, SR)
-    want = _reference_wav_bytes(w, encoding)
-    sc.write_wav(tmp_path / "whole.wav", w, encoding)
+    want = _reference_wav_bytes(w)
+    sc.write_wav(tmp_path / "whole.wav", w)
     assert (tmp_path / "whole.wav").read_bytes() == want
-    with sc.create_wav(tmp_path / "blocks.wav", SR, length, encoding) as out:
+    with sc.create_wav(tmp_path / "blocks.wav", SR, length) as out:
         for start, stop in [(0, 0), (0, length // 3), (length // 3, length)]:
             out.write(samples[start:stop])
     assert (tmp_path / "blocks.wav").read_bytes() == want
@@ -354,15 +316,14 @@ def test_wav_stream_fed_too_few_or_too_many_samples_leaves_no_file(fed, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("encoding,bad", [("float32", 6e38), ("float32", np.nan),
-                                          ("pcm16", np.inf), ("pcm16", np.nan)])
-def test_wav_stream_rejects_a_sample_it_cannot_write_finite(encoding, bad, tmp_path):
+@pytest.mark.parametrize("bad", [6e38, np.nan], ids=["float32-6e+38", "float32-nan"])
+def test_wav_stream_rejects_a_sample_it_cannot_write_finite(bad, tmp_path):
     path = tmp_path / "x.wav"
     samples = np.zeros(wavio.WRITE_CHUNK_SAMPLES + 10)
     samples[-1] = bad  # in the second chunk, after the first is written
     with pytest.raises(ValueError, match=re.escape(f"{path}: samples must be finite to be "
-                                                   f"written as {encoding}")):
-        with sc.create_wav(path, SR, samples.size, encoding) as out:
+                                                   "written as float32")):
+        with sc.create_wav(path, SR, samples.size) as out:
             out.write(samples)
     assert list(tmp_path.iterdir()) == []
 
@@ -377,27 +338,25 @@ def test_wav_stream_leaves_no_file_when_its_blocks_fail(tmp_path):
     assert (tmp_path / "x.wav").read_bytes() == b"kept"
 
 
-@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
-def test_wav_stream_rejects_a_length_its_size_field_cannot_hold(encoding, tmp_path):
-    width = 4 if encoding == "float32" else 2
-    most = (2**32 - 1 - 36) // width
-    assert encoding == "pcm16" or most == wavio.MAX_FLOAT32_SAMPLES
+def test_wav_stream_rejects_a_length_its_size_field_cannot_hold(tmp_path):
+    most = (2**32 - 1 - 36) // 4
+    assert most == wavio.MAX_FLOAT32_SAMPLES
     path = tmp_path / "x.wav"
     with pytest.raises(ValueError, match=re.escape(f"{path}: {most + 1} samples do not fit")):
-        sc.create_wav(path, SR, most + 1, encoding)
+        sc.create_wav(path, SR, most + 1)
     with pytest.raises(ValueError, match=re.escape(f"{path}: sample rate")):
-        sc.create_wav(path, 2**32 // width, 10, encoding)
+        sc.create_wav(path, 2**32 // 4, 10)
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match=re.escape(f"{path}: 0 samples written to a file "
                                                    f"of {most}")):
-        sc.create_wav(path, SR, most, encoding).close()  # the header fits
+        sc.create_wav(path, SR, most).close()  # the header fits
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
 def test_shaped_blocks_over_open_wav_equal_apply_gains(encoding, tmp_path):
     length = 3 * wavio.READ_CHUNK_BYTES // 4 + 77  # several read chunks, a ragged tail
-    path = _wav_file(tmp_path / "x.wav", _noise(9, length, 2), 2, encoding)
+    path = wav_file(tmp_path / "x.wav", _noise(9, length, 2), 2, encoding)
     curves = [np.exp(np.random.default_rng(k).uniform(-1, 1, N_FFT // 2 + 1))
               for k in range(2)]
     want = sc.apply_gains(sc.read_wav(path), curves, N_FFT, 384)
@@ -423,7 +382,7 @@ def _curves(bins):
 def _coefficients(draw):
     n_fft = draw(st.integers(16, 64))
     return sc.CorrectionCoefficients(draw(_curves(n_fft // 2 + 1)), n_fft, draw(_RATES),
-                                     draw(_TOKENS), draw(_TOKENS), draw(st.integers(0, 2**31)),
+                                     draw(_TOKENS), draw(_TOKENS), draw(st.integers(1, 2**31)),
                                      draw(st.sampled_from(ESTIMATORS)))
 
 
@@ -555,6 +514,19 @@ def test_features_file_field_without_value_names_it(tmp_path):
         files.read_features(path)
 
 
+@pytest.mark.parametrize("added,message", [
+    (b"frames 2\n", "repeated header field 'frames'"),
+    (b"bogus field\n", "unknown header field 'bogus'"),
+    (b"correction none\n", "repeated header field 'correction'"),
+], ids=["repeated", "unknown", "repeated-optional"])
+def test_features_file_refuses_a_repeated_or_unknown_field(tmp_path, added, message):
+    path = tmp_path / "x.feat"
+    files.write_features(path, sc.FeatureTensor(np.zeros((2, 3)), "raw", "", "none"))
+    _rewrite(path, b"\nmels 3\n", b"\nmels 3\n" + added)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        files.read_features(path)
+
+
 def test_feature_blocks_write_the_bytes_of_the_whole_tensor(tmp_path):
     feat = sc.FeatureTensor(np.random.default_rng(83).standard_normal((9, 4)), "per_device",
                             "device:b", "pre_mel:b->a")
@@ -629,7 +601,7 @@ def test_staged_writers_write_parts_that_the_block_publishes_together(tmp_path):
         sc.write_wav(part(wav), w)
         files.write_features(part(feat), tensor)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "b.feat"]
-    assert wav.read_bytes() == _reference_wav_bytes(w, "float32")
+    assert wav.read_bytes() == _reference_wav_bytes(w)
     assert np.array_equal(files.read_features(feat).values, tensor.values)
 
 
@@ -784,6 +756,22 @@ def test_coefficients_and_filter_reject_a_non_positive_sample_rate(tmp_path, kin
     with pytest.raises(ValueError, match=re.escape(f"{path}: sample_rate must be positive, "
                                                    f"got {rate}")):
         read(path)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_coefficients_and_filter_refuse_a_count_below_one(tmp_path, count):
+    with pytest.raises(ValueError, match=re.escape(f"num_recordings must be >= 1, got {count}")):
+        sc.CorrectionCoefficients(np.ones(9), 16, SR, "b", "a", count, "aligned")
+    with pytest.raises(ValueError, match=re.escape(f"target_bins must be >= 1, got {count}")):
+        sc.FirFilter(np.array([0.25, 0.5, 0.25]), SR, count)
+    for kind, name, value in [("coeffs", "num_recordings", 3), ("filt", "target_bins", 9)]:
+        write, read = FORMATS[kind]
+        path = tmp_path / f"x.{kind}"
+        write(path)
+        _rewrite(path, f"\n{name} {value}\n".encode(), f"\n{name} {count}\n".encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {name} must be >= 1, "
+                                                       f"got {count}")):
+            read(path)
 
 
 @pytest.mark.parametrize("kind,line,edited,what", [

@@ -3,6 +3,7 @@ loads no submodule, so what an earlier test imported must not hide a name that
 fails to resolve on its own."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -108,3 +109,30 @@ def test_only_the_files_helper_publishes_or_removes_a_file():
             if id(node) not in allowed:
                 found.setdefault(path.name, []).append((node.lineno, ast.unparse(node.func)))
     assert found == {}
+
+
+# Every option of these callables, and every field of the two grids, with its
+# default. An option that no caller sets is a constant in the code instead (one
+# Hann window, one full-band unit-height mel bank, one float32 WAV writer), so
+# one comes back only with an edit here.
+PINNED_PARAMETERS = {
+    sc.stft: "w n_fft=2048 hop=512",
+    sc.apply_gains: "w curves n_fft=2048 hop=512",
+    sc.dsp.shaped_blocks: "audio curves n_fft=2048 hop=512",
+    sc.band_bins: "n_fft sample_rate",
+    sc.geometric_mean: "values",
+    sc.mel_filterbank: "sample_rate n_fft n_mels=256",
+    sc.create_wav: "path sample_rate samples",
+    sc.write_wav: "path w",
+    sc.design_ls: "c num_taps=1025",
+    sc.dsp.Spectrogram: "matrix n_fft hop sample_rate",
+    sc.MelFilterbank: "weights n_mels n_fft sample_rate center_frequencies",
+}
+
+
+def test_options_no_caller_sets_stay_constants():
+    def parameters(obj):
+        return " ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                        for p in inspect.signature(obj).parameters.values())
+    assert {obj.__name__: parameters(obj) for obj in PINNED_PARAMETERS} == \
+        {obj.__name__: pinned for obj, pinned in PINNED_PARAMETERS.items()}
