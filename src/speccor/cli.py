@@ -104,11 +104,11 @@ def _estimate_plan(rows, reference, aligned) -> dict:
 
 
 def _check_stft_flags(n_fft, hop, n_mels=1) -> None:
-    """--n-fft, --hop and features' --n-mels, checked once before any file is read."""
-    if n_fft < 16 or n_fft % 2 != 0:
-        raise ValueError(f"--n-fft must be an even integer >= 16, got {n_fft}")
-    if hop < 1:
-        raise ValueError(f"--hop must be >= 1, got {hop}")
+    """--n-fft, --hop (``dsp.check_grid``) and --n-mels, checked before any file is read."""
+    try:
+        dsp.check_grid(n_fft, hop)
+    except ValueError as exc:
+        raise ValueError(f"--{str(exc).replace('_', '-', 1)}") from None
     if n_mels < 1:
         raise ValueError(f"--n-mels must be >= 1, got {n_mels}")
     if n_mels > n_fft // 2 + 1:  # a projection of F bins has rank at most F
@@ -123,10 +123,8 @@ def _read_headers(manifest_path, rows, n_fft, hop) -> dict:
     for row in rows:
         path = _resolve(manifest_path, row.path)
         info = wavio.read_wav_info(path)
-        try:
+        with files.named(path):
             headers[row] = (dsp.frame_count(info.samples, n_fft, hop), info.sample_rate)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
     return headers
 
 
@@ -152,10 +150,8 @@ def cmd_estimate(args) -> int:
     if args.aligned and reference == "none":
         raise ValueError("conflicting flags: --aligned requires a concrete "
                          "--reference-device, not 'none'")
-    try:
+    with files.named(args.manifest):
         plan = _estimate_plan(rows, reference, args.aligned)
-    except ValueError as exc:
-        raise ValueError(f"{args.manifest}: {exc}") from None
     paths = [Path(args.out) / f"{device}.coeffs" for device in plan]
 
     # Headers are checked before any audio is read. Each worker then reduces
@@ -206,9 +202,6 @@ def cmd_apply(args) -> int:
     if args.hop < 0:
         raise ValueError(f"--hop must be >= 1, or 0 for n_fft/4, got {args.hop}")
     coeffs = files.read_coefficients(args.coeffs)
-    if coeffs.n_fft % 2 != 0:
-        raise ValueError(f"--coeffs {args.coeffs}: n_fft must be an even integer >= 16, "
-                         f"got {coeffs.n_fft}")
     hop = args.hop or coeffs.n_fft // 4
     # Every check is made before --out is created; the output is then written
     # while the input is read, a block of frames at a time.
@@ -217,14 +210,10 @@ def cmd_apply(args) -> int:
             raise ValueError(f"sample_rate mismatch: audio is {audio.sample_rate} Hz, "
                              f"coefficients are for {coeffs.sample_rate} Hz "
                              f"(--in {args.input}, --coeffs {args.coeffs})")
-        try:
+        with files.named(args.input):
             dsp.frame_count(len(audio), coeffs.n_fft, hop)
-        except ValueError as exc:
-            raise ValueError(f"{args.input}: {exc}") from None
-        try:  # with n_fft and the length checked, only the hop can fail to invert
+        with files.named(f"--hop {hop}"):  # with the length checked, only the hop can fail
             blocks = dsp.shaped_blocks(audio, [coeffs.gains], coeffs.n_fft, hop)
-        except ValueError as exc:
-            raise ValueError(f"--hop {hop}: {exc}") from None
         with wavio.create_wav(args.out, audio.sample_rate, len(audio)) as out:
             for block in blocks:
                 out.write(block[0])
@@ -261,10 +250,8 @@ def cmd_filter(args) -> int:
             raise ValueError(f"sample_rate mismatch: audio is {audio.sample_rate} Hz, "
                              f"filter is for {filt.sample_rate} Hz "
                              f"(--in {args.input}, --filter {args.filter})")
-        try:
+        with files.named(f"--in {args.input}"):
             blocks = fir.filter_blocks(filt, audio, compensate)
-        except ValueError as exc:
-            raise ValueError(f"--in {args.input}: {exc}") from None
         length = fir.filtered_length(filt, len(audio), compensate)
         with wavio.create_wav(args.out, audio.sample_rate, length) as out:
             for block in blocks:
@@ -410,10 +397,8 @@ def cmd_verify(args) -> int:
     all_ok = True
     for path in coeff_paths:
         coeffs = files.read_coefficients(path)
-        try:
+        with files.named(path):
             err = simulate.truth_error_db(coeffs, sample_rate, n_fft, device_truth)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
         ok = err <= args.tolerance_db
         all_ok &= ok
         print(f"device {coeffs.source_device}: max mid-band error {err:.3f} dB "

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dsp import (AMPLITUDE_FLOOR, AmplitudeSpectrogram, Spectrogram, Waveform, _fold_rows,
-                  _magnitude_blocks)
+                  _magnitude_blocks, check_grid)
 
 ESTIMATORS = ("aligned", "unaligned", "simplified")
 
@@ -31,9 +31,8 @@ class CorrectionCoefficients:
     estimator: str
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_rate", check_grid(self.n_fft, None, self.sample_rate))
         gains = np.asarray(self.gains, dtype=np.float64)
-        if self.n_fft < 16:
-            raise ValueError(f"n_fft must be >= 16, the smallest STFT, got {self.n_fft}")
         if gains.ndim != 1 or gains.size != self.n_fft // 2 + 1:
             raise ValueError(
                 f"gains must have length n_fft//2+1 = {self.n_fft // 2 + 1}, "
@@ -42,8 +41,6 @@ class CorrectionCoefficients:
             raise ValueError("gains must be finite and strictly positive")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.num_recordings < 1:
             raise ValueError(f"num_recordings must be >= 1, got {self.num_recordings}")
         object.__setattr__(self, "gains", gains)
@@ -79,6 +76,7 @@ class DeviceSpectrumStats:
     sample_rate: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_rate", check_grid(self.n_fft, None, self.sample_rate))
         log_sum = np.asarray(self.log_sum, dtype=np.float64)
         if log_sum.ndim != 1 or log_sum.size != self.n_fft // 2 + 1:
             raise ValueError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,25 @@ BLOCK_FRAMES = 64
 def to_db(ratio):
     """Convert a linear amplitude ratio to decibels."""
     return 20.0 * np.log10(ratio)
+
+
+def check_grid(n_fft=None, hop=None, sample_rate=None) -> Optional[int]:
+    """The one rule of an STFT grid, for every type and entry point that takes
+    one: ``n_fft`` an even integer >= 16, ``hop`` an integer >= 1 and the
+    sample rate a positive whole number, which is returned as ``int`` (None if
+    not given). A quantity left None is not checked, and a bool is no number."""
+    def integer(x):
+        return isinstance(x, Integral) and not isinstance(x, bool)
+    if n_fft is not None and not (integer(n_fft) and n_fft >= 16 and n_fft % 2 == 0):
+        raise ValueError(f"n_fft must be an even integer >= 16, got {n_fft}")
+    if hop is not None and not (integer(hop) and hop >= 1):
+        raise ValueError(f"hop must be >= 1, got {hop}")
+    if sample_rate is None:
+        return None
+    if not (isinstance(sample_rate, Real) and not isinstance(sample_rate, bool)
+            and sample_rate >= 1 and (integer(sample_rate) or float(sample_rate).is_integer())):
+        raise ValueError(f"sample_rate must be a positive whole number, got {sample_rate}")
+    return int(sample_rate)
 
 
 def hann(n_fft: int) -> np.ndarray:
@@ -88,11 +108,8 @@ class Waveform:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform samples must be finite")
-        rate = int(self.sample_rate)
-        if rate != self.sample_rate or rate <= 0:
-            raise ValueError(f"sample_rate must be a positive whole number, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", rate)
+        object.__setattr__(self, "sample_rate", check_grid(sample_rate=self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -155,6 +172,7 @@ class Spectrogram:
     dtype = None  # a class constant, not a field: None keeps the matrix's own
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_rate", check_grid(self.n_fft, self.hop, self.sample_rate))
         matrix = np.asarray(self.matrix, dtype=self.dtype)
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise ValueError(f"spectrogram must be a non-empty 2-D matrix, got shape "
@@ -198,11 +216,8 @@ class AmplitudeSpectrogram(Spectrogram):
 
 def frame_count(length: int, n_fft: int, hop: int) -> int:
     """Frames that ``stft`` takes from ``length`` samples; raises as ``stft`` would
-    for a bad grid or a too-short input."""
-    if n_fft < 16 or n_fft % 2 != 0:
-        raise ValueError(f"n_fft must be an even integer >= 16, got {n_fft}")
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
+    for a bad grid (``check_grid``) or a too-short input."""
+    check_grid(n_fft, hop)
     if length < n_fft:
         raise ValueError(f"input too short: {length} samples < n_fft={n_fft}")
     return (length - n_fft) // hop + 1

@@ -9,7 +9,7 @@ import numpy as np
 
 from .correction import CorrectionCoefficients
 from .dsp import (AMPLITUDE_FLOOR, BLOCK_FRAMES, AmplitudeSpectrogram, Waveform,
-                  _fold_rows, _magnitude_blocks, bin_frequencies, frame_count)
+                  _fold_rows, _magnitude_blocks, bin_frequencies, check_grid, frame_count)
 
 VARIANCE_FLOOR = 1e-8
 
@@ -43,6 +43,7 @@ class MelFilterbank:
     center_frequencies: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_rate", check_grid(self.n_fft, None, self.sample_rate))
         weights = np.asarray(self.weights, dtype=np.float64)
         centers = np.asarray(self.center_frequencies, dtype=np.float64)
         if weights.shape != (self.n_mels, self.n_fft // 2 + 1):
@@ -156,6 +157,7 @@ def _triangle_band_average(left: float, center: float, right: float,
 def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = 256) -> MelFilterbank:
     """Unit-height triangular filters with HTK-mel-spaced centers on the STFT
     bin grid, spanning 0 Hz to Nyquist."""
+    sample_rate = check_grid(n_fft, sample_rate=sample_rate)
     if n_mels < 1:
         raise ValueError(f"n_mels must be >= 1, got {n_mels}")
     nyquist = sample_rate / 2.0

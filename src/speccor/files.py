@@ -71,15 +71,14 @@ def parse_int(value: str, what: str, signed: bool = False) -> int:
     return number
 
 
-def _names_file(read):
-    """Prefix every ValueError a reader raises with the path it was reading."""
-    @functools.wraps(read)
-    def wrapper(path):
-        try:
-            return read(path)
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return wrapper
+@contextlib.contextmanager
+def named(prefix):
+    """Re-raise a ValueError (or a manifest's csv.Error) raised in the block
+    as a ValueError that starts with ``prefix``: the file, flag or key at fault."""
+    try:
+        yield
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 def _field_line(name: str, value) -> str:
@@ -175,9 +174,8 @@ def write_manifest(path, rows: Sequence[ManifestRow]) -> None:
             writer.writerow([row.path, row.device, row.group or ""])
 
 
-@_names_file
 def read_manifest(path) -> list:
-    with open(path, newline="") as handle:
+    with named(path), open(path, newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         header = next(reader, None)
         if header is None:
@@ -201,12 +199,12 @@ def read_manifest(path) -> list:
             if group:
                 group_devices.setdefault(group, set()).add(device)
             rows.append(ManifestRow(name, device, group or None))
-    for group, devices in group_devices.items():
-        if len(devices) < 2:
-            raise ValueError(f"group {group!r} must span at least two devices")
-    if not rows:
-        raise ValueError("empty manifest")
-    return rows
+        for group, devices in group_devices.items():
+            if len(devices) < 2:
+                raise ValueError(f"group {group!r} must span at least two devices")
+        if not rows:
+            raise ValueError("empty manifest")
+        return rows
 
 
 # -- correction coefficients --------------------------------------------------
@@ -215,12 +213,12 @@ def write_coefficients(path, c: CorrectionCoefficients) -> None:
     _write_text(path, COEFFS_MAGIC, COEFFS_FIELDS, c, "gains")
 
 
-@_names_file
 def read_coefficients(path) -> CorrectionCoefficients:
     from .correction import CorrectionCoefficients
 
-    fields, count, reader = _read_text(path, COEFFS_MAGIC, COEFFS_FIELDS, "gains")
-    return CorrectionCoefficients(reader.floats(count), **fields)
+    with named(path):
+        fields, count, reader = _read_text(path, COEFFS_MAGIC, COEFFS_FIELDS, "gains")
+        return CorrectionCoefficients(reader.floats(count), **fields)
 
 
 # -- FIR filters ---------------------------------------------------------------
@@ -229,17 +227,18 @@ def write_filter(path, fir: FirFilter) -> None:
     _write_text(path, FILTER_MAGIC, FILTER_FIELDS, fir, "taps")
 
 
-@_names_file
 def read_filter(path) -> FirFilter:
     from .fir import FirFilter
 
-    fields, count, reader = _read_text(path, FILTER_MAGIC, FILTER_FIELDS, "taps")
-    if count != fields["num_taps"]:
-        raise ValueError(f"tap count {count} disagrees with num_taps {fields['num_taps']}")
-    fir = FirFilter(reader.floats(count), fields["sample_rate"], fields["target_bins"])
-    if fir.group_delay != fields["group_delay"]:
-        raise ValueError(f"group_delay {fields['group_delay']} disagrees with tap length {count}")
-    return fir
+    with named(path):
+        fields, count, reader = _read_text(path, FILTER_MAGIC, FILTER_FIELDS, "taps")
+        if count != fields["num_taps"]:
+            raise ValueError(f"tap count {count} disagrees with num_taps {fields['num_taps']}")
+        fir = FirFilter(reader.floats(count), fields["sample_rate"], fields["target_bins"])
+        if fir.group_delay != fields["group_delay"]:
+            raise ValueError(f"group_delay {fields['group_delay']} disagrees with tap length "
+                             f"{count}")
+        return fir
 
 
 # -- feature tensors -----------------------------------------------------------
@@ -307,38 +306,39 @@ def overwrite_feature_rows(path, offset: int, rows: np.ndarray, first: int = 0) 
     _feature_rows_io(path, offset, rows, first, os.O_WRONLY, os.pwritev)
 
 
-@_names_file
 def read_features(path) -> FeatureTensor:
     from .features import FeatureTensor
 
-    data, dtype = Path(path).read_bytes(), f"{_DTYPE_LINE}\n".encode("ascii")
-    if dtype not in data:
-        raise ValueError("missing dtype header line")
-    split = data.index(dtype) + len(dtype)
-    header = data[:split].decode("utf-8", "replace").splitlines()
-    if header[0] != FEATURES_MAGIC:
-        raise ValueError(f"expected header {FEATURES_MAGIC!r}")
-    fields = {}
-    for line in header[1:-1]:
-        name, sep, value = line.partition(" ")
-        if name not in FEATURE_FIELDS or name in fields:
-            raise ValueError(f"{'repeated' if name in fields else 'unknown'} header field {name!r}")
-        if not sep:
-            raise ValueError(f"header field {name!r} has no value")
-        fields[name] = _check_token(value, name)
-    fields.setdefault("correction", "none")
-    for name in FEATURE_FIELDS:
-        if name not in fields:
-            raise ValueError(f"header lacks field {name!r}")
-    frames, mels = (parse_int(fields[name], f"field {name!r}") for name in FEATURE_FIELDS[:2])
-    payload = data[split:]
-    if len(payload) != frames * mels * 8:
-        raise ValueError(f"payload holds {len(payload)} bytes, "
-                         f"expected {frames * mels * 8}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(frames, mels)
-    stats_id = fields["stats_id"]
-    return FeatureTensor(values, fields["normalization"],
-                         "" if stats_id == "-" else stats_id, fields["correction"])
+    with named(path):
+        data, dtype = Path(path).read_bytes(), f"{_DTYPE_LINE}\n".encode("ascii")
+        if dtype not in data:
+            raise ValueError("missing dtype header line")
+        split = data.index(dtype) + len(dtype)
+        header = data[:split].decode("utf-8", "replace").splitlines()
+        if header[0] != FEATURES_MAGIC:
+            raise ValueError(f"expected header {FEATURES_MAGIC!r}")
+        fields = {}
+        for line in header[1:-1]:
+            name, sep, value = line.partition(" ")
+            if name not in FEATURE_FIELDS or name in fields:
+                raise ValueError(f"{'repeated' if name in fields else 'unknown'} header field "
+                                 f"{name!r}")
+            if not sep:
+                raise ValueError(f"header field {name!r} has no value")
+            fields[name] = _check_token(value, name)
+        fields.setdefault("correction", "none")
+        for name in FEATURE_FIELDS:
+            if name not in fields:
+                raise ValueError(f"header lacks field {name!r}")
+        frames, mels = (parse_int(fields[name], f"field {name!r}") for name in FEATURE_FIELDS[:2])
+        payload = data[split:]
+        if len(payload) != frames * mels * 8:
+            raise ValueError(f"payload holds {len(payload)} bytes, "
+                             f"expected {frames * mels * 8}")
+        values = np.frombuffer(payload, dtype="<f8").reshape(frames, mels)
+        stats_id = fields["stats_id"]
+        return FeatureTensor(values, fields["normalization"],
+                             "" if stats_id == "-" else stats_id, fields["correction"])
 
 
 # -- simulator ground truth ------------------------------------------------------
@@ -357,26 +357,27 @@ def write_responses(path, sample_rate: int, n_fft: int,
         handle.write("\n".join(lines) + "\n")
 
 
-@_names_file
 def read_responses(path):
     """Read ground-truth curves; returns (sample_rate, n_fft, devices, environments)."""
-    reader = _LineReader(path, RESPONSES_MAGIC)
-    sample_rate, n_fft = reader.field("sample_rate", int), reader.field("n_fft", int)
-    bins = n_fft // 2 + 1
+    with named(path):
+        reader = _LineReader(path, RESPONSES_MAGIC)
+        sample_rate, n_fft = reader.field("sample_rate", int), reader.field("n_fft", int)
+        bins = n_fft // 2 + 1
 
-    def read_block(kind: str, what: str) -> dict:
-        out = {}
-        for _ in range(parse_int(reader.field(f"{kind}s"), f"field '{kind}s'")):
-            line = reader.next()
-            fields = line.split(" ")
-            if len(fields) != 3 or fields[0] != kind or not fields[2].isdecimal():
-                raise ValueError(f"expected a '{kind} <name> <bins>' entry, got {line!r}")
-            _, name, length = fields
-            if parse_int(length, f"{kind} {name!r} gain count") != bins:
-                raise ValueError(f"{kind} {name!r} has {length} gains, n_fft {n_fft} needs {bins}")
-            gains = out[_check_token(name, what)] = reader.floats(bins)
-            if not np.all((gains > 0) & (gains < np.inf)):
-                raise ValueError(f"{kind} {name!r} gains must be finite and > 0")
-        return out
+        def read_block(kind: str, what: str) -> dict:
+            out = {}
+            for _ in range(parse_int(reader.field(f"{kind}s"), f"field '{kind}s'")):
+                line = reader.next()
+                fields = line.split(" ")
+                if len(fields) != 3 or fields[0] != kind or not fields[2].isdecimal():
+                    raise ValueError(f"expected a '{kind} <name> <bins>' entry, got {line!r}")
+                _, name, length = fields
+                if parse_int(length, f"{kind} {name!r} gain count") != bins:
+                    raise ValueError(f"{kind} {name!r} has {length} gains, n_fft {n_fft} "
+                                     f"needs {bins}")
+                gains = out[_check_token(name, what)] = reader.floats(bins)
+                if not np.all((gains > 0) & (gains < np.inf)):
+                    raise ValueError(f"{kind} {name!r} gains must be finite and > 0")
+            return out
 
-    return (sample_rate, n_fft, *(read_block(kind, what) for kind, what in _RESPONSE_KINDS))
+        return (sample_rate, n_fft, *(read_block(kind, what) for kind, what in _RESPONSE_KINDS))

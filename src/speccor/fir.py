@@ -32,6 +32,7 @@ class FirFilter:
     target_bins: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_rate", dsp.check_grid(sample_rate=self.sample_rate))
         taps = np.asarray(self.taps, dtype=np.float64)
         if taps.ndim != 1 or taps.size < 3 or taps.size % 2 == 0:
             raise ValueError(f"taps must be a 1-D vector of odd length >= 3, got shape {taps.shape}")
@@ -39,8 +40,6 @@ class FirFilter:
             raise ValueError("taps must be finite")
         if np.max(np.abs(taps - taps[::-1])) > 1e-12 * max(1.0, np.max(np.abs(taps))):
             raise ValueError("taps must be symmetric (Type I linear phase)")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.target_bins < 1:
             raise ValueError(f"target_bins must be >= 1, got {self.target_bins}")
         object.__setattr__(self, "taps", taps)
@@ -70,32 +69,29 @@ def design_ls(c: CorrectionCoefficients, num_taps: int = 1025) -> FirFilter:
     if num_taps > n + 1:
         raise ValueError(f"num_taps {num_taps} exceeds n_fft + 1 = {n + 1}: the "
                          f"coefficients' {c.freq_bins} bins do not determine more taps")
-    gains = np.asarray(c.gains, dtype=np.float64)
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("gains must be finite")
     clamp = 10.0 ** (DEFAULT_CLAMP_DB / 20.0)
-    target = np.clip(gains, 1.0 / clamp, clamp)
+    target = np.clip(c.gains, 1.0 / clamp, clamp)  # CorrectionCoefficients: finite, > 0
 
     # Amplitude response of a Type I filter with half-taps a_0..a_M on the bins
     # f_k = k sr / n, k = 0..n//2:  A(f_k) = sum_m C[k, m] b_m  with
     # C[k, m] = cos(2 pi k m / n) and b = (a_0, 2 a_1, .., 2 a_M). By DCT
     # orthogonality the normal matrix is C'C = D + u u' / 2: D is n/4 on the
     # diagonal and n/2 at m = 0 and m = n/2, and u's columns are C's rows at
-    # the edge bins, k = 0 (all ones) and, for even n, k = n/2 ((-1)^m).
-    # C' target is one rfft of the target's even extension, and the low-rank
-    # update leaves a 2 x 2 solve (Woodbury).
+    # the edge bins, k = 0 (all ones) and k = n/2 ((-1)^m); n is even
+    # (``dsp.check_grid``). C' target is one rfft of the target's even
+    # extension, and the low-rank update leaves a 2 x 2 solve (Woodbury).
     half = (num_taps - 1) // 2
-    edges = [0, n // 2] if n % 2 == 0 else [0]
+    edges = [0, n // 2]
     u = np.cos((2.0 * np.pi / n) * np.outer(np.arange(half + 1), edges))
     d = np.full(half + 1, n / 4.0)
     d[[m for m in edges if m <= half]] = n / 2.0
-    extended = np.concatenate([target, target[(n - 1) // 2:0:-1]])
+    extended = np.concatenate([target, target[-2:0:-1]])
     rhs = (np.fft.rfft(extended)[:half + 1].real + u @ target[edges]) / 2.0
     x, y = rhs / d, u / d[:, None]
-    b = x - y @ np.linalg.solve(2.0 * np.eye(len(edges)) + u.T @ y, u.T @ x)
+    b = x - y @ np.linalg.solve(2.0 * np.eye(2) + u.T @ y, u.T @ x)
     a = np.concatenate([b[:1], b[1:] / 2.0])
     taps = np.concatenate([a[:0:-1], a])
-    return FirFilter(taps, c.sample_rate, gains.size)
+    return FirFilter(taps, c.sample_rate, c.freq_bins)
 
 
 def frequency_response(fir: FirFilter, grid) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dsp
+from . import dsp, files
 from .correction import RecordingSet
 from .dsp import DB_PER_NAT, Waveform
 from .wavio import MAX_FLOAT32_SAMPLES
@@ -35,11 +35,12 @@ class Response:
     sample_rate: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_rate", dsp.check_grid(self.n_fft, None, self.sample_rate))
         what = f"response {self.name!r}"
         gains = np.asarray(self.gains, dtype=np.float64)
-        if gains.ndim != 1 or gains.size < 2 or gains.size != self.n_fft // 2 + 1:
+        if gains.ndim != 1 or gains.size != self.n_fft // 2 + 1:
             raise ValueError(f"{what} gains must be a 1-D vector of n_fft//2+1 = "
-                             f"{self.n_fft // 2 + 1} >= 2 bins")
+                             f"{self.n_fft // 2 + 1} bins")
         bound = 10.0 ** (RESPONSE_BOUND_DB / 20.0)
         if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
             raise ValueError(f"{what} gains must be finite and positive")
@@ -65,16 +66,13 @@ def _require(ok: bool, field: str, value, need: str) -> None:
         raise ValueError(f"{field}: must be {need}, got {value!r}")
 
 
-def check_grid(seed, sample_rate, n_fft, hop, duration) -> None:
-    """Check the fields that fix a dataset's random draws, length and STFT grid,
-    as ``SimConfig`` does; responses can be drawn from them once this passes.
-    A recording must hold one frame, so n_fft is bounded before the window of
-    the hop check is built."""
+def check_grid(seed, sample_rate, n_fft, hop, duration) -> int:
+    """Check the fields that fix a dataset's random draws, length and STFT grid
+    (``dsp.check_grid``), as ``SimConfig`` does, and return the sample rate as
+    ``int``; responses can be drawn from them then. A recording must hold one
+    frame, so n_fft is bounded before the window of the hop check is built."""
     _require(isinstance(seed, Integral) and seed >= 0, "seed", seed, "an integer >= 0")
-    _require(isinstance(sample_rate, Integral) and sample_rate >= 1, "sample_rate",
-             sample_rate, "an integer >= 1")
-    _require(isinstance(n_fft, Integral) and n_fft >= 16 and n_fft % 2 == 0, "n_fft",
-             n_fft, "an even integer >= 16")
+    sample_rate = dsp.check_grid(n_fft, hop, sample_rate)
     _require(isinstance(duration, Real) and np.isfinite(duration) and duration > 0,
              "duration", duration, "finite and > 0")
     if duration * sample_rate < n_fft:
@@ -83,9 +81,9 @@ def check_grid(seed, sample_rate, n_fft, hop, duration) -> None:
     if duration * sample_rate > MAX_FLOAT32_SAMPLES:
         raise ValueError(f"duration: {duration} s at {sample_rate} Hz is more than the "
                          f"{MAX_FLOAT32_SAMPLES} samples a float32 WAV file can hold")
-    _require(isinstance(hop, Integral)
-             and dsp.overlap_add_invertible(dsp.hann(n_fft), hop),
-             "hop", hop, f"a hop in 1..{n_fft} whose Hann overlap-add inverts stably")
+    _require(dsp.overlap_add_invertible(dsp.hann(n_fft), hop), "hop", hop,
+             f"a hop in 1..{n_fft} whose Hann overlap-add inverts stably")
+    return sample_rate
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "environments", tuple(self.environments))
-        check_grid(self.seed, self.sample_rate, self.n_fft, self.hop, self.duration)
+        object.__setattr__(self, "sample_rate", check_grid(
+            self.seed, self.sample_rate, self.n_fft, self.hop, self.duration))
         _require(self.source in SOURCES, "source", self.source, f"one of {SOURCES}")
         _require(isinstance(self.num_recordings, Integral)
                  and 1 <= self.num_recordings <= MAX_RECORDINGS, "num_recordings",
@@ -173,21 +172,15 @@ def read_config(path) -> SimConfig:
     error names the file, and the key if it has one."""
     sec = _read_sim_section(path)
     get = {bool: sec.getboolean, int: sec.getint, float: sec.getfloat, str: sec.get}
-
-    def keyed(key, make):
-        try:
-            return make()
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-
-    try:
+    try:  # not files.named: "[sim]" and the key are joined by a space, not ": "
         for key in sec:
             if key not in CONFIG_DEFAULTS:
                 raise ValueError(f"{key}: unknown key; the keys are {', '.join(CONFIG_DEFAULTS)}")
         v = {}
         for key, default in CONFIG_DEFAULTS.items():
             default = v["n_fft"] // 4 if key == "hop" else default
-            v[key] = keyed(key, lambda: get[type(default)](key, default))
+            with files.named(key):
+                v[key] = get[type(default)](key, default)
         # SimConfig checks its fields; these keys are not fields as they are read.
         for key in ("response_db", "environment_db"):
             _require(np.isfinite(v[key]), key, v[key], "finite")
@@ -199,15 +192,17 @@ def read_config(path) -> SimConfig:
         seed, sample_rate, n_fft = v["seed"], v["sample_rate"], v["n_fft"]
         # The responses are drawn from the grid, so it is checked first.
         check_grid(seed, sample_rate, n_fft, v["hop"], v["duration"])
-        v["devices"] = keyed("response_db", lambda: tuple(
-            make_smooth_response(seed * 1000003 + 7 + i, v["response_db"], n_fft, sample_rate,
-                                 device_id=name) if v["response_db"] > 0
-            else flat_response(name, n_fft, sample_rate)
-            for i, name in enumerate(v["devices"].replace(",", " ").split())))
-        v["environments"] = keyed("environment_db", lambda: tuple(
-            make_smooth_environment(seed * 7919 + 13 + j, v["environment_db"], n_fft,
-                                    sample_rate, scene_id=f"e{j}")
-            for j in range(v["environments"])))
+        with files.named("response_db"):
+            v["devices"] = tuple(
+                make_smooth_response(seed * 1000003 + 7 + i, v["response_db"], n_fft,
+                                     sample_rate, device_id=name) if v["response_db"] > 0
+                else flat_response(name, n_fft, sample_rate)
+                for i, name in enumerate(v["devices"].replace(",", " ").split()))
+        with files.named("environment_db"):
+            v["environments"] = tuple(
+                make_smooth_environment(seed * 7919 + 13 + j, v["environment_db"], n_fft,
+                                        sample_rate, scene_id=f"e{j}")
+                for j in range(v["environments"]))
         return SimConfig(**{field.name: v[field.name] for field in fields(SimConfig)})
     except ValueError as exc:
         raise ValueError(f"{path}: [sim] {exc}") from None

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import files
-from .dsp import ForwardReader, Waveform
+from .dsp import ForwardReader, Waveform, check_grid
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -100,8 +100,10 @@ def _read_info(f, path) -> WavInfo:
                              f"with {channels} channel(s) of {bits}-bit samples")
     if data[1] % frame_bytes != 0:
         raise AudioFileError(f"{path}: truncated file in chunk 'data'")
-    if sample_rate == 0:
-        raise AudioFileError(f"{path}: sample_rate must be positive, got 0")
+    try:
+        check_grid(sample_rate=sample_rate)
+    except ValueError as exc:  # an unreadable header: exit 2, as for any other
+        raise AudioFileError(f"{path}: {exc}") from None
     return WavInfo(sample_rate, channels, data[1] // frame_bytes, dtype, scale, data[0])
 
 
@@ -235,7 +237,9 @@ class create_wav:
     def __init__(self, path, sample_rate: int, samples: int):
         if not 0 <= samples <= MAX_FLOAT32_SAMPLES:
             raise ValueError(f"{path}: {samples} samples do not fit a float32 WAV file")
-        if not 0 < sample_rate * 4 < 2**32:
+        with files.named(path):
+            sample_rate = check_grid(sample_rate=sample_rate)
+        if sample_rate * 4 >= 2**32:
             raise ValueError(f"{path}: sample rate {sample_rate} Hz does not fit a WAV header")
         payload = samples * 4
         fmt = struct.pack("<HHIIHH", _IEEE_FLOAT, 1, sample_rate, sample_rate * 4, 4, 32)

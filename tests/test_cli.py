@@ -341,6 +341,9 @@ def test_apply_rejects_sample_rate_mismatch(tmp_path, capsys):
 
 def _random_coefficients(path, sample_rate=SR, n_fft=N_FFT):
     gains = np.exp(np.random.default_rng(92).uniform(-1.0, 1.0, n_fft // 2 + 1))
+    if n_fft % 2:  # CorrectionCoefficients refuses an odd n_fft: the file is written by hand
+        assert sample_rate == SR
+        return _write_small_coefficients(path, n_fft, gains)
     files.write_coefficients(path, sc.CorrectionCoefficients(gains, n_fft, sample_rate, "b",
                                                              "a", 1, "aligned"))
     return path
@@ -1558,9 +1561,25 @@ def test_coefficients_with_n_fft_below_16_are_named_and_exit_1(n_fft, gains, com
         argv = ["design-fir", "--coeffs", str(coeffs), "--out", str(tmp_path / "b.filt"),
                 "--taps", "3"]
     assert main(argv) == 1
-    assert capsys.readouterr().err == (f"error: {coeffs}: n_fft must be >= 16, the smallest "
-                                       f"STFT, got {n_fft}\n")
+    assert capsys.readouterr().err == (f"error: {coeffs}: n_fft must be an even integer >= 16, "
+                                       f"got {n_fft}\n")
     assert not (tmp_path / "b.filt").exists()
+
+
+@pytest.mark.parametrize("command", ["design-fir", "verify", "features"])
+def test_coefficients_with_an_odd_n_fft_are_named_and_exit_1(command, sim_dir, tmp_path,
+                                                             capsys):
+    # n_fft 17 has the 9 bins of n_fft 16: only the grid rule refuses the file.
+    coeffs = _write_small_coefficients(tmp_path / "coeffs" / "b.coeffs", 17, [1.0] * 9)
+    out = tmp_path / "out"
+    argv = {"design-fir": ["--coeffs", str(coeffs), "--taps", "3", "--out", str(out)],
+            "verify": ["--sim-dir", str(sim_dir), "--coeffs-dir", str(coeffs.parent)],
+            "features": ["--manifest", str(sim_dir / "manifest.tsv"), "--coeffs-dir",
+                         str(coeffs.parent), "--out", str(out)]}[command]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err  # features first notes that device a has no file
+    assert err.endswith(f"error: {coeffs}: n_fft must be an even integer >= 16, got 17\n"), err
+    assert not out.exists()
 
 
 def test_design_fir_refuses_coefficients_whose_device_is_not_a_token(tmp_path, capsys):

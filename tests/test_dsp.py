@@ -1,7 +1,11 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speccor as sc
 from speccor.dsp import BLOCK_FRAMES
@@ -182,12 +186,13 @@ def test_apply_gains_makes_no_full_length_temporaries():
 
 
 def test_amplitude_modulus_and_phase_invariance():
-    bins = np.array([[3 + 4j, 0 + 0j, 1 - 1j]])
-    spec = sc.ComplexSpectrogram(bins, 4, 1, 100)
+    bins = np.zeros((1, 9), complex)  # n_fft 16, the smallest grid
+    bins[0, :3] = [3 + 4j, 0 + 0j, 1 - 1j]
+    spec = sc.ComplexSpectrogram(bins, 16, 1, 100)
     mags = sc.amplitude(spec)
     assert mags.mags[0, 0] == 5.0
     assert mags.mags[0, 1] == 0.0
-    rotated = sc.ComplexSpectrogram(bins * np.exp(0.7j), 4, 1, 100)
+    rotated = sc.ComplexSpectrogram(bins * np.exp(0.7j), 16, 1, 100)
     assert np.allclose(sc.amplitude(rotated).mags, mags.mags, rtol=0, atol=1e-15)
     assert mags.hop == spec.hop and mags.sample_rate == spec.sample_rate
 
@@ -370,3 +375,94 @@ def test_fft_convolve_equals_fftconvolve(n, m):
     taps = rng.standard_normal(m)
     out = sc.convolve(sc.Waveform(x, SR), taps, method="fft").samples
     assert np.array_equal(out, signal.fftconvolve(x, taps))
+
+
+# -- one STFT grid rule (dsp.check_grid) at every entry that takes a grid ----------
+
+GRID_MESSAGES = {"n_fft": "n_fft must be an even integer >= 16, got {}",
+                 "hop": "hop must be >= 1, got {}",
+                 "sample_rate": "sample_rate must be a positive whole number, got {}"}
+_NEGATIVE, _FLOATS = st.integers(-2**40, -1), st.floats(allow_nan=True, allow_infinity=True)
+# n_fft up to 512 and hops up to n_fft/4, so that every legal hop inverts stably.
+LEGAL_GRID = {"n_fft": st.integers(8, 256).map(lambda half: 2 * half),
+              "hop": st.integers(1, 4),
+              "sample_rate": st.integers(1, 192000) | st.integers(1, 192000).map(float)}
+# Odd, small, zero, negative, fractional and bool values: a float n_fft or hop,
+# even a whole one, is no integer.
+ILLEGAL_GRID = {
+    "n_fft": st.one_of(st.integers(8, 256).map(lambda half: 2 * half + 1), st.integers(1, 15),
+                       st.just(0), _NEGATIVE, _FLOATS, st.booleans()),
+    "hop": st.one_of(st.just(0), _NEGATIVE, _FLOATS, st.booleans()),
+    "sample_rate": st.one_of(st.just(0), _NEGATIVE, st.booleans(),
+                             _FLOATS.filter(lambda x: not (x >= 1 and x.is_integer()))),
+}
+_SILENCE = sc.Waveform(np.zeros(512), 8000)  # one frame of the largest legal n_fft
+
+
+def _created_wav_rate(path, sample_rate):
+    with sc.create_wav(path, sample_rate, 0):
+        pass
+    return sc.wavio.read_wav_info(path).sample_rate
+
+
+# Each entry: the grid quantities it takes, and a call on the arguments ``g``
+# that returns the sample rate it stores, if it takes one.
+GRID_ENTRIES = {
+    "check_grid": ("n_fft hop sample_rate",
+                   lambda g: sc.dsp.check_grid(g.n_fft, g.hop, g.sample_rate)),
+    "frame_count": ("n_fft hop", lambda g: sc.dsp.frame_count(512, g.n_fft, g.hop)),
+    "stft": ("n_fft hop", lambda g: sc.stft(_SILENCE, g.n_fft, g.hop)),
+    "apply_gains": ("n_fft hop",
+                    lambda g: sc.apply_gains(_SILENCE, [np.ones(g.bins)], g.n_fft, g.hop)),
+    "waveform_log_sum": ("n_fft hop", lambda g: sc.waveform_log_sum(_SILENCE, g.n_fft, g.hop)),
+    "Waveform": ("sample_rate", lambda g: sc.Waveform(np.zeros(4), g.sample_rate).sample_rate),
+    "ComplexSpectrogram": ("n_fft hop sample_rate", lambda g: sc.ComplexSpectrogram(
+        np.zeros((1, g.bins)), g.n_fft, g.hop, g.sample_rate).sample_rate),
+    "AmplitudeSpectrogram": ("n_fft hop sample_rate", lambda g: sc.AmplitudeSpectrogram(
+        np.zeros((1, g.bins)), g.n_fft, g.hop, g.sample_rate).sample_rate),
+    "CorrectionCoefficients": ("n_fft sample_rate", lambda g: sc.CorrectionCoefficients(
+        np.ones(g.bins), g.n_fft, g.sample_rate, "b", "a", 1, "aligned").sample_rate),
+    "DeviceSpectrumStats": ("n_fft sample_rate", lambda g: sc.DeviceSpectrumStats(
+        np.zeros(g.bins), 1, 1, "d", g.n_fft, g.sample_rate).sample_rate),
+    "FirFilter": ("sample_rate", lambda g: sc.FirFilter(
+        np.array([0.25, 0.5, 0.25]), g.sample_rate, 1).sample_rate),
+    "Response": ("n_fft sample_rate", lambda g: sc.Response(
+        np.ones(g.bins), "a", g.n_fft, g.sample_rate).sample_rate),
+    "MelFilterbank": ("n_fft sample_rate", lambda g: sc.MelFilterbank(
+        np.eye(4, g.bins), 4, g.n_fft, g.sample_rate, np.arange(1.0, 5.0)).sample_rate),
+    "mel_filterbank": ("n_fft sample_rate",
+                       lambda g: sc.mel_filterbank(g.sample_rate, g.n_fft, 4).sample_rate),
+    "simulate.check_grid": ("n_fft hop sample_rate", lambda g: sc.simulate.check_grid(
+        0, g.sample_rate, g.n_fft, g.hop, g.duration)),
+    "SimConfig": ("n_fft hop sample_rate", lambda g: sc.SimConfig(
+        0, 1, g.duration, "white", False, (g.device,), (), g.sample_rate, g.n_fft,
+        g.hop).sample_rate),
+    "create_wav": ("sample_rate", lambda g: _created_wav_rate(g.path, g.sample_rate)),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(bad=st.sampled_from([None, *GRID_MESSAGES]), data=st.data())
+def test_every_entry_that_takes_a_grid_accepts_or_refuses_it_alike(bad, data):
+    """One quantity at most is illegal; every entry that takes it refuses it with
+    its one message (create_wav's names the file first), and every other entry
+    accepts the grid and stores the sample rate as the int it equals."""
+    grid = {name: data.draw((ILLEGAL_GRID if name == bad else LEGAL_GRID)[name], label=name)
+            for name in GRID_MESSAGES}
+    legal_n_fft = grid["n_fft"] if bad != "n_fft" else 16
+    legal_rate = grid["sample_rate"] if bad != "sample_rate" else 8000
+    with tempfile.TemporaryDirectory() as tmp:
+        g = SimpleNamespace(**grid, bins=legal_n_fft // 2 + 1, duration=1024 / legal_rate,
+                            device=sc.flat_response("a", legal_n_fft, legal_rate),
+                            path=Path(tmp) / "x.wav")
+        for name, (takes, call) in GRID_ENTRIES.items():
+            if bad in takes.split():
+                with pytest.raises(ValueError) as info:
+                    call(g)
+                assert str(info.value).removeprefix(f"{g.path}: ") == \
+                    GRID_MESSAGES[bad].format(grid[bad]), name
+            elif "sample_rate" in takes:
+                rate = call(g)
+                assert type(rate) is int and rate == grid["sample_rate"], name
+            else:
+                call(g)

@@ -380,7 +380,7 @@ def _curves(bins):
 
 @st.composite
 def _coefficients(draw):
-    n_fft = draw(st.integers(16, 64))
+    n_fft = 2 * draw(st.integers(8, 32))
     return sc.CorrectionCoefficients(draw(_curves(n_fft // 2 + 1)), n_fft, draw(_RATES),
                                      draw(_TOKENS), draw(_TOKENS), draw(st.integers(1, 2**31)),
                                      draw(st.sampled_from(ESTIMATORS)))
@@ -753,9 +753,33 @@ def test_coefficients_and_filter_reject_a_non_positive_sample_rate(tmp_path, kin
     path = tmp_path / f"x.{kind}"
     write(path)
     _rewrite(path, f"sample_rate {SR}\n".encode(), f"sample_rate {rate}\n".encode())
-    with pytest.raises(ValueError, match=re.escape(f"{path}: sample_rate must be positive, "
-                                                   f"got {rate}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sample_rate must be a positive "
+                                                   f"whole number, got {rate}")):
         read(path)
+
+
+def test_coefficients_at_a_whole_float_rate_write_the_int_and_read_back(tmp_path):
+    coeffs = sc.CorrectionCoefficients(np.ones(9), 16, 44100.0, "b", "a", 1, "aligned")
+    assert type(coeffs.sample_rate) is int
+    files.write_coefficients(tmp_path / "x.coeffs", coeffs)
+    assert "\nsample_rate 44100\n" in (tmp_path / "x.coeffs").read_text()
+    assert files.read_coefficients(tmp_path / "x.coeffs").sample_rate == 44100
+
+
+def test_create_wav_names_the_file_of_a_fractional_rate(tmp_path):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: sample_rate must be a positive whole number, got 44100.5")):
+        sc.create_wav(path, 44100.5, 16)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_wav_header_rate_of_0_is_an_audio_file_error_with_the_grid_message(tmp_path):
+    path = tmp_path / "x.wav"
+    wav_file(path, np.zeros((16, 1)), 1, "float32", sample_rate=0)
+    with pytest.raises(AudioFileError, match=re.escape(
+            f"{path}: sample_rate must be a positive whole number, got 0")):
+        wavio.read_wav_info(path)
 
 
 @pytest.mark.parametrize("count", [0, -5])

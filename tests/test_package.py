@@ -111,6 +111,35 @@ def test_only_the_files_helper_publishes_or_removes_a_file():
     assert found == {}
 
 
+def _grid_rules(tree):
+    """The kind of each piece of an STFT grid rule in ``tree``: ``n_fft`` compared
+    with 16, ``n_fft % 2``, or a sample rate compared with 0 or 1."""
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            if name(node.left) == "n_fft" and getattr(node.right, "value", None) == 2:
+                yield "n_fft % 2"
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names = {name(operand) for operand in operands}
+            values = {operand.value for operand in operands if isinstance(operand, ast.Constant)}
+            if "n_fft" in names and 16 in values:
+                yield "n_fft vs 16"
+            if names & {"sample_rate", "rate"} and values & {0, 1}:
+                yield "sample rate vs 0 or 1"
+
+
+def test_only_dsp_holds_the_stft_grid_rule():
+    """``dsp.check_grid`` is the one place that says what an STFT grid is;
+    every other module calls it, so no second rule can drift from it."""
+    found = {path.name: sorted(set(_grid_rules(ast.parse(path.read_text()))))
+             for path in sorted((SRC / "speccor").glob("*.py"))}
+    assert found.pop("dsp.py") == ["n_fft % 2", "n_fft vs 16", "sample rate vs 0 or 1"]
+    assert {name: kinds for name, kinds in found.items() if kinds} == {}
+
+
 # Every option of these callables, and every field of the two grids, with its
 # default. An option that no caller sets is a constant in the code instead (one
 # Hann window, one full-band unit-height mel bank, one float32 WAV writer), so
