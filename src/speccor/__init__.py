@@ -19,9 +19,9 @@ _SUBMODULES = ("cli", "correction", "dsp", "features", "files", "fir", "simulate
 # Public name -> the submodule that defines it.
 _MODULE_OF = {name: module for module, names in {
     "correction": """CorrectionCoefficients DeviceSpectrumStats RecordingSet accumulate_stats
-        apply_to_amplitudes apply_to_complex cms_dataset cms_per_recording estimate_aligned
-        estimate_unaligned log_mean_subtract_per_device real_cepstrum simplified_coefficients
-        waveform_log_sum""",
+        apply_to_amplitudes apply_to_complex cms_dataset cms_per_recording estimate
+        estimate_aligned estimate_unaligned log_mean_subtract_per_device real_cepstrum
+        simplified_coefficients waveform_log_sum""",
     "dsp": """AMPLITUDE_FLOOR MIDBAND_HZ AmplitudeSpectrogram ComplexSpectrogram Waveform
         amplitude apply_gains band_bins bin_frequencies convolve geometric_mean istft stft
         to_db""",

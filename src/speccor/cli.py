@@ -155,8 +155,8 @@ def cmd_estimate(args) -> int:
     paths = [Path(args.out) / f"{device}.coeffs" for device in plan]
 
     # Headers are checked before any audio is read. Each worker then reduces
-    # one file to its per-bin log sum a block of frames at a time; each
-    # device's sums are merged in the plan's order.
+    # one file to its per-bin log sum a block of frames at a time, and
+    # correction.estimate merges each device's sums in the plan's order.
     used = [row for row in rows if row.group] if args.aligned else rows
     headers = _read_headers(args.manifest, used, args.n_fft, args.hop)
     _check_one_rate(args.manifest, headers, per_device=reference == "none")
@@ -175,17 +175,9 @@ def cmd_estimate(args) -> int:
 
     sums = dict(zip(used, _map_files(args.manifest, used, lambda row, audio:
                     correction.waveform_log_sum(audio, args.n_fft, args.hop, row.device))))
-    results = []
-    for ref_rows, own_rows in plan.values():
-        own = [sums[row] for row in own_rows]
-        if ref_rows is None:
-            results.append(correction.simplified_coefficients(correction.merge_stats(own)))
-        elif args.aligned:
-            results.append(correction.aligned_from_sums([sums[r] for r in ref_rows], own))
-        else:
-            results.append(correction.estimate_unaligned(
-                correction.merge_stats([sums[r] for r in ref_rows]),
-                correction.merge_stats(own)))
+    results = [correction.estimate(None if ref_rows is None else [sums[r] for r in ref_rows],
+                                   [sums[row] for row in own_rows], args.aligned)
+               for ref_rows, own_rows in plan.values()]
 
     Path(args.out).mkdir(parents=True, exist_ok=True)
     with files.staged(paths) as part:

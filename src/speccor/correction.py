@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -142,9 +142,6 @@ class RecordingSet:
                 if frames.setdefault(group, t) != t:
                     raise ValueError(f"recordings in group {group!r} differ in frame count")
 
-    def devices(self) -> list:
-        return list(dict.fromkeys(device for _, device, _ in self.items))
-
     def by_device(self) -> dict:
         grouped: dict = {}
         for _, device, spec in self.items:
@@ -193,21 +190,27 @@ def merge_stats(shards: Sequence[DeviceSpectrumStats]) -> DeviceSpectrumStats:
     return reduce(DeviceSpectrumStats.merge, shards)
 
 
-def aligned_from_sums(ref_sums: Sequence[DeviceSpectrumStats],
-                      src_sums: Sequence[DeviceSpectrumStats]) -> CorrectionCoefficients:
-    """Aligned gains from the one-recording statistics of paired recordings.
+def estimate(ref_sums: Optional[Sequence[DeviceSpectrumStats]],
+             src_sums: Sequence[DeviceSpectrumStats],
+             aligned: bool = False) -> CorrectionCoefficients:
+    """One device's gains from one-recording statistics, each side merged in list
+    order: the reference-free gains if ``ref_sums`` is None, else
+    ``estimate_unaligned`` of the two merged sides. With ``aligned``, item i of
+    both lists is one signal captured by both devices; over paired frames the
+    mean log ratio is that same difference of mean log amplitudes."""
+    if aligned:
+        ref_frames = [s.total_frames for s in ref_sums]
+        src_frames = [s.total_frames for s in src_sums]
+        if ref_frames != src_frames:
+            raise ValueError(f"unaligned pairs: reference frame counts {ref_frames}, "
+                             f"source frame counts {src_frames}")
+    if ref_sums is None:
+        return simplified_coefficients(merge_stats(src_sums))
+    coeffs = estimate_unaligned(merge_stats(ref_sums), merge_stats(src_sums))
+    return replace(coeffs, estimator="aligned") if aligned else coeffs
 
-    Item i of both lists is one signal captured by the two devices. Over
-    paired frames, the mean log ratio is the reference's mean log amplitude
-    minus the source's, so this is ``estimate_unaligned`` over the pairs.
-    """
-    ref_frames = [s.total_frames for s in ref_sums]
-    src_frames = [s.total_frames for s in src_sums]
-    if ref_frames != src_frames:
-        raise ValueError(f"unaligned pairs: reference frame counts {ref_frames}, "
-                         f"source frame counts {src_frames}")
-    return replace(estimate_unaligned(merge_stats(ref_sums), merge_stats(src_sums)),
-                   estimator="aligned")
+
+aligned_from_sums = partial(estimate, aligned=True)
 
 
 def accumulate_stats(specs: Sequence[AmplitudeSpectrogram],
@@ -230,8 +233,8 @@ def estimate_aligned(pairs, reference_device: str = "ref",
     reference/source amplitude ratio; AMPLITUDE_FLOOR is applied to both sides.
     """
     pairs = list(pairs)
-    return aligned_from_sums([log_amplitude_sum(ref, reference_device) for ref, _ in pairs],
-                             [log_amplitude_sum(src, source_device) for _, src in pairs])
+    return estimate([log_amplitude_sum(ref, reference_device) for ref, _ in pairs],
+                    [log_amplitude_sum(src, source_device) for _, src in pairs], aligned=True)
 
 
 def estimate_unaligned(ref_stats: DeviceSpectrumStats,

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from .dsp import check_grid
+
 if TYPE_CHECKING:  # imported where they are built, so a reader of one format loads no other
     from .correction import CorrectionCoefficients
     from .features import FeatureTensor
@@ -346,6 +348,7 @@ def read_features(path) -> FeatureTensor:
 def write_responses(path, sample_rate: int, n_fft: int,
                     devices: dict, environments: Optional[dict] = None) -> None:
     """Persist named per-bin gain curves (device and environment truth)."""
+    sample_rate = check_grid(n_fft, None, sample_rate)
     curves = {"device": devices, "environment": environments or {}}
     lines = [RESPONSES_MAGIC, _field_line("sample_rate", sample_rate), _field_line("n_fft", n_fft)]
     for kind, what in _RESPONSE_KINDS:
@@ -362,6 +365,7 @@ def read_responses(path):
     with named(path):
         reader = _LineReader(path, RESPONSES_MAGIC)
         sample_rate, n_fft = reader.field("sample_rate", int), reader.field("n_fft", int)
+        check_grid(n_fft, None, sample_rate)
         bins = n_fft // 2 + 1
 
         def read_block(kind: str, what: str) -> dict:

@@ -12,7 +12,6 @@ import pytest
 import speccor as sc
 from speccor import files
 from speccor.cli import main
-from speccor.correction import merge_stats
 from speccor.simulate import truth_error_db
 
 from conftest import (SR, N_FFT, HOP, aligned_pairs, max_db_error,
@@ -104,7 +103,7 @@ def _unaligned_error(seed, recordings, source):
     sums = {"a": [], "b": []}
     for rec in sc.generate_dataset(cfg).waveforms:
         sums[rec.device_id].append(sc.waveform_log_sum(rec.waveform, N_FFT, HOP, rec.device_id))
-    coeffs = sc.estimate_unaligned(merge_stats(sums["a"]), merge_stats(sums["b"]))
+    coeffs = sc.estimate(sums["a"], sums["b"])
     return truth_error_db(coeffs, SR, N_FFT, {d.name: d.gains for d in devices})
 
 

@@ -213,29 +213,38 @@ def test_an_empty_manifest_path_is_named_before_reading_audio(command, sim_dir, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("reference", ["a", "none"])
+@pytest.mark.parametrize("reference", ["a", "none", "a --aligned"])
 def test_estimate_equals_per_file_shards_merged_in_manifest_order(reference, sim_dir,
                                                                  tmp_path):
     # The library route for sharded estimation: one waveform_log_sum per file,
-    # merged per device in manifest order, gives the bits the CLI writes.
-    stats = {}
-    for row in files.read_manifest(sim_dir / "manifest.tsv"):
-        shard = sc.waveform_log_sum(sc.read_wav(sim_dir / row.path), N_FFT, HOP, row.device)
-        stats[row.device] = stats[row.device].merge(shard) if row.device in stats else shard
-    out = tmp_path / "out"
-    assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"),
+    # and sc.estimate over each device's shards in manifest order, writes the
+    # bytes the CLI writes.
+    reference, *flags = reference.split()
+    aligned = bool(flags)
+    rows = files.read_manifest(sim_dir / "manifest.tsv")
+    shards = {row: sc.waveform_log_sum(sc.read_wav(sim_dir / row.path), N_FFT, HOP, row.device)
+              for row in rows}
+    out, want = tmp_path / "out", tmp_path / "want"
+    assert main(["estimate", "--manifest", str(sim_dir / "manifest.tsv"), *flags,
                  "--reference-device", reference, "--out", str(out)]) == 0
-    for device, device_stats in stats.items():
-        if reference == "none":
-            want = sc.simplified_coefficients(device_stats)
-        elif device != reference:
-            want = sc.estimate_unaligned(stats[reference], device_stats)
-        else:
+    want.mkdir()
+    for device in dict.fromkeys(row.device for row in rows):
+        own = [row for row in rows if row.device == device]
+        if device == reference:
             assert not (out / f"{device}.coeffs").exists()
             continue
-        got = files.read_coefficients(out / f"{device}.coeffs")
-        assert np.array_equal(got.gains, want.gains), device
-        assert got.num_recordings == device_stats.num_recordings == 3
+        if reference == "none":
+            ref = None
+        elif aligned:  # the reference's shard of each group the device is in
+            ref = [shards[row] for mine in own for row in rows
+                   if row.device == reference and row.group == mine.group]
+        else:
+            ref = [shards[row] for row in rows if row.device == reference]
+        coeffs = sc.estimate(ref, [shards[row] for row in own], aligned)
+        assert coeffs.num_recordings == len(own) == 3
+        files.write_coefficients(want / f"{device}.coeffs", coeffs)
+        assert (out / f"{device}.coeffs").read_bytes() == \
+            (want / f"{device}.coeffs").read_bytes(), device
 
 
 @pytest.mark.parametrize("command", ["estimate", "features"])
@@ -1541,9 +1550,10 @@ def _write_small_coefficients(path, n_fft, gains):
 
 
 def _write_n_fft_0_pair(root):
-    """A responses.txt and a b.coeffs that both have n_fft 0 and one gain."""
+    """A legal responses.txt (n_fft 16) and a b.coeffs with n_fft 0 and one gain."""
     (root / "sim").mkdir(parents=True)
-    files.write_responses(root / "sim" / "responses.txt", SR, 0, {"a": [1.0], "b": [1.0]})
+    files.write_responses(root / "sim" / "responses.txt", SR, 16,
+                          {"a": [1.0] * 9, "b": [1.0] * 9})
     _write_small_coefficients(root / "coeffs" / "b.coeffs", 0, [1.0])
     return root / "sim", root / "coeffs"
 
@@ -1564,6 +1574,26 @@ def test_coefficients_with_n_fft_below_16_are_named_and_exit_1(n_fft, gains, com
     assert capsys.readouterr().err == (f"error: {coeffs}: n_fft must be an even integer >= 16, "
                                        f"got {n_fft}\n")
     assert not (tmp_path / "b.filt").exists()
+
+
+@pytest.mark.parametrize("line,edited,message", [
+    ("n_fft 16", "n_fft 17", "n_fft must be an even integer >= 16, got 17"),
+    (f"sample_rate {SR}", "sample_rate 0", "sample_rate must be a positive whole number, got 0")],
+    ids=["n_fft-17", "sample_rate-0"])
+def test_verify_names_a_responses_file_off_the_grid(line, edited, message, tmp_path, capsys):
+    # n_fft 17 has the 9 bins of n_fft 16, so only the grid rule refuses the file;
+    # b.coeffs is legal and must not be blamed.
+    responses = tmp_path / "sim" / "responses.txt"
+    responses.parent.mkdir()
+    files.write_responses(responses, SR, 16, {"a": [1.0] * 9, "b": [1.0] * 9})
+    text = responses.read_text()
+    assert f"\n{line}\n" in text
+    responses.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+    coeffs = _write_small_coefficients(tmp_path / "coeffs" / "b.coeffs", 16, [1.0] * 9)
+    assert main(["verify", "--sim-dir", str(responses.parent),
+                 "--coeffs-dir", str(coeffs.parent)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {responses}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["design-fir", "verify", "features"])

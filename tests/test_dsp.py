@@ -405,6 +405,18 @@ def _created_wav_rate(path, sample_rate):
     return sc.wavio.read_wav_info(path).sample_rate
 
 
+def _written_responses_rate(path, n_fft, sample_rate):
+    sc.files.write_responses(path, sample_rate, n_fft, {})
+    return sc.files.read_responses(path)[0]
+
+
+def _read_responses_rate(path, n_fft, sample_rate):
+    # Written by hand: write_responses refuses the grids its reader must refuse.
+    path.write_text(f"{sc.files.RESPONSES_MAGIC}\nsample_rate {sample_rate}\nn_fft {n_fft}\n"
+                    "devices 0\nenvironments 0\n")
+    return sc.files.read_responses(path)[0]
+
+
 # Each entry: the grid quantities it takes, and a call on the arguments ``g``
 # that returns the sample rate it stores, if it takes one.
 GRID_ENTRIES = {
@@ -438,15 +450,23 @@ GRID_ENTRIES = {
         0, 1, g.duration, "white", False, (g.device,), (), g.sample_rate, g.n_fft,
         g.hop).sample_rate),
     "create_wav": ("sample_rate", lambda g: _created_wav_rate(g.path, g.sample_rate)),
+    "write_responses": ("n_fft sample_rate",
+                        lambda g: _written_responses_rate(g.path, g.n_fft, g.sample_rate)),
+    "read_responses": ("n_fft sample_rate",
+                       lambda g: _read_responses_rate(g.path, g.n_fft, g.sample_rate)),
 }
+# Entries that read the grid from a text header, which holds only integers: they
+# are called only when every quantity they take is drawn as an int.
+TEXT_ENTRIES = {"read_responses"}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(bad=st.sampled_from([None, *GRID_MESSAGES]), data=st.data())
 def test_every_entry_that_takes_a_grid_accepts_or_refuses_it_alike(bad, data):
     """One quantity at most is illegal; every entry that takes it refuses it with
-    its one message (create_wav's names the file first), and every other entry
-    accepts the grid and stores the sample rate as the int it equals."""
+    its one message (create_wav and read_responses name the file first), and
+    every other entry accepts the grid and stores the sample rate as the int it
+    equals."""
     grid = {name: data.draw((ILLEGAL_GRID if name == bad else LEGAL_GRID)[name], label=name)
             for name in GRID_MESSAGES}
     legal_n_fft = grid["n_fft"] if bad != "n_fft" else 16
@@ -456,6 +476,8 @@ def test_every_entry_that_takes_a_grid_accepts_or_refuses_it_alike(bad, data):
                             device=sc.flat_response("a", legal_n_fft, legal_rate),
                             path=Path(tmp) / "x.wav")
         for name, (takes, call) in GRID_ENTRIES.items():
+            if name in TEXT_ENTRIES and any(type(grid[q]) is not int for q in takes.split()):
+                continue
             if bad in takes.split():
                 with pytest.raises(ValueError) as info:
                     call(g)

@@ -401,7 +401,7 @@ _FEATURES = st.builds(
 @st.composite
 def _responses(draw):
     """(sample_rate, n_fft, devices, environments), as read_responses gives them."""
-    n_fft = draw(st.integers(0, 64))
+    n_fft = 2 * draw(st.integers(8, 32))
     curves = st.dictionaries(_TOKENS, _curves(n_fft // 2 + 1), max_size=3)
     return draw(_RATES), n_fft, draw(curves), draw(curves)
 
@@ -628,13 +628,13 @@ def test_responses_file_names_the_expected_entry_form(tmp_path, entry):
 
 
 @pytest.mark.parametrize("gain", ["nan", "inf", "0", "-0.5"])
-@pytest.mark.parametrize("kind,name,line", [("device", "b", 9), ("environment", "e0", 14)])
+@pytest.mark.parametrize("kind,name,line", [("device", "b", 15), ("environment", "e0", 26)])
 def test_responses_file_refuses_gains_that_are_not_finite_and_positive(tmp_path, kind, name,
                                                                       line, gain):
     path = tmp_path / "responses.txt"
     _write_responses(path)
     lines = path.read_text().splitlines()
-    assert lines[line - 1] == f"{kind} {name} 3"
+    assert lines[line - 1] == f"{kind} {name} 9"
     lines[line + 1] = gain
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(
@@ -721,8 +721,8 @@ def test_feature_header_its_reader_would_refuse_is_not_written(tmp_path, name, v
 
 
 def _write_responses(path):
-    files.write_responses(path, SR, 4, {"a": [1.0, 2.0, 0.5], "b": [1.0, 1.0, 1.0]},
-                          {"e0": [0.5, 1.0, 2.0]})
+    files.write_responses(path, SR, 16, {"a": [1.0, 2.0, 0.5] * 3, "b": [1.0] * 9},
+                          {"e0": [0.5, 1.0, 2.0] * 3})
 
 
 # One small valid file per format, and the reader that parses it.
@@ -802,7 +802,7 @@ def test_coefficients_and_filter_refuse_a_count_below_one(tmp_path, count):
     ("coeffs", "source_device b", "source_device b c", "source_device"),
     ("filt", f"sample_rate {SR}", f"sample_rate  {SR}", "sample_rate"),
     ("feat", "stats_id device:b", "stats_id device: b", "stats_id"),
-    ("responses", "device a 3", "device \t 3", "device id"),
+    ("responses", "device a 9", "device \t 9", "device id"),
 ])
 def test_readers_refuse_a_header_value_that_is_not_a_token(tmp_path, kind, line, edited, what):
     # Each writer refuses such a value, so no reader takes one either.
@@ -833,7 +833,7 @@ _NOT_WRITTEN_INTS = {
 @pytest.mark.parametrize("kind,line", [
     ("coeffs", f"sample_rate {SR}"), ("coeffs", "gains 9"), ("filt", f"sample_rate {SR}"),
     ("filt", "taps 5"), ("feat", "frames 3"), ("responses", f"sample_rate {SR}"),
-    ("responses", "n_fft 4"), ("responses", "devices 2"),
+    ("responses", "n_fft 16"), ("responses", "devices 2"),
 ])
 def test_readers_refuse_an_integer_that_str_does_not_write(tmp_path, kind, line, value):
     write, read = FORMATS[kind]
@@ -847,14 +847,14 @@ def test_readers_refuse_an_integer_that_str_does_not_write(tmp_path, kind, line,
 
 
 @pytest.mark.parametrize("length,message", [
-    ("+3", "expected a 'device <name> <bins>' entry, got 'device a +3'"),
-    ("03", "device 'a' gain count must be a decimal integer, got '03'"),
-    ("\u0663", "device 'a' gain count must be a decimal integer, got '\u0663'"),
+    ("+9", "expected a 'device <name> <bins>' entry, got 'device a +9'"),
+    ("09", "device 'a' gain count must be a decimal integer, got '09'"),
+    ("\u0669", "device 'a' gain count must be a decimal integer, got '\u0669'"),
 ], ids=["plus", "leading-zero", "arabic-indic"])
 def test_responses_entry_length_is_a_decimal_integer(tmp_path, length, message):
     path = tmp_path / "responses.txt"
     _write_responses(path)
-    _rewrite(path, b"\ndevice a 3\n", f"\ndevice a {length}\n".encode())
+    _rewrite(path, b"\ndevice a 9\n", f"\ndevice a {length}\n".encode())
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         files.read_responses(path)
 

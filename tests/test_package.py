@@ -140,6 +140,34 @@ def test_only_dsp_holds_the_stft_grid_rule():
     assert {name: kinds for name, kinds in found.items() if kinds} == {}
 
 
+def _named(tree):
+    """Every name that ``tree`` reads, imports or reaches as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_only_correction_estimate_turns_statistics_into_coefficients():
+    """``cmd_estimate`` hands each device's statistics to ``correction.estimate``
+    and names no estimator itself; the aligned frame check lives in ``estimate``
+    alone, so the CLI and the library cannot estimate two ways."""
+    cli_names = set(_named(ast.parse((SRC / "speccor" / "cli.py").read_text())))
+    assert "estimate" in cli_names
+    assert cli_names & {"simplified_coefficients", "estimate_unaligned", "aligned_from_sums",
+                        "merge_stats"} == set()
+    holders = sorted((path.name, func.name)
+                     for path in sorted((SRC / "speccor").glob("*.py"))
+                     for func in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(func, ast.FunctionDef) and any(
+                         isinstance(node, ast.Constant) and "unaligned pairs" in str(node.value)
+                         for node in ast.walk(func)))
+    assert holders == [("correction.py", "estimate")]
+
+
 # Every option of these callables, and every field of the two grids, with its
 # default. An option that no caller sets is a constant in the code instead (one
 # Hann window, one full-band unit-height mel bank, one float32 WAV writer), so
