@@ -117,14 +117,14 @@ def _check_stft_flags(n_fft, hop, n_mels=1) -> None:
 
 
 def _read_headers(manifest_path, rows, n_fft, hop) -> dict:
-    """Map each row to (STFT frame count, sample rate), read once from its file's
-    header before any audio; a file too short for one frame is named."""
+    """Map each row to (STFT frame count, ``wavio.WavInfo``), read once from its
+    file's header before any audio; a file too short for one frame is named."""
     headers = {}
     for row in rows:
         path = _resolve(manifest_path, row.path)
         info = wavio.read_wav_info(path)
         with files.named(path):
-            headers[row] = (dsp.frame_count(info.samples, n_fft, hop), info.sample_rate)
+            headers[row] = (dsp.frame_count(info.samples, n_fft, hop), info)
     return headers
 
 
@@ -132,13 +132,13 @@ def _check_one_rate(manifest_path, headers, per_device) -> None:
     """The files must share one sample rate (with per_device, one per device);
     a file that differs is named with its device and group."""
     first = {}
-    for row, (_, rate) in headers.items():
-        anchor, want = first.setdefault(row.device if per_device else None, (row, rate))
-        if rate != want:
+    for row, (_, info) in headers.items():
+        anchor, want = first.setdefault(row.device if per_device else None, (row, info))
+        if info.sample_rate != want.sample_rate:
             group = f" in group {row.group!r}" if row.group else ""
             raise ValueError(f"{_resolve(manifest_path, row.path)}: mixed sample rates: "
-                             f"device {row.device!r}{group} is at {rate} Hz, {anchor.path} "
-                             f"(device {anchor.device!r}) at {want} Hz")
+                             f"device {row.device!r}{group} is at {info.sample_rate} Hz, "
+                             f"{anchor.path} (device {anchor.device!r}) at {want.sample_rate} Hz")
 
 
 def cmd_estimate(args) -> int:
@@ -198,10 +198,8 @@ def cmd_apply(args) -> int:
     # Every check is made before --out is created; the output is then written
     # while the input is read, a block of frames at a time.
     with wavio.open_wav(args.input) as audio:
-        if audio.sample_rate != coeffs.sample_rate:
-            raise ValueError(f"sample_rate mismatch: audio is {audio.sample_rate} Hz, "
-                             f"coefficients are for {coeffs.sample_rate} Hz "
-                             f"(--in {args.input}, --coeffs {args.coeffs})")
+        with files.named(f"--in {args.input}, --coeffs {args.coeffs}"):
+            dsp.check_match(("sample_rate",), ("audio", audio), ("coefficients", coeffs))
         with files.named(args.input):
             dsp.frame_count(len(audio), coeffs.n_fft, hop)
         with files.named(f"--hop {hop}"):  # with the length checked, only the hop can fail
@@ -238,11 +236,7 @@ def cmd_filter(args) -> int:
     # As in apply, every check is made before --out is created; the output is
     # then written while the input is read, a segment at a time.
     with wavio.open_wav(args.input) as audio:
-        if audio.sample_rate != filt.sample_rate:
-            raise ValueError(f"sample_rate mismatch: audio is {audio.sample_rate} Hz, "
-                             f"filter is for {filt.sample_rate} Hz "
-                             f"(--in {args.input}, --filter {args.filter})")
-        with files.named(f"--in {args.input}"):
+        with files.named(f"--in {args.input}, --filter {args.filter}"):
             blocks = fir.filter_blocks(filt, audio, compensate)
         length = fir.filtered_length(filt, len(audio), compensate)
         with wavio.create_wav(args.out, audio.sample_rate, length) as out:
@@ -313,9 +307,8 @@ def cmd_features(args) -> int:
             path = Path(args.coeffs_dir) / f"{device}.coeffs"
             if path.exists():
                 coeffs = files.read_coefficients(path)
-                if coeffs.n_fft != args.n_fft:
-                    raise ValueError(f"{path}: coefficients are for n_fft={coeffs.n_fft}, "
-                                     f"--n-fft is {args.n_fft}")
+                with files.named(path):
+                    dsp.check_match(("n_fft",), ("coefficients", coeffs), ("--n-fft", args))
                 if coeffs.source_device != device:
                     raise ValueError(f"{path}: coefficients are for device "
                                      f"{coeffs.source_device!r}, not {device!r}")
@@ -327,14 +320,13 @@ def cmd_features(args) -> int:
     # Every header and coefficient sample rate is checked, and one filterbank
     # built per sample rate, before any audio is read or --out is created.
     headers = _read_headers(args.manifest, rows, args.n_fft, args.hop)
-    for row, (_, rate) in headers.items():
-        coeffs = coeffs_by_device.get(row.device)
-        if coeffs is not None and coeffs.sample_rate != rate:
-            path = Path(args.coeffs_dir) / f"{row.device}.coeffs"
-            raise ValueError(f"{path}: coefficients are for {coeffs.sample_rate} Hz, "
-                             f"{_resolve(args.manifest, row.path)} is at {rate} Hz")
+    for row, (_, info) in headers.items():
+        if row.device in coeffs_by_device:
+            with files.named(Path(args.coeffs_dir) / f"{row.device}.coeffs"):
+                dsp.check_match(("sample_rate",), ("coefficients", coeffs_by_device[row.device]),
+                                (str(_resolve(args.manifest, row.path)), info))
     fbs = {rate: features.mel_filterbank(rate, args.n_fft, args.n_mels)
-           for rate in {rate for _, rate in headers.values()}}
+           for rate in {info.sample_rate for _, info in headers.values()}}
 
     # One pass writes every .feat part once, under its final header (with
     # --standardize, its normalization and statistics group); the statistics

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dsp import (AMPLITUDE_FLOOR, AmplitudeSpectrogram, Spectrogram, Waveform, _fold_rows,
-                  _magnitude_blocks, check_grid)
+                  _magnitude_blocks, check_bins, check_count, check_grid, check_match)
 
 ESTIMATORS = ("aligned", "unaligned", "simplified")
 
@@ -32,31 +32,17 @@ class CorrectionCoefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_rate", check_grid(self.n_fft, None, self.sample_rate))
-        gains = np.asarray(self.gains, dtype=np.float64)
-        if gains.ndim != 1 or gains.size != self.n_fft // 2 + 1:
-            raise ValueError(
-                f"gains must have length n_fft//2+1 = {self.n_fft // 2 + 1}, "
-                f"got shape {gains.shape}")
+        gains = check_bins("gains", self.gains, self.n_fft)
         if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
             raise ValueError("gains must be finite and strictly positive")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.num_recordings < 1:
-            raise ValueError(f"num_recordings must be >= 1, got {self.num_recordings}")
+        check_count("num_recordings", self.num_recordings)
         object.__setattr__(self, "gains", gains)
 
     @property
     def freq_bins(self) -> int:
         return self.gains.size
-
-    def check_applies_to(self, freq_bins: int, sample_rate: int) -> None:
-        """Raise unless the gains fit a spectrogram of freq_bins bins at sample_rate Hz."""
-        if freq_bins != self.freq_bins:
-            raise ValueError(f"bin mismatch: spectrogram has {freq_bins} bins, "
-                             f"coefficients have {self.freq_bins}")
-        if sample_rate != self.sample_rate:
-            raise ValueError(f"sample_rate mismatch: spectrogram is {sample_rate} Hz, "
-                             f"coefficients are for {self.sample_rate} Hz")
 
 
 @dataclass(frozen=True)
@@ -77,17 +63,11 @@ class DeviceSpectrumStats:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_rate", check_grid(self.n_fft, None, self.sample_rate))
-        log_sum = np.asarray(self.log_sum, dtype=np.float64)
-        if log_sum.ndim != 1 or log_sum.size != self.n_fft // 2 + 1:
-            raise ValueError(
-                f"log_sum must have length n_fft//2+1 = {self.n_fft // 2 + 1}, "
-                f"got shape {log_sum.shape}")
+        log_sum = check_bins("log_sum", self.log_sum, self.n_fft)
         if not np.all(np.isfinite(log_sum)):
             raise ValueError("log_sum must be finite")
-        if self.num_recordings < 1 or self.total_frames < self.num_recordings:
-            raise ValueError(
-                f"need total_frames >= num_recordings >= 1, got "
-                f"{self.total_frames} / {self.num_recordings}")
+        check_count("num_recordings", self.num_recordings)
+        check_count("total_frames", self.total_frames, self.num_recordings)
         object.__setattr__(self, "log_sum", log_sum)
 
     @property
@@ -97,11 +77,7 @@ class DeviceSpectrumStats:
 
     def merge(self, other: "DeviceSpectrumStats") -> "DeviceSpectrumStats":
         """Combine two shards by adding their sums and counts."""
-        if (other.device, other.n_fft, other.sample_rate) != (
-                self.device, self.n_fft, self.sample_rate):
-            raise ValueError(
-                f"cannot merge mixed statistics: {other.device!r}@{other.n_fft}/"
-                f"{other.sample_rate} into {self.device!r}@{self.n_fft}/{self.sample_rate}")
+        check_match(("device", "n_fft", "sample_rate"), ("statistics", self), ("shard", other))
         return DeviceSpectrumStats(self.log_sum + other.log_sum,
                                    self.total_frames + other.total_frames,
                                    self.num_recordings + other.num_recordings,
@@ -123,15 +99,14 @@ class RecordingSet:
     def __post_init__(self):
         if not self.items:
             raise ValueError("recording set must not be empty")
-        first = self.items[0][2]
+        first_id, _, first = self.items[0]
         seen = set()
         for rid, device, spec in self.items:
             if rid in seen:
                 raise ValueError(f"duplicate recording id {rid!r}")
             seen.add(rid)
-            if (spec.n_fft != first.n_fft or spec.hop != first.hop
-                    or spec.sample_rate != first.sample_rate):
-                raise ValueError(f"recording {rid!r} has inconsistent STFT configuration")
+            check_match(("n_fft", "hop", "sample_rate"), (f"recording {first_id!r}", first),
+                        (f"recording {rid!r}", spec))
         if self.alignment_groups:
             frames = {}
             by_id = {rid: spec for rid, _, spec in self.items}
@@ -240,11 +215,7 @@ def estimate_aligned(pairs, reference_device: str = "ref",
 def estimate_unaligned(ref_stats: DeviceSpectrumStats,
                        src_stats: DeviceSpectrumStats) -> CorrectionCoefficients:
     """Estimate gains from independently accumulated per-device statistics."""
-    if (ref_stats.n_fft != src_stats.n_fft
-            or ref_stats.sample_rate != src_stats.sample_rate):
-        raise ValueError(
-            f"config mismatch: reference {ref_stats.n_fft}/{ref_stats.sample_rate} vs "
-            f"source {src_stats.n_fft}/{src_stats.sample_rate}")
+    check_match(("n_fft", "sample_rate"), ("reference", ref_stats), ("source", src_stats))
     gains = np.exp(ref_stats.log_mean - src_stats.log_mean)
     return CorrectionCoefficients(gains, src_stats.n_fft, src_stats.sample_rate,
                                   src_stats.device, ref_stats.device,
@@ -261,7 +232,7 @@ def simplified_coefficients(stats: DeviceSpectrumStats) -> CorrectionCoefficient
 def apply_to_amplitudes(c: CorrectionCoefficients, spec: Spectrogram) -> Spectrogram:
     """Scale each bin of an amplitude or complex spectrogram by its real gain;
     a complex bin's phase passes through unchanged."""
-    c.check_applies_to(spec.freq_bins, spec.sample_rate)
+    check_match(("n_fft", "sample_rate"), ("spectrogram", spec), ("coefficients", c))
     return replace(spec, matrix=spec.matrix * c.gains)
 
 
@@ -322,6 +293,10 @@ def cms_dataset(log_specs: Sequence[np.ndarray]) -> list:
     log_specs = [np.asarray(m, dtype=np.float64) for m in log_specs]
     if not log_specs:
         raise ValueError("cannot apply dataset-level subtraction to an empty list")
+    for i, m in enumerate(log_specs):
+        if m.shape[-1] != log_specs[0].shape[-1]:
+            raise ValueError(f"recording {i} has {m.shape[-1]} bins, recording 0 has "
+                             f"{log_specs[0].shape[-1]}")
     ceps = [real_cepstrum(m) for m in log_specs]
     total = np.zeros(ceps[0].shape[-1])
     frames = 0

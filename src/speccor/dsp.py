@@ -49,6 +49,37 @@ def check_grid(n_fft=None, hop=None, sample_rate=None) -> Optional[int]:
     return int(sample_rate)
 
 
+def check_match(quantities, *sides) -> None:
+    """The one rule of two grids that meet: each attribute in ``quantities``
+    (``n_fft``, ``hop``, ``sample_rate``, ``device``) is equal on both
+    ``sides``, two (label, object) pairs. The first that differs raises
+    ``{quantity} mismatch: {label} {value}, {label} {value}``, a rate in Hz."""
+    for quantity in quantities:
+        values = [getattr(side, quantity) for _, side in sides]
+        if values[0] != values[1]:
+            unit = " Hz" if quantity == "sample_rate" else ""
+            raise ValueError(f"{quantity} mismatch: " + ", ".join(
+                f"{label} {value!r}" if isinstance(value, str) else f"{label} {value}{unit}"
+                for (label, _), value in zip(sides, values)))
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """A count of recordings, frames, bins or samples is an integer >= ``least``;
+    a bool is no number."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+
+
+def check_bins(name: str, values, n_fft: int) -> np.ndarray:
+    """``values`` as float64, refused unless a vector of the n_fft // 2 + 1 bins
+    of a one-sided spectrum on the grid of ``n_fft``."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n_fft // 2 + 1,):
+        raise ValueError(f"{name} must have n_fft//2+1 = {n_fft // 2 + 1} bins, got shape "
+                         f"{values.shape}")
+    return values
+
+
 def hann(n_fft: int) -> np.ndarray:
     """Periodic Hann window of length ``n_fft``, the window of every STFT here."""
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)[:-1])
@@ -446,11 +477,7 @@ def shaped_blocks(audio, curves, n_fft: int = 2048, hop: int = 512):
     """
     frame_count(len(audio), n_fft, hop)
     win = _synthesis_window(n_fft, hop)
-    curves = [np.asarray(gains, dtype=np.float64) for gains in curves]
-    for gains in curves:
-        if gains.shape != (n_fft // 2 + 1,):
-            raise ValueError(f"gain curve has shape {gains.shape}, n_fft={n_fft} "
-                             f"needs ({n_fft // 2 + 1},)")
+    curves = [check_bins("gain curve", gains, n_fft) for gains in curves]
     # At least one frame per phase, so a block costs no more Python steps
     # than the frames it holds; the first block then outlasts the lead.
     span = -(-n_fft // hop)

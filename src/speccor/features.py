@@ -9,7 +9,8 @@ import numpy as np
 
 from .correction import CorrectionCoefficients
 from .dsp import (AMPLITUDE_FLOOR, BLOCK_FRAMES, AmplitudeSpectrogram, Waveform,
-                  _fold_rows, _magnitude_blocks, bin_frequencies, check_grid, frame_count)
+                  _fold_rows, _magnitude_blocks, bin_frequencies, check_count, check_grid,
+                  check_match, frame_count)
 
 VARIANCE_FLOOR = 1e-8
 
@@ -158,8 +159,7 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int = 256) -> MelFilter
     """Unit-height triangular filters with HTK-mel-spaced centers on the STFT
     bin grid, spanning 0 Hz to Nyquist."""
     sample_rate = check_grid(n_fft, sample_rate=sample_rate)
-    if n_mels < 1:
-        raise ValueError(f"n_mels must be >= 1, got {n_mels}")
+    check_count("n_mels", n_mels)
     nyquist = sample_rate / 2.0
     points = mel_to_hz(np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2))
     freqs = bin_frequencies(n_fft, sample_rate)
@@ -177,7 +177,7 @@ def _correction(c: Optional[CorrectionCoefficients], fb: MelFilterbank):
     """(gains or None, provenance tag), after checking c fits fb's STFT grid."""
     if c is None:
         return None, "none"
-    c.check_applies_to(fb.n_fft // 2 + 1, fb.sample_rate)
+    check_match(("n_fft", "sample_rate"), ("filterbank", fb), ("coefficients", c))
     return c.gains, f"pre_mel:{c.source_device}->{c.reference_device}"
 
 
@@ -190,10 +190,7 @@ def extract(a: AmplitudeSpectrogram, fb: MelFilterbank,
             c: Optional[CorrectionCoefficients] = None) -> FeatureTensor:
     """Log-mel features; correction, when given, is applied before the mel
     projection. The tensor records whether that happened."""
-    if fb.n_fft != a.n_fft or fb.sample_rate != a.sample_rate:
-        raise ValueError(
-            f"shape mismatch: filterbank built for n_fft={fb.n_fft}@{fb.sample_rate} Hz, "
-            f"spectrogram is n_fft={a.n_fft}@{a.sample_rate} Hz")
+    check_match(("n_fft", "sample_rate"), ("filterbank", fb), ("spectrogram", a))
     gains, correction = _correction(c, fb)
     mags = a.mags if gains is None else a.mags * gains
     return FeatureTensor(_log_mel(mags, fb, np.empty((a.frames, fb.n_mels))),
@@ -209,9 +206,7 @@ def log_mel_blocks(audio, fb: MelFilterbank, c: Optional[CorrectionCoefficients]
     are checked at once. Every block is a view of one buffer that the next
     block overwrites, so the caller must not keep it.
     """
-    if fb.sample_rate != audio.sample_rate:
-        raise ValueError(f"sample_rate mismatch: filterbank built for {fb.sample_rate} Hz, "
-                         f"waveform is {audio.sample_rate} Hz")
+    check_match(("sample_rate",), ("filterbank", fb), ("audio", audio))
     blocks = _magnitude_blocks(audio, fb.n_fft, hop)
     gains, correction = _correction(c, fb)
     out = np.empty((BLOCK_FRAMES, fb.n_mels))

@@ -40,8 +40,7 @@ class FirFilter:
             raise ValueError("taps must be finite")
         if np.max(np.abs(taps - taps[::-1])) > 1e-12 * max(1.0, np.max(np.abs(taps))):
             raise ValueError("taps must be symmetric (Type I linear phase)")
-        if self.target_bins < 1:
-            raise ValueError(f"target_bins must be >= 1, got {self.target_bins}")
+        dsp.check_count("target_bins", self.target_bins)
         object.__setattr__(self, "taps", taps)
 
     @property
@@ -121,9 +120,7 @@ def filter_blocks(fir: FirFilter, audio, compensate_delay: bool = True):
     is a view of one buffer that the next block overwrites, so the caller
     must not keep it.
     """
-    if audio.sample_rate != fir.sample_rate:
-        raise ValueError(f"sample-rate mismatch: waveform {audio.sample_rate} Hz, "
-                         f"filter {fir.sample_rate} Hz")
+    dsp.check_match(("sample_rate",), ("audio", audio), ("filter", fir))
     n = len(audio)
     if not n:
         raise ValueError("no samples to filter")

@@ -37,10 +37,7 @@ class Response:
     def __post_init__(self):
         object.__setattr__(self, "sample_rate", dsp.check_grid(self.n_fft, None, self.sample_rate))
         what = f"response {self.name!r}"
-        gains = np.asarray(self.gains, dtype=np.float64)
-        if gains.ndim != 1 or gains.size != self.n_fft // 2 + 1:
-            raise ValueError(f"{what} gains must be a 1-D vector of n_fft//2+1 = "
-                             f"{self.n_fft // 2 + 1} bins")
+        gains = dsp.check_bins(f"{what} gains", self.gains, self.n_fft)
         bound = 10.0 ** (RESPONSE_BOUND_DB / 20.0)
         if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
             raise ValueError(f"{what} gains must be finite and positive")
@@ -123,12 +120,11 @@ class SimConfig:
             # Device names become file stems (g0000_<name>.wav) and ASCII manifest labels.
             if "/" in name or "\0" in name or not name.isascii():
                 raise ValueError(f"devices: device {name!r} is not a plain ASCII file stem")
-        for field, responses in (("devices", self.devices),
-                                 ("environments", self.environments)):
-            for resp in responses:
-                if (resp.n_fft, resp.sample_rate) != (self.n_fft, self.sample_rate):
-                    raise ValueError(f"{field}: response {resp.name!r} does not match the "
-                                     "dataset's n_fft and sample_rate")
+        for field in ("devices", "environments"):
+            for resp in getattr(self, field):
+                with files.named(field):
+                    dsp.check_match(("n_fft", "sample_rate"), ("dataset", self),
+                                    (f"response {resp.name!r}", resp))
         if self.aligned and len(self.devices) < 2:
             # read_manifest rejects a group of one device, so no corpus could be read.
             raise ValueError(f"devices: an aligned dataset needs at least two devices, "
@@ -296,11 +292,9 @@ def record(clean: Waveform, env: Optional[Response],
     (``dsp.shaped_blocks``), so the edges are shaped as a signal that starts
     and stops there.
     """
-    if dev.sample_rate != clean.sample_rate:
-        raise ValueError(f"config mismatch: waveform at {clean.sample_rate} Hz, "
-                         f"device response at {dev.sample_rate} Hz")
-    if env is not None and (env.n_fft != dev.n_fft or env.sample_rate != dev.sample_rate):
-        raise ValueError("config mismatch between environment and device responses")
+    dsp.check_match(("sample_rate",), ("waveform", clean), ("device", dev))
+    if env is not None:
+        dsp.check_match(("n_fft", "sample_rate"), ("device", dev), ("environment", env))
     if hop is None:
         hop = dev.n_fft // 4
     gains = dev.gains if env is None else dev.gains * env.gains

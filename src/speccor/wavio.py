@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import files
-from .dsp import ForwardReader, Waveform, check_grid
+from .dsp import ForwardReader, Waveform, check_count, check_grid
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -235,10 +235,11 @@ class create_wav:
     """
 
     def __init__(self, path, sample_rate: int, samples: int):
-        if not 0 <= samples <= MAX_FLOAT32_SAMPLES:
-            raise ValueError(f"{path}: {samples} samples do not fit a float32 WAV file")
         with files.named(path):
+            check_count("samples", samples, 0)
             sample_rate = check_grid(sample_rate=sample_rate)
+        if samples > MAX_FLOAT32_SAMPLES:
+            raise ValueError(f"{path}: {samples} samples do not fit a float32 WAV file")
         if sample_rate * 4 >= 2**32:
             raise ValueError(f"{path}: sample rate {sample_rate} Hz does not fit a WAV header")
         payload = samples * 4

@@ -41,12 +41,20 @@ def test_stats_frame_weighted_pooling():
 
 
 def test_stats_rejects_mixed_config():
-    with pytest.raises(ValueError, match="mixed"):
+    with pytest.raises(ValueError, match="n_fft mismatch: statistics 64, shard 128"):
         sc.accumulate_stats(
             [constant_spectrogram(1.0, n_fft=64), constant_spectrogram(1.0, n_fft=128)],
             "d")
     with pytest.raises(ValueError):
         sc.accumulate_stats([], "d")
+
+
+@pytest.mark.parametrize("count", [2.5, True], ids=["fraction", "bool"])
+def test_stats_refuse_a_count_that_is_not_an_integer(count):
+    with pytest.raises(ValueError, match=f"total_frames must be an integer >= 1, got {count}"):
+        sc.DeviceSpectrumStats(np.zeros(33), count, 1, "d", 64, SR)
+    with pytest.raises(ValueError, match=f"num_recordings must be an integer >= 1, got {count}"):
+        sc.DeviceSpectrumStats(np.zeros(33), 4, count, "d", 64, SR)
 
 
 def test_stats_recover_device_response():
@@ -105,11 +113,12 @@ def test_stats_merge_adds_sums_and_counts(frame_counts, seed):
     cells = np.concatenate([np.log(np.maximum(s.mags, sc.AMPLITUDE_FLOOR)) for s in flat])
     assert np.abs(whole.log_mean - cells.mean(axis=0)).max() < 1e-12
     assert (whole.total_frames, whole.num_recordings) == (len(cells), len(flat))
-    with pytest.raises(ValueError, match="cannot merge"):
+    with pytest.raises(ValueError, match="device mismatch: statistics 'd', shard 'other'"):
         a.merge(sc.accumulate_stats([constant_spectrogram(1.0)], "other"))
-    with pytest.raises(ValueError, match="mixed"):
+    with pytest.raises(ValueError, match="n_fft mismatch: statistics 64, shard 128"):
         a.merge(sc.accumulate_stats([constant_spectrogram(1.0, n_fft=128)], "d"))
-    with pytest.raises(ValueError, match="mixed"):
+    with pytest.raises(ValueError, match=f"sample_rate mismatch: statistics {SR} Hz, "
+                                         "shard 48000 Hz"):
         a.merge(sc.accumulate_stats([constant_spectrogram(1.0, sample_rate=48000)], "d"))
 
 
@@ -225,7 +234,7 @@ def test_unaligned_equals_aligned_on_aligned_data():
 def test_unaligned_rejects_config_mismatch():
     a = sc.accumulate_stats([constant_spectrogram(1.0, n_fft=64)], "a")
     b = sc.accumulate_stats([constant_spectrogram(1.0, n_fft=128)], "b")
-    with pytest.raises(ValueError, match="config mismatch"):
+    with pytest.raises(ValueError, match="n_fft mismatch: reference 64, source 128"):
         sc.estimate_unaligned(a, b)
 
 
@@ -271,7 +280,7 @@ def test_apply_round_trip_through_reciprocal():
 def test_apply_rejects_bin_mismatch():
     rng = np.random.default_rng(18)
     spec = random_amplitude_spectrogram(rng, 5, 128)
-    with pytest.raises(ValueError, match="bin mismatch"):
+    with pytest.raises(ValueError, match="n_fft mismatch: spectrogram 128, coefficients 64"):
         sc.apply_to_amplitudes(unit_coeffs(n_fft=64), spec)
 
 
@@ -492,6 +501,12 @@ def test_real_cepstrum_linearity():
     lhs = sc.real_cepstrum(a + b)
     rhs = sc.real_cepstrum(a) + sc.real_cepstrum(b)
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_cms_dataset_names_a_recording_of_another_bin_count():
+    logs = [np.zeros((3, 33)), np.zeros((4, 33)), np.zeros((2, 17))]
+    with pytest.raises(ValueError, match="^recording 2 has 17 bins, recording 0 has 33$"):
+        sc.cms_dataset(logs)
 
 
 def test_cms_dataset_equals_transform_of_log_subtraction():

@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -161,7 +162,8 @@ def test_apply_gains_checks_like_stft_and_istft():
             sc.apply_gains(w, flat, n_fft, hop)
     with pytest.raises(ValueError, match="input too short"):
         sc.apply_gains(white_waveform(0, seconds=0.01), flat, N_FFT, HOP)
-    with pytest.raises(ValueError, match="gain curve has shape"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"gain curve must have n_fft//2+1 = {N_FFT // 2 + 1} bins, got shape ({N_FFT // 2},)")):
         sc.apply_gains(w, [np.ones(N_FFT // 2)], N_FFT, HOP)
 
 
@@ -488,3 +490,17 @@ def test_every_entry_that_takes_a_grid_accepts_or_refuses_it_alike(bad, data):
                 assert type(rate) is int and rate == grid["sample_rate"], name
             else:
                 call(g)
+
+
+def test_check_match_names_the_first_quantity_that_differs():
+    quantities = ("n_fft", "hop", "sample_rate", "device")
+    a = SimpleNamespace(n_fft=N_FFT, hop=HOP, sample_rate=SR, device="a")
+    sc.dsp.check_match(quantities, ("left", a), ("right", SimpleNamespace(**vars(a))))
+    for changes, message in [
+            ({"hop": 256, "sample_rate": 48000}, f"hop mismatch: left {HOP}, right 256"),
+            ({"n_fft": 1024}, f"n_fft mismatch: left {N_FFT}, right 1024"),
+            ({"sample_rate": 48000}, f"sample_rate mismatch: left {SR} Hz, right 48000 Hz"),
+            ({"device": ""}, "device mismatch: left 'a', right ''")]:
+        b = SimpleNamespace(**{**vars(a), **changes})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.dsp.check_match(quantities, ("left", a), ("right", b))

@@ -143,7 +143,7 @@ def test_apply_identity_filter_round_trips():
 def test_apply_filter_rejects_sample_rate_mismatch():
     filt = sc.FirFilter([0.25, 0.5, 0.25], SR, N_FFT // 2 + 1)
     w = sc.Waveform(np.zeros(100), 16000)
-    with pytest.raises(ValueError, match="sample-rate mismatch"):
+    with pytest.raises(ValueError, match=f"sample_rate mismatch: audio 16000 Hz, filter {SR} Hz"):
         sc.apply_filter(filt, w)
 
 

@@ -771,6 +771,10 @@ def test_create_wav_names_the_file_of_a_fractional_rate(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: sample_rate must be a positive whole number, got 44100.5")):
         sc.create_wav(path, 44100.5, 16)
+    for samples in (10.5, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: samples must be an integer >= 0, got {samples}")):
+            sc.create_wav(path, 16000, samples)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -784,18 +788,46 @@ def test_a_wav_header_rate_of_0_is_an_audio_file_error_with_the_grid_message(tmp
 
 @pytest.mark.parametrize("count", [0, -5])
 def test_coefficients_and_filter_refuse_a_count_below_one(tmp_path, count):
-    with pytest.raises(ValueError, match=re.escape(f"num_recordings must be >= 1, got {count}")):
+    with pytest.raises(ValueError, match=re.escape(f"num_recordings must be an integer >= 1, "
+                                                   f"got {count}")):
         sc.CorrectionCoefficients(np.ones(9), 16, SR, "b", "a", count, "aligned")
-    with pytest.raises(ValueError, match=re.escape(f"target_bins must be >= 1, got {count}")):
+    with pytest.raises(ValueError, match=re.escape(f"target_bins must be an integer >= 1, "
+                                                   f"got {count}")):
         sc.FirFilter(np.array([0.25, 0.5, 0.25]), SR, count)
     for kind, name, value in [("coeffs", "num_recordings", 3), ("filt", "target_bins", 9)]:
         write, read = FORMATS[kind]
         path = tmp_path / f"x.{kind}"
         write(path)
         _rewrite(path, f"\n{name} {value}\n".encode(), f"\n{name} {count}\n".encode())
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {name} must be >= 1, "
-                                                       f"got {count}")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {name} must be an integer "
+                                                       f">= 1, got {count}")):
             read(path)
+
+
+# Each count field of a format: its type built around one count, and the format's writer and reader.
+COUNT_FIELDS = {
+    "num_recordings": (lambda n: sc.CorrectionCoefficients(np.ones(9), 16, SR, "b", "a", n,
+                                                           "aligned"),
+                       files.write_coefficients, files.read_coefficients),
+    "target_bins": (lambda n: sc.FirFilter(np.array([0.25, 0.5, 0.25]), SR, n),
+                    files.write_filter, files.read_filter),
+}
+
+
+@pytest.mark.parametrize("count", [1.5, True, 2.0, np.int64(3)],
+                         ids=["fraction", "bool", "whole-float", "int64"])
+@pytest.mark.parametrize("name", sorted(COUNT_FIELDS))
+def test_a_count_constructs_only_if_its_file_reads_back(tmp_path, name, count):
+    # A writer writes str(count), which a reader takes only as a decimal integer.
+    make, write, read = COUNT_FIELDS[name]
+    if not isinstance(count, np.integer):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1, "
+                                                       f"got {count}")):
+            make(count)
+        return
+    path = tmp_path / "x"
+    write(path, make(count))
+    assert getattr(read(path), name) == count
 
 
 @pytest.mark.parametrize("kind,line,edited,what", [

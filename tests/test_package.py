@@ -140,6 +140,17 @@ def test_only_dsp_holds_the_stft_grid_rule():
     assert {name: kinds for name, kinds in found.items() if kinds} == {}
 
 
+def test_only_dsp_writes_a_mismatch_message():
+    """``dsp.check_match`` is the one rule of two grids that meet: no other
+    module holds a string that says "mismatch", so no second wording of the
+    rule can drift from it, and ``check_applies_to`` is gone."""
+    holders = sorted({path.name for path in (SRC / "speccor").glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Constant) and "mismatch" in str(node.value)})
+    assert holders == ["dsp.py"]
+    assert not hasattr(sc.CorrectionCoefficients, "check_applies_to")
+
+
 def _named(tree):
     """Every name that ``tree`` reads, imports or reaches as an attribute."""
     for node in ast.walk(tree):

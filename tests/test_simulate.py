@@ -89,10 +89,11 @@ def test_record_self_consistency_against_truth():
 def test_record_rejects_config_mismatch():
     dev = sc.flat_response("d", N_FFT, SR)
     w = sc.Waveform(np.zeros(SR // 2), 16000)
-    with pytest.raises(ValueError, match="config mismatch"):
+    with pytest.raises(ValueError, match=f"sample_rate mismatch: waveform 16000 Hz, "
+                                         f"device {SR} Hz"):
         sc.record(w, None, dev)
     env_bad = sc.flat_environment("e", 1024, SR)
-    with pytest.raises(ValueError, match="config mismatch"):
+    with pytest.raises(ValueError, match=f"n_fft mismatch: device {N_FFT}, environment 1024"):
         sc.record(white_waveform(1), env_bad, dev)
 
 
@@ -236,7 +237,9 @@ BAD_SIM_FIELDS = {
     "device-name-with-slash": ({"devices": (sc.flat_response("a/b", N_FFT, SR),)},
                                "devices"),
     "environment-off-grid": ({"environments": (sc.flat_response("e", 1024, SR),)},
-                             "environments"),
+                             f"environments: n_fft mismatch: dataset {N_FFT}, response 'e' 1024"),
+    "device-off-grid": ({"devices": (sc.flat_response("a", N_FFT, 48000),)},
+                        f"devices: sample_rate mismatch: dataset {SR} Hz, response 'a' 48000 Hz"),
     "aligned-one-device": ({"aligned": True}, "devices"),
 }
 
